@@ -86,8 +86,10 @@ class ResultCache:
             dir=self.directory, prefix=f".{fingerprint[:12]}-", suffix=".tmp"
         )
         try:
+            # dumps() encodes in C; dump() streams through the
+            # pure-Python encoder.  The bytes are the same.
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+                fh.write(json.dumps(entry))
             os.replace(tmp, self._path(fingerprint))
         except BaseException:
             try:

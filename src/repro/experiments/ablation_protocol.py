@@ -120,6 +120,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
             mechanism=mech,
             primitive="qsl",
             scale=opts.scale,
+            seed=opts.seed,
             protocol=proto,
         )
         for proto in protocols

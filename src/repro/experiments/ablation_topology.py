@@ -160,6 +160,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
                 mechanism="original",
                 primitive="qsl",
                 scale=opts.scale,
+                seed=opts.seed,
                 topology=topo,
             )
             for placement in PLACEMENTS:
@@ -168,6 +169,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
                     mechanism="inpg",
                     primitive="qsl",
                     scale=opts.scale,
+                    seed=opts.seed,
                     topology=topo,
                     config=_inpg_config(placement),
                 )

@@ -280,6 +280,7 @@ def run_mechanism_matrix(
             mechanism=mech,
             primitive=primitive,
             scale=scale,
+            seed=opts.seed,
             config=config,
         )
         for bench in benchmarks

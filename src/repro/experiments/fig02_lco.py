@@ -78,7 +78,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
     specs = {
         (bench, prim): RunSpec(
             benchmark=bench, mechanism="original", primitive=prim,
-            scale=opts.scale,
+            scale=opts.scale, seed=opts.seed,
         )
         for bench in benchmarks
         for prim in PRIMITIVES

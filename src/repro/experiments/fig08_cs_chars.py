@@ -76,7 +76,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
     specs = {
         bench: RunSpec(
             benchmark=bench, mechanism="original", primitive="qsl",
-            scale=opts.scale,
+            scale=opts.scale, seed=opts.seed,
         )
         for bench in opts.benchmarks()
     }

@@ -93,7 +93,7 @@ def run(
     specs = {
         mech: RunSpec(
             benchmark=BENCHMARK, mechanism=mech, primitive="qsl",
-            scale=opts.scale,
+            scale=opts.scale, seed=opts.seed,
         )
         for mech in MECHANISMS
     }

@@ -65,7 +65,8 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
     benches = opts.benchmarks()
     specs = {
         (bench, prim, mech): RunSpec(
-            benchmark=bench, mechanism=mech, primitive=prim, scale=opts.scale
+            benchmark=bench, mechanism=mech, primitive=prim, scale=opts.scale,
+            seed=opts.seed,
         )
         for bench in benches
         for prim in PRIMITIVES

@@ -63,7 +63,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
     specs = {
         (bench, "baseline"): RunSpec(
             benchmark=bench, mechanism="original", primitive="qsl",
-            scale=scale, config=base_cfg,
+            scale=scale, seed=opts.seed, config=base_cfg,
         )
         for bench in benches
     }
@@ -78,7 +78,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
         for bench in benches:
             specs[(bench, count)] = RunSpec(
                 benchmark=bench, mechanism="inpg", primitive="qsl",
-                scale=scale, config=cfg,
+                scale=scale, seed=opts.seed, config=cfg,
             )
     results = execute(list(specs.values()), options=opts)
     for bench in benches:

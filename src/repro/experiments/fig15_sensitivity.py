@@ -76,7 +76,7 @@ def run(
         for bench in benches:
             specs[(dim, "baseline", bench)] = RunSpec(
                 benchmark=bench, mechanism="original", primitive="qsl",
-                scale=scale, config=base_cfg,
+                scale=scale, seed=opts.seed, config=base_cfg,
             )
         for size in table_sizes:
             cfg = replace(
@@ -92,7 +92,7 @@ def run(
             for bench in benches:
                 specs[(dim, size, bench)] = RunSpec(
                     benchmark=bench, mechanism="inpg", primitive="qsl",
-                    scale=scale, config=cfg,
+                    scale=scale, seed=opts.seed, config=cfg,
                 )
     results = execute(list(specs.values()), options=opts)
     for dim in dims:

@@ -112,7 +112,7 @@ class FaultInjector:
         return self
 
     def _wrap_router(self, router, sites: Tuple[FaultSite, ...]) -> None:
-        clean = router.accept  # bound class method, captured pre-wrap
+        clean = router.accept  # the router's entry point, captured pre-wrap
         component = f"router/{router.node}"
 
         def faulted_accept(

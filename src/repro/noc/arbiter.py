@@ -142,7 +142,7 @@ class WrrOutputPort(OutputPort):
                 self._peak_queue_depth = 1
             self._grant(packet, on_granted)
             return
-        arbiter.push(packet, on_granted, self.now)
+        arbiter.push(packet, on_granted, self.sim.cycle)
         if arbiter.pending > self._peak_queue_depth:
             self._peak_queue_depth = arbiter.pending
 
@@ -152,7 +152,7 @@ class WrrOutputPort(OutputPort):
             self._busy = False
             return
         arrival, packet, on_granted = granted
-        self.total_wait_cycles += self.now - arrival
+        self.total_wait_cycles += self.sim.cycle - arrival
         self._grant(packet, on_granted)
 
     @property

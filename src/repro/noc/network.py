@@ -135,7 +135,7 @@ class Network(Component):
             else 0,
             origin=origin if origin is not None else src,
         )
-        packet.injected_cycle = self.now
+        packet.injected_cycle = self.sim.cycle
         self.packets_injected += 1
         tr = self._trace
         if tr is not None:
@@ -160,7 +160,7 @@ class Network(Component):
         The packet starts at the generating router, not at an endpoint NI;
         it still pays that router's pipeline before moving.
         """
-        packet.injected_cycle = self.now
+        packet.injected_cycle = self.sim.cycle
         self.packets_injected += 1
         tr = self._trace
         if tr is not None:

@@ -73,7 +73,7 @@ class OutputPort(Component):
             schedule(occupancy, self._grant_next)
             return
         priority = packet.priority if self.priority_aware else 0
-        key = (packet.vnet, -priority, self.now, self._seq)
+        key = (packet.vnet, -priority, self.sim.cycle, self._seq)
         self._seq += 1
         heapq.heappush(self._pending, (key, packet, on_granted))
         if len(self._pending) > self._peak_queue_depth:
@@ -105,7 +105,7 @@ class OutputPort(Component):
             self._busy = False
             return
         key, packet, on_granted = heapq.heappop(self._pending)
-        self.total_wait_cycles += self.now - key[2]
+        self.total_wait_cycles += self.sim.cycle - key[2]
         self._grant(packet, on_granted)
 
     @property

@@ -13,14 +13,18 @@ router, **before** route computation.  Normal routers always let packets
 continue; the iNPG big router overrides it to stop lock requests and
 generate early invalidations (``repro.inpg.big_router``).
 
-Datapath hot path: routing uses the mesh's precomputed next-hop row, and
-every event is scheduled as ``(bound method, packet)`` — no closures are
-allocated per hop.  Link-grant handlers are built once per output port
-when the network wires the routers together (:meth:`wire`).
+Datapath hot path: a hop is four kernel events — ``accept``, the output
+port's ``request``, the link relay and the port's ``_grant_next`` — and
+allocates no closure.  ``accept`` schedules the next hop's pre-bound
+port request directly, and the link relay is a ``partial`` over
+``sim.schedule``, so no frame on the way only forwards.  Dispatch
+entries are built once per output port when the network wires the
+routers together (:meth:`wire`).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict
 
 from ..sim import Component, Simulator
@@ -57,70 +61,60 @@ class Router(Component):
         self.ports[node] = network.make_port(f"router{node}->local")
         self.packets_seen = 0
         #: row[dst] -> next node on the routing path (shared, precomputed)
-        topo = network.mesh
-        self._hop_row = topo.next_hop_row(node)
-        if topo.has_datelines:
-            #: row[dst] -> the hop toward dst wraps around a dateline
-            self._dateline_row = tuple(
-                hop != node and topo.crosses_dateline(node, hop)
-                for hop in self._hop_row
-            )
-            # instance-level rebind: only wraparound topologies pay the
-            # dateline check; the mesh datapath is untouched.
-            self._route = self._route_dateline
+        self._hop_row = network.mesh.next_hop_row(node)
         #: subclasses that override inspect() pay for the hook; the base
         #: router skips the call entirely.
         self._inspects = type(self).inspect is not Router.inspect
         #: per-output-port grant handlers, built by wire()
         self._grant_handlers: Dict[int, Callable[[Packet], None]] = {}
-        #: row[dst] -> (output_port.request, grant handler) pair, built by
-        #: wire(); collapses routing to one indexed load per hop.
+        #: row[dst] -> ``(route, link)``: the pipeline stage schedules
+        #: ``route(packet, link)``, built by wire()
         self._dest: list = []
         self._record_trace = network.record_traces
         self._schedule = sim.schedule
+        if not self._inspects and not self._record_trace:
+            self.accept = self._accept_plain
 
     # ------------------------------------------------------------------
     # Wiring (called by the network once all routers exist)
     # ------------------------------------------------------------------
     def wire(self) -> None:
-        """Pre-bind the downstream ``accept`` of each neighbour so a port
-        grant schedules the link traversal without allocating a closure.
+        """Bind each outgoing link's relay, ``partial(sim.schedule,
+        link_cycles, neighbour.accept)``, so a port grant schedules the
+        link traversal with no frame of its own.
 
         Idempotent, and deliberately so: ``repro.faults`` installs
         per-router fault wrappers as instance-level ``accept``
         attributes, then re-runs ``wire()`` on every router so the
         pre-bound handlers capture the wrapped entry points (link-site
         wrappers are layered afterwards via :meth:`wrap_link`)."""
-        schedule = self.sim.schedule
-        link = self.link_cycles
         for neighbor in self.network.mesh.neighbors(self.node):
-            accept = self.network.routers[neighbor].accept
-
-            def on_granted(packet: Packet, _accept=accept) -> None:
-                schedule(link, _accept, packet)
-
-            self._grant_handlers[neighbor] = on_granted
+            self._grant_handlers[neighbor] = partial(
+                self._schedule, self.link_cycles,
+                self.network.routers[neighbor].accept,
+            )
         self._deliver = self.network.deliver_local
         self._rebuild_dispatch()
 
     def _rebuild_dispatch(self) -> None:
-        """Precompute ``dst -> (port.request, grant handler)`` so the
-        datapath resolves a destination with one list index instead of a
-        next-hop row read plus two dict lookups.  Re-run whenever the
-        grant handlers change (``wire()`` / :meth:`wrap_link`)."""
+        """Build one ``(route, link)`` entry per output port and map
+        every destination onto its next hop's entry, so the datapath
+        resolves a destination with one list index.  Re-run whenever
+        the grant handlers change (``wire()`` / :meth:`wrap_link`).
+
+        ``route(packet, link)`` is the port's ``request(packet,
+        on_granted)``; on a link that crosses a dateline it is
+        :meth:`_route_dateline`, which escalates the packet's VC class
+        first."""
         node = self.node
-        hop_row = self._hop_row
-        dest = []
-        for dst in range(self.network.mesh.num_nodes):
-            if dst == node:
-                dest.append((self.ports[node].request, self._eject))
-            else:
-                next_node = hop_row[dst]
-                dest.append(
-                    (self.ports[next_node].request,
-                     self._grant_handlers[next_node])
-                )
-        self._dest = dest
+        topo = self.network.mesh
+        by_hop = {node: (self.ports[node].request, self._eject)}
+        for hop, on_granted in self._grant_handlers.items():
+            link = (self.ports[hop].request, on_granted)
+            if topo.has_datelines and topo.crosses_dateline(node, hop):
+                link = (self._route_dateline, link)
+            by_hop[hop] = link
+        self._dest = list(map(by_hop.__getitem__, self._hop_row))
 
     def wrap_link(
         self,
@@ -166,27 +160,30 @@ class Router(Component):
             t.append(self.node)
         if self._inspects and self.inspect(packet) == STOPPED:
             return
-        self._schedule(self.pipeline_cycles, self._route, packet)
+        route, link = self._dest[packet.dst]
+        self._schedule(self.pipeline_cycles, route, packet, link)
 
-    def _route(self, packet: Packet) -> None:
-        request, on_granted = self._dest[packet.dst]
-        request(packet, on_granted)
+    def _accept_plain(self, packet: Packet) -> None:
+        """:meth:`accept` for a router with nothing to inspect or trace;
+        ``__init__`` installs it per instance."""
+        self.packets_seen += 1
+        packet._hops += 1
+        route, link = self._dest[packet.dst]
+        self._schedule(self.pipeline_cycles, route, packet, link)
 
-    def _route_dateline(self, packet: Packet) -> None:
-        """Route variant for wraparound topologies (torus/ring).
+    def _route_dateline(self, packet: Packet, link: tuple) -> None:
+        """Route stage of a hop over a dateline (torus/ring wraparound).
 
-        A packet whose next hop crosses a dateline escalates once to the
-        dateline VC class (``vnet + 2``) — the model of the dateline
-        virtual channels that break the ring channel-dependency cycle
-        (DESIGN.md §15).  Installed as an instance attribute by
-        ``__init__`` so mesh routers never test for datelines.
+        The packet escalates once to the dateline VC class (``vnet +
+        2``) — the model of the dateline virtual channels that break the
+        ring channel-dependency cycle (DESIGN.md §15) — then requests
+        the port.  Only dateline links route through here, so mesh hops
+        never test for datelines.
         """
-        dst = packet.dst
-        if self._dateline_row[dst]:
-            self.network.dateline_crossings += 1
-            if packet.vnet < 2:
-                packet.vnet += 2
-        request, on_granted = self._dest[dst]
+        self.network.dateline_crossings += 1
+        if packet.vnet < 2:
+            packet.vnet += 2
+        request, on_granted = link
         request(packet, on_granted)
 
     def _eject(self, packet: Packet) -> None:
@@ -197,4 +194,5 @@ class Router(Component):
     def forward_now(self, packet: Packet) -> None:
         """Re-enter the datapath at this router (used by big routers to
         send generated or converted packets on their way)."""
-        self._schedule(self.pipeline_cycles, self._route, packet)
+        route, link = self._dest[packet.dst]
+        self._schedule(self.pipeline_cycles, route, packet, link)

@@ -13,14 +13,16 @@ cycle -> flat list of ``fn, args`` pairs (stride 2) — plus a small heap of
 the distinct pending cycles.  Scheduling the common case is one dict
 lookup and two list appends; the heap is only touched when a new cycle
 first appears, so the number of heap operations scales with the number of
-distinct cycles rather than the number of events (a fig12 run schedules
-~6.5M events across ~400k cycles).  Bucket order *is* FIFO order, which
-preserves the exact tie-break semantics of the earlier single-heap
-implementation.  Cancellable timers (the rare case: TTL countdowns,
-retractable timeouts) go through :meth:`Simulator.schedule_cancellable`,
-which allocates an :class:`Event` stored as a ``_CANCELLABLE, event``
-pair; cancelled entries are lazily skipped and the buckets are compacted
-when corpses pile up (lock-retry storms re-arm TTLs constantly).
+distinct cycles rather than the number of events (the benchmark's cold
+Figure 12 plan runs 2.71M events in about 290k buckets).  Bucket order
+*is* FIFO order, which preserves the exact tie-break semantics of the
+earlier single-heap implementation.  :meth:`Simulator.run` walks each
+bucket with one list iterator and settles its counters once per bucket.
+Cancellable timers (the rare case: TTL countdowns, retractable timeouts)
+go through :meth:`Simulator.schedule_cancellable`, which allocates an
+:class:`Event` stored as a ``_CANCELLABLE, event`` pair; cancelled
+entries are lazily skipped and the buckets are compacted when corpses
+pile up (lock-retry storms re-arm TTLs constantly).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import heapq
 from functools import partial
 from heapq import heappush
+from itertools import islice
 from sys import maxsize
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -136,23 +139,29 @@ class Simulator:
     def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
         """Schedule ``fn(*args)`` to fire ``delay`` cycles from now.
 
-        ``delay`` must be >= 0.  A zero delay fires later in the current
-        cycle, after all previously scheduled work for this cycle.  This
-        is the allocation-free hot path: the entry cannot be cancelled
-        (use :meth:`schedule_cancellable` for retractable timers).
+        ``delay`` must be >= 0; a non-int delay fires at ``int(delay)``.
+        A zero delay fires later in the current cycle, after all
+        previously scheduled work for this cycle.  This is the
+        allocation-free hot path: the entry cannot be cancelled (use
+        :meth:`schedule_cancellable` for retractable timers).  The delay
+        is validated only when it opens a new bucket: no bucket lies
+        before the current cycle, so a negative delay never finds one,
+        and a float delay finds only the bucket of its whole value.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if delay.__class__ is not int:
-            delay = int(delay)
-        cycle = self.cycle + delay
-        bucket = self._buckets.get(cycle)
+        bucket = self._buckets.get(self.cycle + delay)
         if bucket is None:
-            self._buckets[cycle] = [fn, args]
-            heappush(self._cycles, cycle)
-        else:
-            bucket.append(fn)
-            bucket.append(args)
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule in the past (delay={delay})"
+                )
+            cycle = self.cycle + int(delay)
+            bucket = self._buckets.get(cycle)
+            if bucket is None:
+                self._buckets[cycle] = [fn, args]
+                heappush(self._cycles, cycle)
+                return
+        bucket.append(fn)
+        bucket.append(args)
 
     def schedule_at(self, cycle: int, fn: Callable[..., None], *args) -> None:
         """Schedule ``fn(*args)`` at an absolute ``cycle`` (>= current cycle)."""
@@ -216,6 +225,10 @@ class Simulator:
         the executor's per-run wall-clock budget hook; the check is
         skipped entirely (one ``None`` test per cycle batch) when no
         deadline is set.
+
+        A run halted by :meth:`stop`, by ``max_events`` or by a raising
+        callback leaves the rest of the current bucket queued, so the
+        next run resumes at the following same-cycle entry.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -226,13 +239,11 @@ class Simulator:
         heappop = heapq.heappop
         canc = _CANCELLABLE
         events = self.events_processed
-        processed = 0
-        limit = maxsize if max_events is None else max_events
+        #: events this run may still process
+        room = maxsize if max_events is None else max_events
         stepper = self._stepper
         try:
-            while True:
-                if self._stopped:
-                    break
+            while room > 0 and not self._stopped:
                 if deadline is not None and perf_counter() >= deadline:
                     raise RunTimeout(
                         f"wall-clock budget exhausted at cycle {self.cycle} "
@@ -255,9 +266,7 @@ class Simulator:
                     ):
                         n = stepper.advance_n(snext)
                         events += n
-                        processed += n
-                        if processed >= limit:
-                            break
+                        room -= n
                         continue
                 if knext is None:
                     # drained (any remaining stepper work lies beyond
@@ -267,18 +276,19 @@ class Simulator:
                     break
                 cycle = knext
                 bucket = buckets[cycle]
-                # reap head corpses before they can advance the clock
-                i = 0
-                n = len(bucket)
-                while i < n and bucket[i] is canc and bucket[i + 1].cancelled:
-                    bucket[i + 1]._dead = True
-                    self._cancelled -= 1
-                    i += 2
-                if i == n:
-                    del buckets[cycle]
-                    heappop(cycles)
-                    continue
-                if i:
+                if bucket[0] is canc:
+                    # reap head corpses before they can advance the clock
+                    i = 0
+                    n = len(bucket)
+                    while (i < n and bucket[i] is canc
+                           and bucket[i + 1].cancelled):
+                        bucket[i + 1]._dead = True
+                        self._cancelled -= 1
+                        i += 2
+                    if i == n:
+                        del buckets[cycle]
+                        heappop(cycles)
+                        continue
                     del bucket[:i]
                 if until is not None and cycle > until:
                     # Leave the queue intact; the caller may resume later.
@@ -287,44 +297,45 @@ class Simulator:
                 # Batch every event of this cycle: the clock advances
                 # once, then entries run in FIFO (append) order —
                 # including zero-delay events scheduled by the batch
-                # itself, which land in this same bucket.
+                # itself, which the list iterator reaches because they
+                # land in this same bucket.  Counters are settled once
+                # per bucket, from how far the iterator got.
                 self.cycle = cycle
                 self._active_bucket = bucket
-                halted = False
-                i = 0
+                it = iter(bucket)
+                pairs = zip(it, it)
+                if max_events is not None:
+                    # islice counts corpses too; a bucket it cuts short
+                    # with room left resumes on the next pass
+                    pairs = islice(pairs, room)
+                skipped = 0
                 try:
-                    while i < len(bucket):
-                        fn = bucket[i]
-                        arg = bucket[i + 1]
-                        i += 2
+                    for fn, arg in pairs:
                         if fn is canc:
                             if arg.cancelled:
                                 self._cancelled -= 1
+                                skipped += 1
                                 continue
                             arg._dead = True
                             arg.fn(*arg.args)
                         else:
                             fn(*arg)
-                        events += 1
-                        processed += 1
-                        if self._stopped or processed >= limit:
-                            halted = True
+                        if self._stopped:
                             break
                 except BaseException:
-                    # keep the unprocessed suffix resumable
-                    del bucket[:i]
-                    if not bucket:
-                        del buckets[cycle]
-                        heappop(cycles)
+                    skipped += 1  # the failed callback did not complete
                     raise
-                if halted:
-                    del bucket[:i]
-                    if not bucket:
+                finally:
+                    left = it.__length_hint__()
+                    done = (len(bucket) - left >> 1) - skipped
+                    events += done
+                    room -= done
+                    if left:
+                        # keep the unprocessed suffix resumable
+                        del bucket[:len(bucket) - left]
+                    else:
                         del buckets[cycle]
                         heappop(cycles)
-                    break
-                del buckets[cycle]
-                heappop(cycles)
         finally:
             self._active_bucket = None
             self._running = False

@@ -1,9 +1,14 @@
 """Smoke tests for the experiment harnesses (small scales, fast)."""
 
+import hashlib
+import importlib
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
     clear_cache,
+    common,
     fig02_lco,
     fig07_synthesis,
     fig09_timing_profile,
@@ -227,3 +232,67 @@ class TestParallelAndCachedRegeneration:
         assert _figure_section(warm) == _figure_section(par)
         assert "executed: 0" in warm
         assert "hit rate: 100.0%" in warm
+
+
+class _PlanCaptured(Exception):
+    """Raised by the recording executor once a harness submits its plan."""
+
+
+class TestSeedReachesEverySpec:
+    """``ExperimentOptions.seed`` reaches every spec a figure harness
+    builds, and the default seed leaves every cache address where it
+    was.  The plans are captured at the executor, before anything runs.
+    """
+
+    #: harness -> (digest of its sorted default-seed fingerprints, specs);
+    #: taken before the seed was threaded through, so a match proves no
+    #: cached result moved
+    DEFAULT_PLANS = {
+        "fig02_lco": ("2f2e69811cbb8afd", 15),
+        "fig08_cs_chars": ("2abe4ff2c8d3e120", 6),
+        "fig09_timing_profile": ("b6e19bb16b4676f4", 4),
+        "fig11_cs_expedition": ("a3ba4a9474085ebd", 24),
+        "fig12_roi": ("a3ba4a9474085ebd", 24),
+        "fig13_primitives": ("7935ab8cd7168b2c", 60),
+        "fig14_deployment": ("f3853807edcb7f99", 30),
+        "fig15_sensitivity": ("ce5728ad533f09ce", 96),
+        "ablation_protocol": ("2a3b197b91b36b0e", 36),
+        "ablation_topology": ("113f075a0ea6e811", 72),
+    }
+
+    @staticmethod
+    def _plan(monkeypatch, harness, **options):
+        """The specs ``harness`` submits under ``options``."""
+        captured = []
+
+        class Recorder:
+            def run(self, specs, **policy):
+                captured.extend(specs)
+                raise _PlanCaptured
+
+        monkeypatch.setattr(common, "_EXECUTOR", Recorder())
+        module = importlib.import_module(f"repro.experiments.{harness}")
+        with pytest.raises(_PlanCaptured):
+            module.run(ExperimentOptions(**options))
+        return captured
+
+    @pytest.mark.parametrize("harness", sorted(DEFAULT_PLANS))
+    def test_default_seed_keeps_every_fingerprint(self, monkeypatch,
+                                                  harness):
+        specs = self._plan(monkeypatch, harness)
+        digest = hashlib.sha256(
+            "".join(sorted(s.fingerprint for s in specs)).encode()
+        ).hexdigest()[:16]
+        assert (digest, len(specs)) == self.DEFAULT_PLANS[harness]
+
+    @pytest.mark.parametrize("harness", sorted(DEFAULT_PLANS))
+    def test_seed_changes_every_fingerprint(self, monkeypatch, harness):
+        default = self._plan(monkeypatch, harness)
+        seeded = self._plan(monkeypatch, harness, seed=7)
+        assert len(seeded) == len(default)
+        default_prints = {s.fingerprint for s in default}
+        for spec, base in zip(seeded, default):
+            assert spec.seed == 7
+            assert spec.fingerprint not in default_prints
+            # the seed is the only thing that moved
+            assert replace(spec, seed=base.seed) == base

@@ -310,3 +310,135 @@ class TestEventOrdering:
         sim.run()
         assert order == [0, 1, 2, 3, 4, 5]
         assert sim.cycle == 5
+
+
+class TestBucketContract:
+    """What the run loop promises about one cycle's FIFO bucket: where a
+    halted or failed run resumes, what it counts, and where a scheduled
+    event lands.  Every run of the simulator depends on these."""
+
+    def test_raise_mid_bucket_leaves_suffix_resumable(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            sim.schedule(0, fired.append, "z")
+            raise RuntimeError("callback failed")
+
+        sim.schedule(3, fired.append, "a")
+        sim.schedule(3, boom)
+        sim.schedule(3, fired.append, "b")
+        sim.schedule(3, fired.append, "c")
+        sim.schedule(5, fired.append, "d")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["a", "boom"]
+        assert sim.cycle == 3
+        # only completed callbacks count; the failed one is not requeued
+        assert sim.events_processed == 1
+        assert sim.pending_events == 4
+        assert sim.run() == 5
+        assert fired == ["a", "boom", "b", "c", "z", "d"]
+        assert sim.events_processed == 5
+
+    def test_raise_on_last_entry_retires_the_bucket(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(2, lambda: None)
+        sim.schedule(2, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.events_processed == 1
+        assert sim.pending_events == 0
+        assert sim.peek_next_cycle() is None
+
+    def test_stop_mid_bucket_resumes_at_next_entry(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper():
+            fired.append("stop")
+            sim.stop()
+
+        sim.schedule(2, fired.append, "a")
+        sim.schedule(2, stopper)
+        sim.schedule(2, fired.append, "b")
+        sim.schedule(4, fired.append, "c")
+        assert sim.run() == 2
+        assert fired == ["a", "stop"]
+        assert sim.events_processed == 2
+        sim.run()
+        assert fired == ["a", "stop", "b", "c"]
+        assert sim.events_processed == 4
+
+    def test_max_events_mid_bucket_resumes_at_next_entry(self):
+        sim = Simulator()
+        fired = []
+        for name in "abcde":
+            sim.schedule(4, fired.append, name)
+        sim.run(max_events=2)
+        assert fired == ["a", "b"]
+        assert sim.cycle == 4
+        assert sim.events_processed == 2
+        sim.run(max_events=2)
+        assert fired == ["a", "b", "c", "d"]
+        assert sim.events_processed == 4
+        sim.run()
+        assert fired == list("abcde")
+        assert sim.events_processed == 5
+
+    def test_max_events_does_not_count_corpses(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(4, fired.append, "a")
+        dead = sim.schedule_cancellable(4, fired.append, "dead")
+        sim.schedule(4, fired.append, "b")
+        sim.schedule(4, fired.append, "c")
+        dead.cancel()
+        sim.run(max_events=2)
+        assert fired == ["a", "b"]
+        assert sim.events_processed == 2
+        sim.run()
+        assert fired == ["a", "b", "c"]
+        assert sim.events_processed == 3
+
+    def test_corpse_mid_bucket_is_skipped_and_not_counted(self):
+        sim = Simulator()
+        fired = []
+
+        def killer():
+            fired.append("killer")
+            victim.cancel()
+
+        sim.schedule(6, killer)
+        victim = sim.schedule_cancellable(6, fired.append, "victim")
+        sim.schedule(6, fired.append, "after")
+        sim.run()
+        assert fired == ["killer", "after"]
+        assert sim.events_processed == 2
+        assert sim.pending_events == 0
+        assert sim.live_pending_events == 0
+        assert sim._cancelled == 0
+
+    @pytest.mark.parametrize("delay", [2.0, 2.5])
+    @pytest.mark.parametrize("bucket_exists", [False, True])
+    def test_non_int_delay_lands_at_its_int(self, delay, bucket_exists):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.run()
+        fired = []
+        if bucket_exists:
+            sim.schedule(2, fired.append, "first")
+        sim.schedule(delay, lambda: fired.append(("x", sim.cycle)))
+        sim.schedule(2, fired.append, "last")
+        assert sim.peek_next_cycle() == 12
+        assert type(sim.peek_next_cycle()) is int
+        sim.run()
+        expected = ["first"] if bucket_exists else []
+        assert fired == expected + [("x", 12), "last"]
+        assert type(sim.cycle) is int
+        assert sim.events_processed == 1 + len(fired)

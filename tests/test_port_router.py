@@ -82,6 +82,20 @@ class TestOutputPort:
         assert port.total_wait_cycles == 10  # second waited for the first
 
 
+class TestRouterDispatch:
+    @pytest.mark.parametrize("topology", ["mesh", "torus", "ring"])
+    def test_one_dispatch_entry_per_output_port(self, topology):
+        """Every destination resolves to the entry of the output port
+        toward it: one entry per port, shared by all the destinations
+        behind that port."""
+        net = Network(Simulator(),
+                      NocConfig(width=4, height=4, topology=topology))
+        for router in net.routers.values():
+            assert len(router._dest) == net.mesh.num_nodes
+            assert len({id(entry) for entry in router._dest}) == len(
+                router.ports)
+
+
 class TestNetworkDelivery:
     def test_packet_reaches_destination(self):
         sim, net = make_network()

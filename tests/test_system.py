@@ -115,3 +115,46 @@ class TestFullMatrix:
         # one lock: acquisitions must be serialized, so the total CSE
         # time cannot exceed the ROI
         assert result.roi_cycles >= result.cs_completed
+
+
+class TestKernelApiGuard:
+    def test_every_callback_is_scheduled_through_the_kernel_api(
+        self, monkeypatch
+    ):
+        """Every callback the kernel runs entered through
+        ``Simulator.schedule`` or ``schedule_cancellable``.  The
+        benchmark's traced run (``perfbench/spans.py``) wraps exactly
+        those two to give every event a layer, so a component that
+        queued work any other way would run unseen.  The run is
+        fig12-shaped with iNPG on, so big routers re-enter the datapath
+        through ``forward_now``."""
+        from repro.sim import Simulator
+
+        ran = {"schedule": 0, "schedule_cancellable": 0}
+
+        def counting(method):
+            original = getattr(Simulator, method)
+
+            def schedule(self, delay, fn, *args):
+                def callback(*cb_args):
+                    ran[method] += 1
+                    fn(*cb_args)
+
+                return original(self, delay, callback, *args)
+
+            monkeypatch.setattr(Simulator, method, schedule)
+
+        counting("schedule")
+        counting("schedule_cancellable")
+        cfg = SystemConfig().with_mechanism("inpg")
+        wl = generate_workload("bodytrack", num_threads=cfg.num_threads,
+                               mesh_nodes=cfg.noc.width * cfg.noc.height,
+                               seed=2018, scale=0.1)
+        system = ManyCoreSystem(cfg, wl, primitive="qsl")
+        system.run()
+        stopped = sum(router.getx_stopped
+                      for router in system.network.routers.values()
+                      if router.is_big)
+        assert stopped > 0
+        assert ran["schedule_cancellable"] > 0
+        assert sum(ran.values()) == system.sim.events_processed
