@@ -39,7 +39,7 @@ pre-``repro.api`` code keep working; prefer ``repro.api`` in new code,
 as the internals' constructor signatures may grow over time.
 """
 
-from . import api, errors
+from . import _lazy, api, errors
 from .config import MECHANISMS, SystemConfig
 from .errors import (
     DeadlockError,
@@ -51,15 +51,22 @@ from .errors import (
     SimulationError,
 )
 from .exec import Executor, RunSpec
-from .faults import FaultPlan, FaultSite
 from .obs import Observation
 from .stats.metrics import RunResult, ThreadMetrics
-from .system import ManyCoreSystem, run_benchmark
 from .workloads.generator import (
     Workload,
     generate_workload,
     single_lock_workload,
 )
+
+#: simulator-side names, imported on first access: reading results
+#: from the cache never loads the simulator
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "FaultPlan": ".faults",
+    "FaultSite": ".faults",
+    "ManyCoreSystem": ".system",
+    "run_benchmark": ".system",
+})
 
 __version__ = "1.0.0"
 

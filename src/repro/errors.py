@@ -185,7 +185,7 @@ class ShardConfigError(ReproError, ValueError):
 
     ``NocConfig.shards > 1`` is meaningful only on the sharded flit
     engine; forcing such a config onto the ``event`` or ``vector``
-    engine (e.g. through :func:`repro.noc.vecflit.make_flit_network`'s
+    engine (e.g. through :func:`repro.noc.make_flit_network`'s
     explicit ``engine`` argument) is refused up front — with the engine
     and shard count named — rather than silently run single-process.
     (``ValueError`` stays a base so generic config-validation handlers

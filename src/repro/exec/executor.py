@@ -40,12 +40,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -504,6 +499,12 @@ class Executor:
     def _run_pool(self, missing: Dict[str, RunSpec],
                   timeout_s: Optional[float], retries: int,
                   on_error: str) -> None:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the simulator, loaded once before the pool forks: every worker
+        # inherits it instead of compiling its own copy while timed
+        from .. import system  # noqa: F401
+
         workers = min(self.jobs, len(missing))
         starts = {fp: time.perf_counter() for fp in missing}
         attempts = {fp: 0 for fp in missing}

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib import import_module
 
 from ..cli import (
     axes_parent,
@@ -30,46 +31,32 @@ from ..cli import (
     footer_cache_dir,
     resolve_shards,
 )
-from . import (
-    ablation_lco,
-    ablation_protocol,
-    ablation_topology,
-    common,
-    fig02_lco,
-    fig07_synthesis,
-    fig08_cs_chars,
-    fig09_timing_profile,
-    fig10_rtt,
-    fig11_cs_expedition,
-    fig12_roi,
-    fig13_primitives,
-    fig14_deployment,
-    fig15_sensitivity,
-    table1_config,
-)
+from . import common
 
-#: experiment name -> module; every module's ``run()`` takes the unified
+#: experiment name -> harness module in this package, imported only when
+#: the experiment runs; every module's ``run()`` takes the unified
 #: ``ExperimentOptions`` (figures with nothing to sweep ignore it)
 EXPERIMENTS = {
-    "ablation": ablation_lco,
-    "protocols": ablation_protocol,
-    "topologies": ablation_topology,
-    "table1": table1_config,
-    "fig2": fig02_lco,
-    "fig7": fig07_synthesis,
-    "fig8": fig08_cs_chars,
-    "fig9": fig09_timing_profile,
-    "fig10": fig10_rtt,
-    "fig11": fig11_cs_expedition,
-    "fig12": fig12_roi,
-    "fig13": fig13_primitives,
-    "fig14": fig14_deployment,
-    "fig15": fig15_sensitivity,
+    "ablation": "ablation_lco",
+    "protocols": "ablation_protocol",
+    "topologies": "ablation_topology",
+    "table1": "table1_config",
+    "fig2": "fig02_lco",
+    "fig7": "fig07_synthesis",
+    "fig8": "fig08_cs_chars",
+    "fig9": "fig09_timing_profile",
+    "fig10": "fig10_rtt",
+    "fig11": "fig11_cs_expedition",
+    "fig12": "fig12_roi",
+    "fig13": "fig13_primitives",
+    "fig14": "fig14_deployment",
+    "fig15": "fig15_sensitivity",
 }
 
 
 def run_one(name: str, options: common.ExperimentOptions) -> str:
-    return EXPERIMENTS[name].run(options).render()
+    module = import_module(f".{EXPERIMENTS[name]}", __package__)
+    return module.run(options).render()
 
 
 def build_parser() -> argparse.ArgumentParser:

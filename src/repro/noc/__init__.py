@@ -7,15 +7,19 @@ flit-level validation model — itself available as three bit-exact
 mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`),
 the cycle-batched vector engine (:mod:`repro.noc.vecflit`) and the
 row-band sharded multi-process engine (:mod:`repro.noc.shardflit`);
-:func:`make_flit_network` selects one by name.  Output-port arbitration
-is selectable per the ``NocConfig.arbiter`` axis (:class:`OutputPort`
-round-robin or :mod:`repro.noc.arbiter` weighted round-robin).
-Synthetic traffic patterns and load sweeps live in
-:mod:`repro.noc.traffic`.
+:func:`make_flit_network` (:mod:`repro.noc.engines`) selects one by
+name.  Output-port arbitration is selectable per the
+``NocConfig.arbiter`` axis (:class:`OutputPort` round-robin or
+:mod:`repro.noc.arbiter` weighted round-robin).  Synthetic traffic
+patterns and load sweeps live in :mod:`repro.noc.traffic`.
+
+Importing the package loads the packet-level fabric only; the flit
+engines (and NumPy, which the vector engine uses) load on first access
+to one of their names.
 """
 
+from .. import _lazy
 from .arbiter import WeightedRoundRobinArbiter, WrrOutputPort
-from .flitsim import FlitNetwork, FlitPacket, FlitRouter
 from .network import Network
 from .packet import Packet
 from .port import OutputPort
@@ -34,13 +38,18 @@ from .traffic import (
     latency_load_curve,
     run_packet_traffic,
 )
-from .shardflit import ShardedFlitFabric, ShardedFlitNetwork
-from .vecflit import (
-    HAS_NUMPY,
-    VectorFlitFabric,
-    VectorFlitNetwork,
-    make_flit_network,
-)
+
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "FlitNetwork": ".flitsim",
+    "FlitPacket": ".flitsim",
+    "FlitRouter": ".flitsim",
+    "HAS_NUMPY": ".vecflit",
+    "ShardedFlitFabric": ".shardflit",
+    "ShardedFlitNetwork": ".shardflit",
+    "VectorFlitFabric": ".vecflit",
+    "VectorFlitNetwork": ".vecflit",
+    "make_flit_network": ".engines",
+})
 
 __all__ = [
     "CONTINUE",

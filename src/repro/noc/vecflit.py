@@ -80,6 +80,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..config import NocConfig
 from ..errors import UnsupportedTopology
 from ..sim import Component, Simulator
+from .engines import make_flit_network  # noqa: F401  (also importable here)
 from .flitsim import LOCAL, _REVERSE
 from .packet import Packet
 from .topology import Mesh
@@ -1003,35 +1004,3 @@ class VectorFlitFabric(Component):
     def in_flight(self) -> int:
         return (self.packets_injected - self.packets_delivered
                 - self.packets_dropped)
-
-
-def make_flit_network(sim: Simulator, config: NocConfig, engine: str):
-    """Engine-axis factory: the standalone flit network for ``engine``.
-
-    Returns a :class:`~repro.noc.flitsim.FlitNetwork` for ``"event"``, a
-    kernel-attached :class:`VectorFlitNetwork` for ``"vector"``, or a
-    :class:`~repro.noc.shardflit.ShardedFlitNetwork` for ``"sharded"``.
-    A multi-shard config forced onto a single-process engine is refused
-    with a structured error rather than silently run on one process.
-    """
-    shards = getattr(config, "shards", 1)
-    if shards > 1 and engine in ("event", "vector"):
-        from ..errors import ShardConfigError
-
-        raise ShardConfigError(
-            f"shards={shards} requires the sharded flit engine; the "
-            f"{engine!r} engine advances the whole mesh in one process",
-            engine=engine,
-            shards=shards,
-        )
-    if engine == "vector":
-        return VectorFlitNetwork(config, sim=sim)
-    if engine == "event":
-        from .flitsim import FlitNetwork
-
-        return FlitNetwork(sim, config)
-    if engine == "sharded":
-        from .shardflit import ShardedFlitNetwork
-
-        return ShardedFlitNetwork(config, sim=sim)
-    raise ValueError(f"unknown flit engine: {engine!r}")

@@ -128,7 +128,7 @@ def flit_uniform(
     packets: int = 1_200, seed: int = 11, engine: str = "event"
 ) -> WorkloadResult:
     """Uniform-random packets through the flit-level validation model."""
-    from ..noc.vecflit import make_flit_network
+    from ..noc.engines import make_flit_network
 
     def run():
         sim = Simulator()
@@ -163,7 +163,7 @@ def flit_vector_uniform(
     event engine pays per flit-hop callback either way, which is what
     the ``flit_uniform`` baseline comparison measures.
     """
-    from ..noc.vecflit import make_flit_network
+    from ..noc.engines import make_flit_network
 
     def run():
         sim = Simulator()
@@ -192,7 +192,7 @@ def flit_big_mesh(
     the packet count and 8 injections per cycle, exercising HOL blocking
     and VC contention at a mesh size the event engine makes painful.
     """
-    from ..noc.vecflit import make_flit_network
+    from ..noc.engines import make_flit_network
 
     def run():
         sim = Simulator()
@@ -248,7 +248,7 @@ def _run_flit_plan(width: int, plan, engine: str, shards: int):
             net.send_at(cycle, src, dst, length)
         net.run(until=2_000_000)
         return net.events_processed, net.cycle
-    from ..noc.vecflit import make_flit_network
+    from ..noc.engines import make_flit_network
 
     sim = Simulator()
     net = make_flit_network(sim, NocConfig(width=width, height=width), engine)

@@ -14,6 +14,7 @@ The package splits along the wire:
   :mod:`repro.api`).
 """
 
+from .. import _lazy
 from .client import (
     LocalClient,
     RemoteExecutor,
@@ -22,8 +23,14 @@ from .client import (
     connect,
 )
 from .proto import PROTO_SCHEMA_VERSION, ProtoError
-from .server import ServiceHandle, SimulationService, start_in_thread
 from .store import ResultStore
+
+#: the asyncio service loads on first access: a client never needs it
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "ServiceHandle": ".server",
+    "SimulationService": ".server",
+    "start_in_thread": ".server",
+})
 
 __all__ = [
     "LocalClient",

@@ -23,10 +23,8 @@ Three layers, outermost first:
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.parse
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ExecutorError
@@ -51,6 +49,8 @@ class ServiceClient:
     """Talk the serve proto to one ``inpg-serve`` instance."""
 
     def __init__(self, url: str, timeout: float = 30.0):
+        import urllib.parse
+
         parsed = urllib.parse.urlsplit(url if "//" in url
                                        else f"http://{url}")
         if parsed.scheme not in ("http", ""):
@@ -69,6 +69,8 @@ class ServiceClient:
                  payload: Optional[Dict] = None,
                  kind: Optional[str] = None) -> Dict:
         """One request/response cycle; opens the proto envelope."""
+        import http.client
+
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
@@ -139,6 +141,8 @@ class ServiceClient:
 
     def iter_events(self, job_id: str) -> Iterator[Dict]:
         """Stream SSE ``job`` snapshots until the job is terminal."""
+        import http.client
+
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:

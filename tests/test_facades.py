@@ -1,0 +1,85 @@
+"""The package facades: every public name resolves, whether the facade
+imports it eagerly or on first access, to the object its defining module
+holds (DESIGN.md, "What a process imports")."""
+
+import importlib
+import re
+import sys
+import types
+
+import pytest
+
+from repro.config import NocConfig
+from repro.sim import Simulator
+
+from test_vecflit import vecflit_without_numpy
+
+FACADES = ("repro", "repro.api", "repro.noc", "repro.serve",
+           "repro.experiments")
+
+#: public values without a ``__module__`` -> the ``module:attr`` defining
+#: them
+DATA = {
+    "ARBITERS": "repro.config:ARBITERS",
+    "CONTINUE": "repro.noc.router:CONTINUE",
+    "FLIT_ENGINES": "repro.config:FLIT_ENGINES",
+    "HAS_NUMPY": "repro.noc.vecflit:HAS_NUMPY",
+    "MECHANISMS": "repro.config:MECHANISMS",
+    "PATTERNS": "repro.noc.traffic:PATTERNS",
+    "PLACEMENTS": "repro.config:PLACEMENTS",
+    "PROTOCOLS": "repro.config:PROTOCOL_NAMES",
+    "PROTOCOL_NAMES": "repro.config:PROTOCOL_NAMES",
+    "PROTOCOL_SPECS": "repro.coherence.protocol:PROTOCOLS",
+    "PROTO_SCHEMA_VERSION": "repro.serve.proto:PROTO_SCHEMA_VERSION",
+    "STOPPED": "repro.noc.router:STOPPED",
+    "TOPOLOGIES": "repro.config:TOPOLOGIES",
+    "TOPOLOGY_CLASSES": "repro.noc.topology:TOPOLOGY_CLASSES",
+    "__version__": "repro:__version__",
+}
+
+
+def defined(name, value):
+    """The object the module defining ``value`` holds under its name."""
+    if isinstance(value, types.ModuleType):
+        return sys.modules[value.__name__]
+    if hasattr(value, "__qualname__"):
+        owner = importlib.import_module(value.__module__)
+        for part in value.__qualname__.split("."):
+            owner = getattr(owner, part)
+        return owner
+    module, attr = DATA[name].split(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("facade", FACADES)
+class TestFacade:
+    def test_public_names_resolve_to_their_definitions(self, facade):
+        module = importlib.import_module(facade)
+        listed = dir(module)
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert name in listed, name
+            assert value is defined(name, value), name
+            # a lazily loaded name is kept: later reads are plain lookups
+            assert vars(module)[name] is value, name
+
+    def test_unknown_name_raises_attribute_error(self, facade):
+        module = importlib.import_module(facade)
+        with pytest.raises(AttributeError, match=re.escape(repr(facade))):
+            module.no_such_name  # noqa: B018
+
+
+def test_factory_builds_the_vector_engine_loaded_now():
+    """The factory resolves the vector engine when it is called, so a
+    reloaded ``vecflit`` (the NumPy import shim) is the one it builds."""
+    import repro.noc.vecflit as vecflit
+    from repro.noc import VectorFlitNetwork, make_flit_network
+
+    assert vecflit.make_flit_network is make_flit_network
+    cfg = NocConfig(width=4, height=4)
+    with vecflit_without_numpy() as reloaded:
+        net = make_flit_network(Simulator(), cfg, "vector")
+        assert type(net) is reloaded.VectorFlitNetwork
+        assert reloaded.VectorFlitNetwork is not VectorFlitNetwork
+    net = make_flit_network(Simulator(), cfg, "vector")
+    assert type(net) is VectorFlitNetwork

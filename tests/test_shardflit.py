@@ -30,7 +30,7 @@ from repro.exec import RunSpec
 from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.noc.shardflit import ShardedFlitFabric, ShardedFlitNetwork
-from repro.noc.vecflit import make_flit_network
+from repro.noc.engines import make_flit_network
 from repro.sim import Simulator
 
 from test_golden_determinism import GOLDEN_FLIT

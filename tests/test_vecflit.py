@@ -9,7 +9,9 @@ traffic, and cover the engine's refusals (multi-cycle links, router/link
 fault sites) and the system-level selection/fallback rules.
 """
 
+import contextlib
 import hashlib
+import sys
 
 import pytest
 
@@ -18,13 +20,9 @@ from repro.config import FLIT_ENGINES, NocConfig
 from repro.errors import UnsupportedFaultSite
 from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
+from repro.noc import make_flit_network
 from repro.noc.flitsim import FlitNetwork
-from repro.noc.vecflit import (
-    HAS_NUMPY,
-    VectorFlitFabric,
-    VectorFlitNetwork,
-    make_flit_network,
-)
+from repro.noc.vecflit import VectorFlitFabric, VectorFlitNetwork
 from repro.sim import Simulator, make_rng
 
 from test_golden_determinism import GOLDEN_FLIT
@@ -147,39 +145,51 @@ class TestEngineParity:
             _run_cosim("vector", mesh, plan, force_python=True)
 
 
+@contextlib.contextmanager
+def vecflit_without_numpy():
+    """Import a second copy of :mod:`repro.noc.vecflit` with NumPy
+    blocked and install it in ``sys.modules`` while the block runs.  The
+    original module comes back on exit, so the classes every other test
+    imported stay the ones the program builds."""
+    import builtins
+    import importlib
+
+    import repro.noc as noc
+    import repro.noc.vecflit as original
+
+    real_import = builtins.__import__
+
+    def blocked(name, *args, **kwargs):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"blocked for test: {name}")
+        return real_import(name, *args, **kwargs)
+
+    saved_numpy = sys.modules.pop("numpy", None)
+    del sys.modules["repro.noc.vecflit"]
+    builtins.__import__ = blocked
+    try:
+        yield importlib.import_module("repro.noc.vecflit")
+    finally:
+        builtins.__import__ = real_import
+        if saved_numpy is not None:
+            sys.modules["numpy"] = saved_numpy
+        sys.modules["repro.noc.vecflit"] = original
+        noc.vecflit = original
+
+
 class TestImportShim:
     def test_engine_works_without_numpy(self):
-        """Reload the module with numpy import-blocked: HAS_NUMPY drops
-        to False and the engine still runs (pure-Python fallback)."""
-        import builtins
-        import importlib
-        import sys
-
-        import repro.noc.vecflit as vecflit
-
-        real_import = builtins.__import__
-
-        def blocked(name, *args, **kwargs):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError(f"blocked for test: {name}")
-            return real_import(name, *args, **kwargs)
-
-        saved_numpy = sys.modules.pop("numpy", None)
-        builtins.__import__ = blocked
-        try:
-            mod = importlib.reload(vecflit)
+        """With NumPy import-blocked, HAS_NUMPY drops to False and the
+        engine still runs (pure-Python fallback)."""
+        with vecflit_without_numpy() as mod:
             assert mod.HAS_NUMPY is False
             net = mod.VectorFlitNetwork(NocConfig(width=4, height=4))
             net.send_at(0, 0, 15, 8)
             net.send_at(1, 5, 3, 1)
             net.run(until=100_000)
             assert len(net.delivered) == 2
-        finally:
-            builtins.__import__ = real_import
-            if saved_numpy is not None:
-                sys.modules["numpy"] = saved_numpy
-            importlib.reload(vecflit)
-        assert vecflit.HAS_NUMPY == (saved_numpy is not None)
+        assert sys.modules["repro.noc.vecflit"].VectorFlitNetwork \
+            is VectorFlitNetwork
 
 
 class TestEngineGuards:
@@ -188,18 +198,13 @@ class TestEngineGuards:
             VectorFlitNetwork(NocConfig(width=4, height=4, link_cycles=2))
 
     def test_factory_selects_engines(self):
-        # resolve classes through the module: the import-shim test
-        # reloads vecflit, so collection-time imports can be stale
-        import repro.noc.vecflit as vecflit
-
         sim = Simulator()
         cfg = NocConfig(width=4, height=4)
         assert isinstance(
             make_flit_network(sim, cfg, "event"), FlitNetwork
         )
         assert isinstance(
-            make_flit_network(Simulator(), cfg, "vector"),
-            vecflit.VectorFlitNetwork,
+            make_flit_network(Simulator(), cfg, "vector"), VectorFlitNetwork
         )
         with pytest.raises(ValueError, match="unknown flit engine"):
             make_flit_network(sim, cfg, "bogus")
@@ -241,12 +246,10 @@ def _flit_system_config(engine):
 
 class TestVectorFullSystem:
     def test_vector_fabric_is_selected(self):
-        import repro.noc.vecflit as vecflit
-
         system = ManyCoreSystem(
             _flit_system_config("vector"), _lock_workload(), primitive="mcs"
         )
-        assert isinstance(system.network, vecflit.VectorFlitFabric)
+        assert isinstance(system.network, VectorFlitFabric)
 
     def test_observed_runs_fall_back_to_event_engine(self):
         """Tracing has no per-event site inside a batched cycle, so an
