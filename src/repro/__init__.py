@@ -39,33 +39,42 @@ pre-``repro.api`` code keep working; prefer ``repro.api`` in new code,
 as the internals' constructor signatures may grow over time.
 """
 
-from . import _lazy, api, errors
-from .config import MECHANISMS, SystemConfig
-from .errors import (
-    DeadlockError,
-    ExecutorError,
-    LivelockDetected,
-    ProtocolViolation,
-    ReproError,
-    RunTimeout,
-    SimulationError,
-)
-from .exec import Executor, RunSpec
-from .obs import Observation
-from .stats.metrics import RunResult, ThreadMetrics
-from .workloads.generator import (
-    Workload,
-    generate_workload,
-    single_lock_workload,
-)
+from . import _lazy
 
-#: simulator-side names, imported on first access: reading results
-#: from the cache never loads the simulator
+#: every public name and subpackage, imported on first access: a
+#: process loads only the layers it uses (a flit drive never loads the
+#: Figure 12 stack, a cache replay never loads the simulator)
 __getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "DeadlockError": ".errors",
+    "ExecutorError": ".errors",
+    "Executor": ".exec",
     "FaultPlan": ".faults",
     "FaultSite": ".faults",
+    "LivelockDetected": ".errors",
+    "MECHANISMS": ".config",
     "ManyCoreSystem": ".system",
+    "Observation": ".obs",
+    "ProtocolViolation": ".errors",
+    "ReproError": ".errors",
+    "RunResult": ".stats.metrics",
+    "RunSpec": ".exec",
+    "RunTimeout": ".errors",
+    "SimulationError": ".errors",
+    "SystemConfig": ".config",
+    "ThreadMetrics": ".stats.metrics",
+    "Workload": ".workloads.generator",
+    "generate_workload": ".workloads.generator",
     "run_benchmark": ".system",
+    "single_lock_workload": ".workloads.generator",
+    "api": None,
+    "config": None,
+    "errors": None,
+    "exec": None,
+    "experiments": None,
+    "obs": None,
+    "sim": None,
+    "stats": None,
+    "workloads": None,
 })
 
 __version__ = "1.0.0"

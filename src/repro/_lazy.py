@@ -1,9 +1,10 @@
 """Names a package facade loads on first access (PEP 562).
 
 A facade eagerly imports only what a packet-level full-system run
-needs; its heavier names (the simulator behind a cache replay, the
-flit engines and NumPy, the service) are listed in a name -> module
-table and imported the first time someone reads them::
+needs (the root facade ``repro``: nothing); its heavier names (the
+simulator behind a cache replay, the flit engines and NumPy, the
+service) are listed in a name -> module table and imported the first
+time someone reads them::
 
     __getattr__, __dir__ = _lazy.lazy_names(globals(), {
         "ManyCoreSystem": ".system",

@@ -32,11 +32,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..config import NocConfig
 from ..errors import UnsupportedTopology
 from ..sim import Component, Simulator
-from .topology import Mesh
-
-#: port indices
-LOCAL, NORTH, EAST, SOUTH, WEST = range(5)
-_PORT_NAMES = ("local", "north", "east", "south", "west")
+from .topology import EAST, LOCAL, NORTH, REVERSE, SOUTH, WEST, Mesh
 
 _flit_packets = itertools.count()
 
@@ -106,10 +102,6 @@ class VirtualChannel:
         return self.capacity - len(self.buffer)
 
 
-#: port index -> the input port a flit sent through it arrives on
-_REVERSE = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
-
-
 class FlitRouter(Component):
     """2-stage speculative wormhole router.
 
@@ -140,22 +132,8 @@ class FlitRouter(Component):
         self._claimed: set = set()
         mesh = fabric.mesh
         x, y = mesh.coords(node)
-        #: dst -> output port (precomputed XY routing decision)
-        route = []
-        for dst in range(mesh.num_nodes):
-            if dst == node:
-                route.append(LOCAL)
-                continue
-            dx, dy = mesh.coords(dst)
-            if dx > x:
-                route.append(EAST)
-            elif dx < x:
-                route.append(WEST)
-            elif dy > y:
-                route.append(SOUTH)
-            else:
-                route.append(NORTH)
-        self._route_row = tuple(route)
+        #: dst -> output port (the mesh's shared XY port row)
+        self._route_row = mesh.port_rows()[node]
         #: out_port -> neighbour node id (None off the mesh edge)
         neighbors: List[Optional[int]] = [None] * 5
         if x < mesh.width - 1:
@@ -184,20 +162,6 @@ class FlitRouter(Component):
     def credit_return(self, out_port: int, vc_index: int) -> None:
         self.credits[out_port][vc_index] += 1
         self.wake()
-
-    # ------------------------------------------------------------------
-    def _route_port(self, dst: int) -> int:
-        return self._route_row[dst]
-
-    def _neighbor(self, out_port: int) -> int:
-        node = self._neighbor_nodes[out_port]
-        if node is None:
-            raise AssertionError(out_port)
-        return node
-
-    @staticmethod
-    def _reverse_port(out_port: int) -> int:
-        return _REVERSE[out_port]
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
@@ -264,7 +228,7 @@ class FlitRouter(Component):
                 neighbor = routers[self._neighbor_nodes[out_port]]
                 schedule(
                     link, neighbor.accept_flit,
-                    _REVERSE[out_port], out_vc, flit,
+                    REVERSE[out_port], out_vc, flit,
                 )
             # our input buffer slot is free either way: credit upstream
             schedule(1, self._return_credit, port, vc_index)
@@ -294,7 +258,7 @@ class FlitRouter(Component):
             self.fabric.local_credit(self.node, vc_index)
             return
         upstream = self.fabric.routers[self._neighbor_nodes[in_port]]
-        upstream.credit_return(_REVERSE[in_port], vc_index)
+        upstream.credit_return(REVERSE[in_port], vc_index)
 
     def _any_pending(self) -> bool:
         """Any flit buffered at this router (O(1) incremental counter)."""

@@ -380,7 +380,7 @@ class _ShardCore(VectorFlitNetwork):
                 elig.append((r, (sidx[i] - rr[r]) % SPR, i, op))
             elig.sort()
             plen = self._plen
-            acc_tgt = self._acc_target
+            acc_tgt = self._link
             claimed = self._claimed
             gmask = 0
             cur_r = -1
@@ -589,7 +589,7 @@ class _ShardCore(VectorFlitNetwork):
                         if w is None or k < w:
                             wmin[dr] = k
                 sidx = self._sidx
-                ret_cslot = self._ret_cslot
+                ret_cslot = self._link
                 inj_app = nb.inj.append
                 cred_app = nb.post_cred.append
                 n_lcred = 0

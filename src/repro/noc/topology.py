@@ -24,17 +24,38 @@ across all instances of that topology class and shape (a fig12 sweep
 builds hundreds of 8x8 meshes).  ``next_hop`` is then two tuple lookups
 with no arithmetic on the router hot path.  Caches are **per topology
 class** — a torus row can never leak into a mesh of the same shape.
+
+The flit-level engines' 5-port mesh router numbering lives here too,
+with the XY output-port rows (:meth:`Mesh.port_rows`) that the event,
+vector and sharded engines all index, cached beside the next-hop rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-#: (width, height) -> (coords table, {node -> next-hop row})
-_ShapeCache = Dict[
-    Tuple[int, int],
-    Tuple[Tuple[Tuple[int, int], ...], Dict[int, Tuple[int, ...]]],
-]
+#: the flit router's physical ports; LOCAL is the injection/ejection port
+LOCAL, NORTH, EAST, SOUTH, WEST = range(5)
+#: output port -> the neighbour's input port the link arrives on
+#: (LOCAL has no link and maps to itself)
+REVERSE = (LOCAL, SOUTH, WEST, NORTH, EAST)
+
+
+class _ShapeTables:
+    """The routing tables of one (topology class, shape), shared
+    read-only by every instance of that class and shape."""
+
+    __slots__ = ("coords", "hop_rows", "port_rows")
+
+    def __init__(self, coords: Tuple[Tuple[int, int], ...]):
+        self.coords = coords
+        #: node -> next-hop row, filled on first use
+        self.hop_rows: Dict[int, Tuple[int, ...]] = {}
+        #: node -> XY output-port row (meshes only), built on first use
+        self.port_rows: Optional[Tuple[bytes, ...]] = None
+
+
+_ShapeCache = Dict[Tuple[int, int], _ShapeTables]
 
 
 class RoutingFunction:
@@ -165,14 +186,14 @@ class Topology:
         self.height = height
         self.num_nodes = width * height
         cache = type(self)._SHAPE_CACHE
-        cached = cache.get((width, height))
-        if cached is None:
-            coords = tuple(
+        tables = cache.get((width, height))
+        if tables is None:
+            tables = cache[(width, height)] = _ShapeTables(tuple(
                 (node % width, node // width) for node in range(self.num_nodes)
-            )
-            cached = (coords, {})
-            cache[(width, height)] = cached
-        self._coords, self._hop_rows = cached
+            ))
+        self._tables = tables
+        self._coords = tables.coords
+        self._hop_rows = tables.hop_rows
 
     # ------------------------------------------------------------------
     # Addressing (identical row-major scheme for every topology)
@@ -293,6 +314,32 @@ class Mesh(Topology):
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
         return abs(sx - dx) + abs(sy - dy)
+
+    def port_rows(self) -> Tuple[bytes, ...]:
+        """XY output-port rows: ``rows[node][dst]`` is the port a flit at
+        ``node`` bound for ``dst`` leaves by (``LOCAL`` at ``dst``
+        itself).  Built once per shape and shared by every flit engine.
+
+        Destinations are row-major, so a row is ``y`` copies of one
+        destination-row segment, then one, then ``height - 1 - y``: each
+        segment is ``x`` WESTs and ``width - 1 - x`` EASTs around the
+        column's NORTH, LOCAL or SOUTH.
+        """
+        rows = self._tables.port_rows
+        if rows is None:
+            width, height = self.width, self.height
+            built = []
+            for y in range(height):
+                for x in range(width):
+                    west = bytes((WEST,)) * x
+                    east = bytes((EAST,)) * (width - 1 - x)
+                    built.append(
+                        (west + bytes((NORTH,)) + east) * y
+                        + west + bytes((LOCAL,)) + east
+                        + (west + bytes((SOUTH,)) + east) * (height - 1 - y)
+                    )
+            rows = self._tables.port_rows = tuple(built)
+        return rows
 
 
 class Torus(Topology):

@@ -81,9 +81,8 @@ from ..config import NocConfig
 from ..errors import UnsupportedTopology
 from ..sim import Component, Simulator
 from .engines import make_flit_network  # noqa: F401  (also importable here)
-from .flitsim import LOCAL, _REVERSE
 from .packet import Packet
-from .topology import Mesh
+from .topology import EAST, LOCAL, NORTH, REVERSE, SOUTH, WEST, Mesh
 
 try:  # pragma: no cover - absence exercised via tests' import shim
     import numpy as _np
@@ -101,6 +100,52 @@ _LATE_OFF = 1 << 23
 _SETUP_BASE = -(1 << 40)
 #: "no tick this cycle" sentinel (above every real key)
 _NO_TICK = 1 << 62
+
+#: (width, height, vcs) -> the slot tables of :func:`_slot_tables`
+_SLOT_TABLES: Dict[Tuple[int, int, int],
+                   Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = {}
+
+
+def _slot_tables(width: int, height: int, vcs: int):
+    """``(router_of, sidx, link)`` over the input-VC slots of a
+    ``width`` x ``height`` mesh with ``vcs`` VCs a port, slot
+    ``r * 5 * vcs + port * vcs + vc``: the slot's router, its index
+    within the router, and its link target.  Read as an output slot
+    ``(r, port, vc)``, ``link`` names the downstream input slot
+    ``(neighbour, REVERSE[port], vc)``; read as an input slot, the
+    same entry names the upstream output slot whose credit it returns.
+    ``-1`` marks LOCAL and mesh-edge slots.  Built from slices, once
+    per (shape, VCs), and shared read-only by every engine."""
+    key = (width, height, vcs)
+    tables = _SLOT_TABLES.get(key)
+    if tables is None:
+        R = width * height
+        SPR = 5 * vcs
+        N = R * SPR
+        router_of = [0] * N
+        for s in range(SPR):
+            router_of[s::SPR] = range(R)
+        # every slot of one port lies one fixed offset from its
+        # neighbour's reverse-port slot; the routers on that port's mesh
+        # edge (a range of router ids) have no neighbour
+        link = [-1] * N
+        for port, hop, edge in (
+            (NORTH, -width, range(0, width)),
+            (EAST, 1, range(width - 1, R, width)),
+            (SOUTH, width, range(R - width, R)),
+            (WEST, -1, range(0, R, width)),
+        ):
+            delta = hop * SPR + (REVERSE[port] - port) * vcs
+            unlinked = [-1] * len(edge)
+            for first in range(port * vcs, (port + 1) * vcs):
+                link[first::SPR] = range(first + delta, first + delta + N,
+                                         SPR)
+                link[first + edge.start * SPR:first + edge.stop * SPR:
+                     edge.step * SPR] = unlinked
+        tables = _SLOT_TABLES[key] = (
+            tuple(router_of), tuple(range(SPR)) * R, tuple(link)
+        )
+    return tables
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +261,14 @@ class VectorFlitNetwork:
         self._credits = [cap] * N     # indexed like out_slot
         self._rr = [0] * R            # per-router SA round-robin
         self._buffered = [0] * R      # per-router flit occupancy
-        self._router_of = [i // self.SPR for i in range(N)]
-        self._sidx = [i % self.SPR for i in range(N)]
+        # -- static tables, shared per shape ---------------------------
+        #: router -> dst -> output port (the mesh's XY port rows)
+        self._route = self.mesh.port_rows()
+        #: slot -> router, slot -> index within its router, and the
+        #: link target (downstream input slot == upstream credit slot)
+        self._router_of, self._sidx, self._link = _slot_tables(
+            config.width, config.height, V
+        )
 
         # -- NumPy candidate mirrors (discovery only) ------------------
         # two product masks: ci = "nonempty and unrouted" (route-compute
@@ -254,55 +305,6 @@ class VectorFlitNetwork:
                 f"(link_cycles={config.link_cycles}); use "
                 "flit_engine='event' for multi-cycle links"
             )
-
-        # -- routing / neighbour tables --------------------------------
-        mesh = self.mesh
-        self._route: List[Tuple[int, ...]] = []
-        self._nbr: List[List[int]] = []
-        for node in range(R):
-            x, y = mesh.coords(node)
-            row = []
-            for dst in range(R):
-                if dst == node:
-                    row.append(LOCAL)
-                    continue
-                dx, dy = mesh.coords(dst)
-                if dx > x:
-                    row.append(2)    # EAST
-                elif dx < x:
-                    row.append(4)    # WEST
-                elif dy > y:
-                    row.append(3)    # SOUTH
-                else:
-                    row.append(1)    # NORTH
-            self._route.append(tuple(row))
-            nbr = [-1] * 5
-            if x < mesh.width - 1:
-                nbr[2] = mesh.node_at(x + 1, y)
-            if x > 0:
-                nbr[4] = mesh.node_at(x - 1, y)
-            if y < mesh.height - 1:
-                nbr[3] = mesh.node_at(x, y + 1)
-            if y > 0:
-                nbr[1] = mesh.node_at(x, y - 1)
-            self._nbr.append(nbr)
-
-        # out slot o = (r, out_port, out_vc) -> downstream input slot;
-        # input slot i = (r, in_port, vc) -> upstream credit slot
-        acc_target = [-1] * N
-        ret_cslot = [-1] * N
-        for r in range(R):
-            for p in range(1, 5):
-                rev = _REVERSE[p]
-                u = self._nbr[r][p]
-                if u < 0:
-                    continue
-                for v in range(V):
-                    i = r * self.SPR + p * V + v
-                    acc_target[i] = u * self.SPR + rev * V + v
-                    ret_cslot[i] = u * self.SPR + rev * V + v
-        self._acc_target = acc_target
-        self._ret_cslot = ret_cslot
 
         # -- injection machinery (mirrors FlitNetwork) -----------------
         self._iqueue: Dict[int, Deque[VectorFlitPacket]] = {
@@ -675,7 +677,7 @@ class VectorFlitNetwork:
                 elig.append((r, (sidx[i] - rr[r]) % SPR, i, op))
             elig.sort()
             plen = self._plen
-            acc_tgt = self._acc_target
+            acc_tgt = self._link
             claimed = self._claimed
             gmask = 0
             cur_r = -1
@@ -859,7 +861,7 @@ class VectorFlitNetwork:
                 # freed input slots credit upstream next cycle; LOCAL
                 # input ports re-enter the injection path instead
                 sidx = self._sidx
-                ret_cslot = self._ret_cslot
+                ret_cslot = self._link
                 inj_app = nb.inj.append
                 cred_app = nb.post_cred.append
                 n_lcred = 0

@@ -3,6 +3,7 @@ imports it eagerly or on first access, to the object its defining module
 holds (DESIGN.md, "What a process imports")."""
 
 import importlib
+import pathlib
 import re
 import sys
 import types
@@ -12,10 +13,17 @@ import pytest
 from repro.config import NocConfig
 from repro.sim import Simulator
 
+from test_import_budget import fresh_process
 from test_vecflit import vecflit_without_numpy
+
+TESTS = pathlib.Path(__file__).resolve().parent
 
 FACADES = ("repro", "repro.api", "repro.noc", "repro.serve",
            "repro.experiments")
+
+#: the subpackages a plain ``import repro`` binds, all on first access
+ROOT_SUBPACKAGES = ("api", "config", "errors", "exec", "experiments", "obs",
+                    "sim", "stats", "workloads")
 
 #: public values without a ``__module__`` -> the ``module:attr`` defining
 #: them
@@ -67,6 +75,30 @@ class TestFacade:
         module = importlib.import_module(facade)
         with pytest.raises(AttributeError, match=re.escape(repr(facade))):
             module.no_such_name  # noqa: B018
+
+
+def test_fresh_root_import_resolves_every_name():
+    """A plain ``import repro`` in a fresh interpreter loads no
+    subpackage, yet each subpackage it names and every ``__all__`` name
+    resolves to the object its defining module holds."""
+    out = fresh_process(
+        "import sys\n"
+        "import repro\n"
+        "out['eager'] = sorted(m for m in sys.modules\n"
+        "                      if m.startswith('repro.'))\n"
+        f"subpackages = {ROOT_SUBPACKAGES!r}\n"
+        "out['wrong'] = [name for name in subpackages if getattr(repro, name)\n"
+        "                is not sys.modules['repro.' + name]]\n"
+        "values = {name: getattr(repro, name) for name in repro.__all__}\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "from test_facades import defined\n"
+        "out['wrong'] += [name for name, value in values.items()\n"
+        "                 if value is not defined(name, value)]\n"
+        "out['unlisted'] = sorted(\n"
+        "    set(subpackages + tuple(values)) - set(dir(repro)))")
+    assert out["eager"] == ["repro._lazy"]
+    assert out["wrong"] == []
+    assert out["unlisted"] == []
 
 
 def test_factory_builds_the_vector_engine_loaded_now():

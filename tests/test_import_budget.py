@@ -1,10 +1,12 @@
 """What a process imports (DESIGN.md, "What a process imports").
 
 Package facades import eagerly only what a packet-level full-system run
-needs.  A process that only reads the result cache therefore never loads
-the simulator, NumPy, the process pool or the service, and the
-event-driven flit engine needs no NumPy.  Each check runs in a fresh
-interpreter, so nothing this test process imported can hide a load.
+needs, and the root facade nothing.  A process that only reads the
+result cache therefore never loads the simulator, NumPy, the process
+pool or the service; the event-driven flit engine needs no NumPy; and a
+vector flit drive loads neither the Figure 12 stack nor the event
+engine.  Each check runs in a fresh interpreter, so nothing this test
+process imported can hide a load.
 """
 
 import json
@@ -29,6 +31,17 @@ REPLAY_NEVER_LOADS = (
     "repro.coherence",
     "repro.noc",
     "repro.serve.server",
+)
+#: the Figure 12 stack and the event engine, which a vector flit drive
+#: never runs
+FLIT_DRIVE_NEVER_LOADS = (
+    "repro.api",
+    "repro.exec",
+    "repro.experiments",
+    "repro.stats",
+    "repro.workloads",
+    "repro.obs",
+    "repro.noc.flitsim",
 )
 #: the only ``repro.experiments`` modules a Figure 12 replay loads
 FIG12_EXPERIMENT_MODULES = {
@@ -92,3 +105,17 @@ def test_event_flit_engine_needs_no_numpy():
     assert out["engine"] == "FlitNetwork"
     assert "numpy" not in out["modules"]
     assert "repro.noc.vecflit" not in out["modules"]
+
+
+def test_vector_flit_drive_loads_only_its_engine():
+    out = fresh_process(
+        "from repro.config import NocConfig\n"
+        "from repro.noc import make_flit_network\n"
+        "from repro.sim import Simulator\n"
+        "net = make_flit_network(Simulator(), "
+        "NocConfig(width=32, height=32), 'vector')\n"
+        "out['engine'] = type(net).__name__")
+    assert out["engine"] == "VectorFlitNetwork"
+    loaded = set(out["modules"])
+    assert loaded.isdisjoint(FLIT_DRIVE_NEVER_LOADS), \
+        sorted(loaded.intersection(FLIT_DRIVE_NEVER_LOADS))

@@ -34,12 +34,21 @@ from repro.noc.engines import make_flit_network
 from repro.sim import Simulator
 
 from test_golden_determinism import GOLDEN_FLIT
-from test_vecflit import _fingerprint, _golden_plan, _random_plan, _run_cosim
+from test_vecflit import (
+    _fingerprint,
+    _golden_plan,
+    _random_plan,
+    _run_cosim,
+    parity_cases,
+)
 
 
 def _sharded_config(mesh, shards):
+    """A sharded-engine config on a square ``mesh`` or a ``(width,
+    height)`` shape."""
+    width, height = (mesh, mesh) if isinstance(mesh, int) else mesh
     return NocConfig(
-        width=mesh, height=mesh, flit_engine="sharded", shards=shards
+        width=width, height=height, flit_engine="sharded", shards=shards
     )
 
 
@@ -183,16 +192,15 @@ class TestShardedGolden:
 # Randomized parity against the event reference
 # ----------------------------------------------------------------------
 class TestShardedParity:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_event_vs_sharded_parity(self, seed):
-        """Seed sweep: the sharded engine replays the event reference
-        exactly — same stream, same final cycle, same event count."""
-        mesh, plan = _random_plan(seed)
-        reference = _run_cosim("event", mesh, plan)
-        for shards in (2, 4):
-            if shards > mesh:
-                continue
-            assert _run_sharded_cosim(mesh, plan, shards) == reference, \
+    @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
+    def test_event_vs_sharded_parity(self, seed, shape):
+        """Seed and shape sweep: the sharded engine replays the event
+        reference exactly — same stream, same final cycle, same event
+        count.  A one-row mesh runs as a single band."""
+        shape, plan = _random_plan(seed, shape)
+        reference = _run_cosim("event", shape, plan)
+        for shards in [k for k in (2, 4) if k <= shape[1]] or [1]:
+            assert _run_sharded_cosim(shape, plan, shards) == reference, \
                 f"seed={seed} shards={shards}"
 
     def test_boundary_counters_are_symmetric(self):

@@ -4,7 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.topology import Mesh
+from repro.config import NocConfig
+from repro.noc.flitsim import FlitNetwork
+from repro.noc.shardflit import ShardedFlitNetwork
+from repro.noc.topology import (
+    EAST,
+    LOCAL,
+    NORTH,
+    REVERSE,
+    SOUTH,
+    WEST,
+    Mesh,
+)
+from repro.noc.vecflit import VectorFlitNetwork
+from repro.sim import Simulator
 
 
 class TestMeshBasics:
@@ -64,6 +77,68 @@ class TestXYRouting:
     def test_next_hop_at_destination(self):
         mesh = Mesh(4, 4)
         assert mesh.next_hop(7, 7) == 7
+
+
+def xy_port(mesh, node, dst):
+    """The XY output-port decision, one (node, destination) at a time."""
+    x, y = mesh.coords(node)
+    dx, dy = mesh.coords(dst)
+    if dx > x:
+        return EAST
+    if dx < x:
+        return WEST
+    if dy > y:
+        return SOUTH
+    if dy < y:
+        return NORTH
+    return LOCAL
+
+
+class TestXYPortRows:
+    """The flit engines' shared output-port table (``Mesh.port_rows``)."""
+
+    @pytest.mark.parametrize("width,height", [
+        (1, 1), (1, 5), (5, 1), (3, 6), (6, 3), (8, 8), (32, 32),
+    ])
+    def test_rows_equal_the_xy_decision(self, width, height):
+        mesh = Mesh(width, height)
+        rows = mesh.port_rows()
+        assert len(rows) == mesh.num_nodes
+        for node, row in enumerate(rows):
+            assert type(row) is bytes
+            assert list(row) == [xy_port(mesh, node, dst)
+                                 for dst in range(mesh.num_nodes)], node
+
+    def test_ports_lead_to_the_next_hop(self):
+        mesh = Mesh(6, 3)
+        step = {NORTH: -6, EAST: 1, SOUTH: 6, WEST: -1, LOCAL: 0}
+        for node, row in enumerate(mesh.port_rows()):
+            for dst, port in enumerate(row):
+                assert node + step[port] == mesh.next_hop(node, dst)
+                if port != LOCAL:
+                    # the link arrives on the neighbour's opposite port
+                    assert step[REVERSE[port]] == -step[port]
+
+    @pytest.mark.parametrize("width,height", [(6, 3), (8, 8)])
+    def test_every_engine_shares_one_table(self, width, height):
+        rows = Mesh(width, height).port_rows()
+        assert Mesh(width, height).port_rows() is rows
+        cfg = NocConfig(width=width, height=height)
+        event = FlitNetwork(Simulator(), cfg)
+        vector = VectorFlitNetwork(cfg)
+        sharded = ShardedFlitNetwork(
+            NocConfig(width=width, height=height, flit_engine="sharded",
+                      shards=3),
+            sim=Simulator(),
+        )
+        for node, row in enumerate(rows):
+            assert event.routers[node]._route_row is row
+        assert vector._route is rows
+        assert len(sharded._cores) == 3
+        for core in sharded._cores:
+            assert core._route is rows
+            assert core._link is vector._link
+            assert core._router_of is vector._router_of
 
 
 @st.composite

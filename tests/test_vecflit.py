@@ -51,10 +51,11 @@ def _fingerprint(delivered):
     return digest.hexdigest()
 
 
-def _run_cosim(engine, mesh_width, plan, force_python=False):
-    """Drive one engine through the kernel; return its observable trace."""
+def _run_cosim(engine, shape, plan, force_python=False):
+    """Drive one engine on a ``(width, height)`` mesh through the kernel;
+    return its observable trace."""
     sim = Simulator()
-    cfg = NocConfig(width=mesh_width, height=mesh_width)
+    cfg = NocConfig(width=shape[0], height=shape[1])
     if engine == "event":
         net = FlitNetwork(sim, cfg)
     else:
@@ -69,11 +70,30 @@ def _run_cosim(engine, mesh_width, plan, force_python=False):
     return stream, sim.cycle, sim.events_processed
 
 
-def _random_plan(seed):
-    """Randomized bursty traffic: clustered injects, mixed lengths."""
+#: mesh shapes (width, height) the parity tests drive besides the
+#: seed's own square mesh (``None``): non-square, and both line meshes
+SHAPES = (None, (6, 3), (3, 6), (1, 5), (5, 1))
+
+
+def parity_cases(seeds):
+    """``(seed, shape)`` parameters over every shape in SHAPES; a square
+    case keeps its bare seed as its id."""
+    return [
+        pytest.param(seed, shape, id=str(seed) if shape is None
+                     else f"{shape[0]}x{shape[1]}-{seed}")
+        for shape in SHAPES for seed in seeds
+    ]
+
+
+def _random_plan(seed, shape=None):
+    """Randomized bursty traffic: clustered injects, mixed lengths.
+    Returns ``(shape, plan)``; without a shape, the mesh is 4x4 or 8x8
+    by seed."""
     rng = make_rng(seed, "test/vecflit-parity")
-    mesh = 4 if seed % 2 == 0 else 8
-    nodes = mesh * mesh
+    if shape is None:
+        mesh = 4 if seed % 2 == 0 else 8
+        shape = (mesh, mesh)
+    nodes = shape[0] * shape[1]
     plan = []
     for _ in range(rng.randrange(120, 260)):
         src = rng.randrange(nodes)
@@ -83,7 +103,7 @@ def _random_plan(seed):
         plan.append(
             (rng.randrange(0, 80), src, dst, rng.randrange(1, 9))
         )
-    return mesh, plan
+    return shape, plan
 
 
 class TestVectorGolden:
@@ -131,18 +151,18 @@ class TestEngineParity:
     """Property test: event and vector engines are indistinguishable
     (delivered stream, final cycle, event count) on randomized traffic."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_traffic_parity(self, seed):
-        mesh, plan = _random_plan(seed)
-        assert _run_cosim("event", mesh, plan) == \
-            _run_cosim("vector", mesh, plan)
+    @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
+    def test_random_traffic_parity(self, seed, shape):
+        shape, plan = _random_plan(seed, shape)
+        assert _run_cosim("event", shape, plan) == \
+            _run_cosim("vector", shape, plan)
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_pure_python_parity(self, seed):
+    @pytest.mark.parametrize("seed,shape", parity_cases([0, 3]))
+    def test_pure_python_parity(self, seed, shape):
         """The no-NumPy fallback is the same engine, not an approximation."""
-        mesh, plan = _random_plan(seed)
-        assert _run_cosim("event", mesh, plan) == \
-            _run_cosim("vector", mesh, plan, force_python=True)
+        shape, plan = _random_plan(seed, shape)
+        assert _run_cosim("event", shape, plan) == \
+            _run_cosim("vector", shape, plan, force_python=True)
 
 
 @contextlib.contextmanager
