@@ -22,12 +22,14 @@ import os
 
 import pytest
 
+from repro.config import FLIT_ENGINES
+
 
 def pytest_addoption(parser):
     parser.addoption(
         "--flit-engine",
         default=os.environ.get("REPRO_FLIT_ENGINE", "event"),
-        choices=("event", "vector", "sharded"),
+        choices=FLIT_ENGINES,
         help="engine the flit-level NoC benches construct their "
              "networks with (default: event, or REPRO_FLIT_ENGINE)",
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from dataclasses import replace
@@ -87,38 +86,15 @@ def execution_parent(remote: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
-#: environment default for ``--shards`` (same convention as REPRO_JOBS)
-SHARDS_ENV = "REPRO_SHARDS"
-
-
 def add_flit_engine_argument(parser, extra_help: str = "") -> None:
     """Add the shared ``--flit-engine`` flag (identical everywhere)."""
     text = ("run the NoC at flit granularity with this engine "
             "('event' = reference, 'vector' = cycle-batched arrays, "
-            "bit-exact, 'sharded' = vector split into row-band worker "
-            "processes, bit-exact)")
+            "bit-exact)")
     if extra_help:
         text = f"{text}; {extra_help}"
     parser.add_argument("--flit-engine", default=None,
                         choices=list(FLIT_ENGINES), help=text)
-
-
-def add_shards_argument(parser) -> None:
-    """Add the shared ``--shards`` flag (identical everywhere)."""
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="row-band worker processes for the sharded flit engine "
-             "(requires --flit-engine sharded; default REPRO_SHARDS "
-             "or 1)",
-    )
-
-
-def resolve_shards(args) -> int:
-    """``--shards`` with the ``REPRO_SHARDS`` environment fallback."""
-    shards = getattr(args, "shards", None)
-    if shards is None:
-        shards = int(os.environ.get(SHARDS_ENV, "1") or 1)
-    return shards
 
 
 def axes_parent() -> argparse.ArgumentParser:
@@ -140,7 +116,6 @@ def axes_parent() -> argparse.ArgumentParser:
              "directory MOESI)",
     )
     add_flit_engine_argument(group)
-    add_shards_argument(group)
     group.add_argument(
         "--topology", default=None, choices=list(TOPOLOGIES),
         help="NoC fabric topology (default: the paper's 8x8 mesh; "
@@ -274,18 +249,12 @@ def main(argv=None) -> int:
         topology=args.topology,
         arbiter=args.arbiter,
     )
-    shards = resolve_shards(args)
-    if shards > 1 and args.flit_engine != "sharded":
-        print("error: --shards > 1 requires --flit-engine sharded "
-              f"(got {args.flit_engine or 'packet-level default'})",
-              file=sys.stderr)
-        return 2
     base_config = SystemConfig()
     if args.flit_engine is not None:
         base_config = replace(
             base_config,
             noc=replace(base_config.noc, flit_level=True,
-                        flit_engine=args.flit_engine, shards=shards),
+                        flit_engine=args.flit_engine),
         )
     if args.benchmark == "microbench":
         spec = RunSpec.microbench(

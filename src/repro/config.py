@@ -82,16 +82,8 @@ class NocConfig:
     flit_level: bool = False
     #: flit-level engine: ``event`` is the per-event reference router,
     #: ``vector`` the cycle-batched array fabric (``repro.noc.vecflit``,
-    #: bit-exact against the event engine; requires single-cycle links),
-    #: ``sharded`` the spatially-partitioned multi-process fabric
-    #: (``repro.noc.shardflit``, bit-exact against ``vector``).
+    #: bit-exact against the event engine; requires single-cycle links).
     flit_engine: str = "event"
-    #: row-band shard count for the ``sharded`` flit engine: the mesh is
-    #: split into this many contiguous row bands, each advanced by its
-    #: own worker under a cycle-batched boundary-exchange barrier.
-    #: ``1`` (the default, and what any other engine requires) runs the
-    #: single-process path; CLIs default it from ``REPRO_SHARDS``.
-    shards: int = 1
     #: fabric topology (``repro.noc.topology``): the paper's ``mesh`` by
     #: default; ``torus`` (wraparound XY, dateline VCs) and ``ring``
     #: (bidirectional, shortest direction) for the placement sweeps.
@@ -131,19 +123,6 @@ class NocConfig:
                 f"{self.wrr_weights!r}"
             )
         object.__setattr__(self, "wrr_weights", weights)
-        shards = int(self.shards)
-        if not 1 <= shards <= self.height:
-            raise ValueError(
-                f"shards={self.shards!r} must be between 1 and the mesh "
-                f"height ({self.height}): each shard owns at least one "
-                f"full row band"
-            )
-        object.__setattr__(self, "shards", shards)
-        if shards > 1 and self.flit_engine != "sharded":
-            raise ValueError(
-                f"shards={shards} requires flit_engine='sharded'; the "
-                f"{self.flit_engine!r} engine is single-process"
-            )
     #: one cache block = one 8-flit packet; control messages are 1 flit.
     data_packet_flits: int = 8
     ctrl_packet_flits: int = 1
@@ -393,9 +372,8 @@ MECHANISMS = ("original", "ocor", "inpg", "inpg+ocor")
 PROTOCOL_NAMES = ("moesi", "msi", "mesi")
 
 #: Flit-level fabric engines (default first): the event-driven reference
-#: router, the vectorized cycle-batched fabric, and the multi-process
-#: row-band sharded fabric, all behind the same API.
-FLIT_ENGINES = ("event", "vector", "sharded")
+#: router and the vectorized cycle-batched fabric, behind the same API.
+FLIT_ENGINES = ("event", "vector")
 
 #: NoC topologies (default first); classes in ``repro.noc.topology``.
 TOPOLOGIES = ("mesh", "torus", "ring")

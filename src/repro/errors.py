@@ -37,7 +37,6 @@ __all__ = [
     "ProtocolViolation",
     "ReproError",
     "RunTimeout",
-    "ShardConfigError",
     "ShardWorkerError",
     "SimulationError",
     "UnsupportedFaultSite",
@@ -178,32 +177,6 @@ class UnsupportedTopology(ReproError, ValueError):
         self.topology = topology
         #: topologies this model can run
         self.supported = tuple(supported)
-
-
-class ShardConfigError(ReproError, ValueError):
-    """A shard count was combined with an engine that cannot honor it.
-
-    ``NocConfig.shards > 1`` is meaningful only on the sharded flit
-    engine; forcing such a config onto the ``event`` or ``vector``
-    engine (e.g. through :func:`repro.noc.make_flit_network`'s
-    explicit ``engine`` argument) is refused up front — with the engine
-    and shard count named — rather than silently run single-process.
-    (``ValueError`` stays a base so generic config-validation handlers
-    keep catching it.)
-    """
-
-    def __init__(
-        self,
-        message: str = "shard count unsupported by this engine",
-        *,
-        engine: Optional[str] = None,
-        shards: Optional[int] = None,
-    ):
-        super().__init__(message)
-        #: the engine that cannot run sharded (e.g. ``"vector"``)
-        self.engine = engine
-        #: the requested shard count
-        self.shards = shards
 
 
 class RunTimeout(ReproError):

@@ -231,11 +231,6 @@ class RunSpec:
         # addresses itself (distinct cache entries, honest provenance)
         if payload["config"]["noc"].get("flit_engine") == "event":
             del payload["config"]["noc"]["flit_engine"]
-        # shard count: 1 is the pre-sharding behaviour on every engine,
-        # so it is elided to keep all legacy fingerprints; a multi-shard
-        # run is bit-exact with the vector engine but addresses itself
-        if payload["config"]["noc"].get("shards", 1) == 1:
-            payload["config"]["noc"].pop("shards", None)
         # topology/arbiter axes, same elide-the-default convention; WRR
         # weights are inert under the default round-robin arbiter, so
         # they only address themselves when the WRR arbiter reads them
@@ -283,8 +278,6 @@ class RunSpec:
             text += f" topology={resolved.noc.topology}"
         if resolved.noc.arbiter != "rr":
             text += f" arbiter={resolved.noc.arbiter}"
-        if resolved.noc.shards > 1:
-            text += f" shards={resolved.noc.shards}"
         if self.fault_plan is not None and self.fault_plan.enabled:
             text += f" faults={self.fault_plan.describe()}"
         return text + "]"

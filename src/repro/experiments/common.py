@@ -100,10 +100,6 @@ class ExperimentOptions:
     #: ``noc.flit_level``, so mechanisms needing the packet model (iNPG)
     #: raise their usual structured errors
     flit_engine: Optional[str] = None
-    #: row-band worker count for the sharded flit engine; only
-    #: meaningful with ``flit_engine="sharded"`` (``NocConfig`` refuses
-    #: other combinations); ``None`` = single process
-    shards: Optional[int] = None
     #: per-run wall-clock budget (seconds); a timed-out run raises
     #: :class:`~repro.errors.RunTimeout` and is never cached
     timeout_s: Optional[float] = None
@@ -140,10 +136,9 @@ class ExperimentOptions:
         if self.flit_engine is not None:
             cfg = spec.config or SystemConfig()
             if not cfg.noc.flit_level:
-                noc = {"flit_level": True, "flit_engine": self.flit_engine}
-                if self.shards is not None:
-                    noc["shards"] = self.shards
-                updates["config"] = cfg.with_overrides(noc=noc)
+                updates["config"] = cfg.with_overrides(
+                    noc={"flit_level": True, "flit_engine": self.flit_engine}
+                )
         return replace(spec, **updates) if updates else spec
 
     def executor_policy(self) -> Dict[str, object]:

@@ -29,7 +29,6 @@ from ..cli import (
     execution_parent,
     executor_from_args,
     footer_cache_dir,
-    resolve_shards,
 )
 from . import common
 
@@ -119,12 +118,6 @@ def main(argv=None) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    shards = resolve_shards(args)
-    if shards > 1 and args.flit_engine != "sharded":
-        print("error: --shards > 1 requires --flit-engine sharded "
-              f"(got {args.flit_engine or 'packet-level default'})",
-              file=sys.stderr)
-        return 2
     traced = args.trace or args.trace_out is not None
     observe_factory = None
     if traced:
@@ -146,7 +139,6 @@ def main(argv=None) -> int:
         topology=args.topology,
         arbiter=args.arbiter,
         flit_engine=args.flit_engine,
-        shards=shards if shards > 1 else None,
         check_protocol=args.check_protocol,
     )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -3,13 +3,14 @@
 Two fidelity levels: the packet-granularity :class:`Network` used by the
 full system (any :class:`Topology`: mesh, torus, ring — selected by the
 ``NocConfig.topology`` axis via :func:`make_topology`), and the
-flit-level validation model — itself available as three bit-exact
-mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`),
-the cycle-batched vector engine (:mod:`repro.noc.vecflit`) and the
-row-band sharded multi-process engine (:mod:`repro.noc.shardflit`);
-:func:`make_flit_network` (:mod:`repro.noc.engines`) selects one by
-name.  Output-port arbitration is selectable per the
-``NocConfig.arbiter`` axis (:class:`OutputPort` round-robin or
+flit-level validation model — itself available as two bit-exact
+mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`)
+and the cycle-batched vector engine (:mod:`repro.noc.vecflit`), which
+:func:`make_flit_network` (:mod:`repro.noc.engines`) selects by name.
+A third, the row-band sharded engine (:mod:`repro.noc.shardflit`),
+runs the vector engine's schedule on one worker process per band for
+standalone network drives.  Output-port arbitration is selectable per
+the ``NocConfig.arbiter`` axis (:class:`OutputPort` round-robin or
 :mod:`repro.noc.arbiter` weighted round-robin).  Synthetic traffic
 patterns and load sweeps live in :mod:`repro.noc.traffic`.
 
@@ -44,7 +45,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "FlitPacket": ".flitsim",
     "FlitRouter": ".flitsim",
     "HAS_NUMPY": ".vecflit",
-    "ShardedFlitFabric": ".shardflit",
     "ShardedFlitNetwork": ".shardflit",
     "VectorFlitFabric": ".vecflit",
     "VectorFlitNetwork": ".vecflit",
@@ -65,7 +65,6 @@ __all__ = [
     "Ring",
     "Router",
     "STOPPED",
-    "ShardedFlitFabric",
     "ShardedFlitNetwork",
     "TOPOLOGY_CLASSES",
     "Topology",

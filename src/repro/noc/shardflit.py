@@ -40,17 +40,19 @@ partition.  Three mechanisms carry it:
   vector engine's per-step sorted delivery order globally (a router
   grants its LOCAL port at most once per cycle, so keys never tie).
 
-Execution modes
-===============
-``shards == 1``, co-simulation (``sim`` given), or a delivery handler
-run the cores *in-process* on a sequential scheduler that executes the
-identical phase schedule — bit-exact, no processes.  Standalone
-multi-shard runs (the perf workloads) fan out one worker process per
-shard over the shared-memory barrier protocol (two barriers per cycle:
-*g1* publishes appender keys, *g2* publishes outboxes + each shard's
-next pending cycle, from which every worker derives the same global
-next cycle).  A worker that dies flips the shared abort flag (or is
-detected by the parent's liveness poll) and surfaces as a structured
+Execution
+=========
+The engine is a plan-driven standalone drive: queue injections with
+:meth:`ShardedFlitNetwork.send_at`, then :meth:`~ShardedFlitNetwork.run`
+once.  The run fans out one worker process per band (one shard is one
+worker) over the shared-memory barrier protocol (two barriers per
+cycle: *g1* publishes appender keys, *g2* publishes outboxes + each
+shard's next pending cycle, from which every worker derives the same
+global next cycle).  There is no kernel attachment and no delivery
+handler: a full-system run steps the vector engine, whose schedule the
+bands could only replay one after another in one process (DESIGN.md
+§16).  A worker that dies flips the shared abort flag (or is detected
+by the parent's liveness poll) and surfaces as a structured
 :class:`repro.errors.ShardWorkerError` instead of a hang.
 
 The barrier is spin-then-yield (``sleep(0)`` then a 200 us nap), so an
@@ -66,19 +68,16 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import NocConfig
 from ..errors import ShardWorkerError, UnsupportedTopology
-from ..sim import Component, Simulator
 from .topology import Mesh
 from .vecflit import (
     _CYC_SHIFT,
-    _LATE_OFF,
     _NO_TICK,
     _SETUP_BASE,
     _SUB_BITS,
-    VectorFlitFabric,
     VectorFlitNetwork,
     VectorFlitPacket,
     _np,
@@ -103,31 +102,29 @@ class _ShardCore(VectorFlitNetwork):
     no translation) but only ever activates its own band's rows:
     candidate discovery is sliced to the band and every event that
     targets a foreign router is diverted to a per-direction outbox
-    instead of applied.  Packets are pure integers here — the parent
-    (or worker bootstrap) announces ``(pid, dst, length)`` via
-    :meth:`note_packet`; real packet objects live with the parent.
+    instead of applied.  Packets are pure integers here — the worker
+    bootstrap announces ``(pid, dst, length)`` via :meth:`note_packet`;
+    real packet objects live with the parent.
     """
 
     def __init__(self, config: NocConfig, band: Tuple[int, int],
-                 shard_id: int, nshards: int, force_python: bool = False):
+                 force_python: bool = False):
         super().__init__(config, sim=None, on_delivery=None,
                          force_python=force_python)
         y0, y1 = band
-        self.shard_id = shard_id
-        self.nshards = nshards
         self.band = (y0, y1)
         self.r_lo = y0 * config.width
         self.r_hi = y1 * config.width
         self._s_lo = self.r_lo * self.SPR
         self._s_hi = self.r_hi * self.SPR
         #: boundary outboxes, refilled by phase B: index 0 = up (toward
-        #: shard_id - 1), 1 = down; acc entries are (slot, pid, flit,
+        #: the band above), 1 = down; acc entries are (slot, pid, flit,
         #: key), credit entries (credit slot, key)
         self._out_acc: Tuple[List, List] = ([], [])
         self._out_cred: Tuple[List, List] = ([], [])
         self.boundary_flits = [0, 0]
         self.boundary_credits = [0, 0]
-        #: phase A handoff to phase B / the orchestrator
+        #: phase A handoff to phase B / the worker loop
         self._deliveries: List[Tuple[int, int]] = []
         self._pa_T: List[Tuple[int, int]] = []
         self._pa_wake: Dict[int, int] = {}
@@ -205,66 +202,22 @@ class _ShardCore(VectorFlitNetwork):
         else:  # ("lcred", key, node)
             self._try_inject(event[2], event[1], wakes)
 
-    # -- late entry points driven by the in-process orchestrator -------
-    def late_inject(self, node: int, pid: int, length: int,
-                    own: int) -> None:
-        """A handler-synchronous send deferred past this cycle's phase A
-        (the parent's ``_deferred_sends``); runs between phase A and the
-        rank exchange, exactly where the vector engine applies its own.
-        """
-        self._iqueue[node].append((pid, length))
-        wakes: List[Tuple[int, int]] = []
-        self._try_inject(node, own, wakes)
-        best_wake = self._pa_wake
-        thr_next = self._thr_next
-        for n, k in wakes:
-            # late keys exceed every tick key: effective unless a tick
-            # is already pending next cycle (pre-late wake)
-            if thr_next[n] == _NO_TICK:
-                bw = best_wake.get(n)
-                if bw is None or k < bw:
-                    best_wake[n] = k
-
-    def late_kernel_send(self, src: int, pid: int, length: int,
-                         key: int, pre: bool, now: int) -> None:
-        """Between-steps co-sim injection (the parent's ``_late_send``
-        minus packet creation): push flits, register the wake tick."""
-        self.cycle = max(self.cycle, now)
-        self._iqueue[src].append((pid, length))
-        wakes: List[Tuple[int, int]] = []
-        self._try_inject(src, key, wakes)
-        if wakes:
-            bnow = self._buckets.get(now)
-            tnow = bnow.ticks if bnow is not None else ()
-            ticks = self._bucket(now + 1).ticks
-            thr_next = self._thr_next
-            for node, own in wakes:
-                if node not in tnow and node not in ticks:
-                    ticks[node] = own
-                    if pre:
-                        # the band's step for ``now`` has yet to run:
-                        # expose the tick to its fused classification
-                        thr_next[node] = own
-
     # ------------------------------------------------------------------
     def phase_a(self, tau: int) -> None:  # noqa: C901 - mirrors _step
         """Phases 1-6 of the parent's ``_step`` over this band only.
 
         Deliveries are collected (``self._deliveries``), not fired — the
-        orchestrator merges them across shards into global key order.
+        parent merges the workers' logs into global key order.
         The phase-7 appender material is parked for :meth:`phase_b`.
         """
         SPR, V, cap = self.SPR, self.V, self.cap
         bucket = self._buckets.pop(tau, None)
         self.cycle = tau
-        self._stepped_cycle = tau
 
         thr = self._tick_key_by_r
-        thr_next = self._thr_next
         T_items = list(bucket.ticks.items()) if bucket is not None else []
         for r, k in T_items:
             thr[r] = k
-            thr_next[r] = _NO_TICK  # consume this tick's pre-late entry
         n_ev = len(T_items)
 
         router_of = self._router_of
@@ -282,7 +235,7 @@ class _ShardCore(VectorFlitNetwork):
             n_ev += bucket.nev
             for r, k in bucket.wake_min.items():
                 t = thr[r]
-                if (t == _NO_TICK or k >= t) and thr_next[r] == _NO_TICK:
+                if t == _NO_TICK or k >= t:
                     best_wake[r] = k
             post_acc = bucket.post_acc
             post_cred = bucket.post_cred
@@ -304,8 +257,7 @@ class _ShardCore(VectorFlitNetwork):
                     post_inj.append(event)
             for node, own in wakes:
                 t = thr[node]
-                if (t == _NO_TICK or own >= t) \
-                        and thr_next[node] == _NO_TICK:
+                if t == _NO_TICK or own >= t:
                     bw = bwget(node)
                     if bw is None or own < bw:
                         best_wake[node] = own
@@ -432,7 +384,7 @@ class _ShardCore(VectorFlitNetwork):
                 subtot[cur_r] = sub
                 gmask_of[cur_r] = gmask
 
-        # (deliveries fire in the orchestrator, in merged key order)
+        # (the parent fires deliveries, in merged key order)
 
         # ---- 5. end-of-tick bookkeeping ------------------------------
         rr = self._rr
@@ -463,8 +415,7 @@ class _ShardCore(VectorFlitNetwork):
                 self._run_inject(event, tau, wakes)
             for node, own in wakes:
                 t = thr[node]
-                if (t == _NO_TICK or own >= t) \
-                        and thr_next[node] == _NO_TICK:
+                if t == _NO_TICK or own >= t:
                     bw = bwget(node)
                     if bw is None or own < bw:
                         best_wake[node] = own
@@ -481,11 +432,10 @@ class _ShardCore(VectorFlitNetwork):
         Every shard's sorted key list is exchanged so :meth:`phase_b`
         can offset local ranks into mesh-global dense ranks.
         """
-        base_key = self._stepped_cycle << _CYC_SHIFT
         thr = self._tick_key_by_r
         ranked = [(k, r) for r, k in self._pa_T]
         for r, own in self._pa_wake.items():
-            if own < base_key and own != thr[r]:
+            if own != thr[r]:  # an external arrival's wake
                 ranked.append((own, ~r))
         ranked.sort()
         self._ranked = ranked
@@ -533,9 +483,7 @@ class _ShardCore(VectorFlitNetwork):
             if best_wake:
                 ticks_next = self._bucket(tau + 1).ticks
                 for r, own in best_wake.items():
-                    if own >= base_key:       # late/deferred injection
-                        child = own
-                    elif own == thr[r]:       # end-of-tick self-wake
+                    if own == thr[r]:         # end-of-tick self-wake
                         child = tick_base[r] + subtot[r]
                     else:                     # external arrival's wake
                         child = ext_base[r]
@@ -790,8 +738,7 @@ def _shard_worker(shard_id: int, nshards: int, config: NocConfig,
             raise RuntimeError(
                 f"shard {shard_id} crashed on request ({_TEST_CRASH_ENV})"
             )
-        core = _ShardCore(config, band, shard_id, nshards,
-                          force_python=force_python)
+        core = _ShardCore(config, band, force_python=force_python)
         for pid, (dst, length) in enumerate(pmeta):
             core.note_packet(pid, dst, length)
         for cycle, key, src, dst, length, pid in rows:
@@ -920,20 +867,16 @@ def _shard_worker(shard_id: int, nshards: int, config: NocConfig,
 
 # ----------------------------------------------------------------------
 class ShardedFlitNetwork:
-    """Row-band sharded flit fabric, API-compatible with the vector one.
+    """Row-band sharded flit fabric: a plan-driven standalone drive.
 
-    Standalone use drives it with :meth:`send_at` + :meth:`run`; with
-    more than one shard (and no ``sim`` / delivery handler) the run
-    fans out one worker process per band.  Co-simulation (``sim``
-    given) registers as the kernel's stepper and runs the cores
-    in-process on the identical phase schedule — still bit-exact,
-    still sharded state, no processes (handlers live here).
+    Queue injections with :meth:`send_at`, then :meth:`run` once: the
+    run fans out one worker process per row band and merges their
+    deliveries into the vector engine's order.  ``shards`` is the band
+    count, between 1 and the mesh height.
     """
 
-    def __init__(self, config: NocConfig, sim: Optional[Simulator] = None,
-                 on_delivery: Optional[Callable] = None,
-                 force_python: bool = False, shards: Optional[int] = None,
-                 use_processes: Optional[bool] = None):
+    def __init__(self, config: NocConfig, shards: int,
+                 force_python: bool = False):
         if config.topology != "mesh":
             raise UnsupportedTopology(
                 f"the sharded flit engine partitions the 5-port mesh "
@@ -948,7 +891,7 @@ class ShardedFlitNetwork:
                 f"(link_cycles={config.link_cycles}): its conservative "
                 "lookahead equals the cross-boundary link latency"
             )
-        n = int(shards if shards is not None else config.shards)
+        n = int(shards)
         if not 1 <= n <= config.height:
             raise ValueError(
                 f"shards={n} must be between 1 and the mesh height "
@@ -956,8 +899,6 @@ class ShardedFlitNetwork:
             )
         self.config = config
         self.mesh = Mesh(config.width, config.height)
-        self.sim = sim
-        self.on_delivery = on_delivery
         self.shards = n
         self._force_python = force_python
         # balanced contiguous row bands, top row band first
@@ -969,51 +910,17 @@ class ShardedFlitNetwork:
             bands.append((y, y + h))
             y += h
         self.bands: Tuple[Tuple[int, int], ...] = tuple(bands)
-        if use_processes is None:
-            use_processes = n > 1 and sim is None and on_delivery is None
-        elif use_processes and (sim is not None or on_delivery is not None):
-            raise ValueError(
-                "worker processes cannot run co-simulation or delivery "
-                "handlers; drop use_processes or drive standalone"
-            )
-        self._use_processes = bool(use_processes)
 
-        self._cores: List[_ShardCore] = []
-        self._core_of: List[_ShardCore] = []
-        if not self._use_processes:
-            for i, band in enumerate(self.bands):
-                self._cores.append(
-                    _ShardCore(config, band, i, n, force_python=force_python)
-                )
-            for core in self._cores:
-                rows = core.band[1] - core.band[0]
-                self._core_of.extend([core] * (rows * config.width))
-
-        # the parent owns every real packet; cores see integers only
-        self._packets: List[VectorFlitPacket] = []
-        self._plen: List[int] = []
-        self._pdst: List[int] = []
         self._setup_rows: List[Tuple] = []
-        self._plan: List[Tuple[int, int, int, int, int, int]] = []
         self._setup_seq = 0
-        self._late_seq = 0
-        self._in_step = False
-        self._stepped_cycle = -1
-        self._deferred_sends: List[VectorFlitPacket] = []
-        self._mp_done = False
-        self._mp_counters: Tuple[Dict, ...] = ()
+        self._ran = False
+        self._counters: Tuple[Dict, ...] = ()
 
         self.cycle = 0
         self.events_processed = 0
         self.delivered: List[VectorFlitPacket] = []
         self.injected = 0
 
-        if sim is not None:
-            sim.attach_stepper(self)
-
-    # ------------------------------------------------------------------
-    # Public API (VectorFlitNetwork-compatible)
-    # ------------------------------------------------------------------
     def send_at(self, cycle: int, src: int, dst: int, length: int,
                 payload: object = None) -> None:
         """Schedule an injection; keys mirror the vector engine's
@@ -1022,219 +929,44 @@ class ShardedFlitNetwork:
         self._setup_seq += 1
         self._setup_rows.append((cycle, key, src, dst, length, payload))
 
-    def send(self, src: int, dst: int, length: int,
-             payload: object = None) -> VectorFlitPacket:
-        """Inject now (co-sim / in-process standalone semantics)."""
-        if self._use_processes:
-            raise RuntimeError(
-                "the multiprocess sharded fabric is plan-driven: queue "
-                "injections with send_at() before run()"
-            )
-        self._flush_setup()
-        now = self.sim.cycle if self.sim is not None else self.cycle
-        if self._in_step:
-            # a delivery handler sent synchronously mid-step: applied
-            # after the merged deliveries, in arrival order
-            packet = self._new_packet(src, dst, length, payload, now)
-            self._deferred_sends.append(packet)
-            return packet
-        packet = self._new_packet(src, dst, length, payload, now)
-        self.cycle = max(self.cycle, now)
-        pre = now > self._stepped_cycle
-        if pre:
-            key = (now << _CYC_SHIFT) - _LATE_OFF + self._late_seq
-        else:
-            key = (now << _CYC_SHIFT) + _LATE_OFF + self._late_seq
-        self._late_seq += 1
-        for core in self._cores:
-            core.note_packet(packet.pid, packet.dst, packet.length)
-        self._core_of[src].late_kernel_send(
-            src, packet.pid, packet.length, key, pre, now
-        )
-        return packet
+    def shard_counters(self) -> Tuple[Dict, ...]:
+        """Per-shard counter snapshots from the worker reports."""
+        return self._counters
 
     def run(self, until: Optional[int] = None) -> int:
-        """Standalone run loop: drain, or pause at ``until``."""
-        self._flush_setup()
-        if self._use_processes:
-            return self._run_processes(until)
-        while True:
-            nxt = self.next_cycle()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
-                self.cycle = until
-                return self.cycle
-            self._step_cycle(nxt)
-        if until is not None and until > self.cycle:
-            self.cycle = until
-        return self.cycle
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.delivered:
-            return 0.0
-        return sum(p.latency for p in self.delivered) / len(self.delivered)
-
-    def shard_counters(self) -> Tuple[Dict, ...]:
-        """Per-shard counter snapshots, folded from the live cores (or
-        the worker reports after a multiprocess run)."""
-        if self._cores:
-            return tuple(
-                {
-                    "shard": c.shard_id,
-                    "rows": c.band,
-                    "events": c.events_processed,
-                    "boundary_flits": tuple(c.boundary_flits),
-                    "boundary_credits": tuple(c.boundary_credits),
-                }
-                for c in self._cores
-            )
-        return self._mp_counters
-
-    # ------------------------------------------------------------------
-    # Kernel stepper protocol (Simulator.attach_stepper)
-    # ------------------------------------------------------------------
-    def next_cycle(self) -> Optional[int]:
-        self._flush_setup()
-        nxt: Optional[int] = None
-        for core in self._cores:
-            c = core.next_cycle()
-            if c is not None and (nxt is None or c < nxt):
-                nxt = c
-        return nxt
-
-    def advance_n(self, limit: Optional[int]) -> int:
-        before = self.events_processed
-        while True:
-            nxt = self.next_cycle()
-            if nxt is None or (limit is not None and nxt > limit):
-                break
-            if self.sim is not None:
-                self.sim.cycle = nxt
-            self._step_cycle(nxt)
-        return self.events_processed - before
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _new_packet(self, src, dst, length, payload, now) -> VectorFlitPacket:
-        pid = len(self._packets)
-        packet = VectorFlitPacket(src, dst, max(1, length), payload, pid)
-        packet.injected_cycle = now
-        self._packets.append(packet)
-        self._plen.append(packet.length)
-        self._pdst.append(packet.dst)
-        self.injected += 1
-        return packet
-
-    def _deliver(self, pid: int, now: int) -> None:
-        packet = self._packets[pid]
-        packet.delivered_cycle = now
-        self.delivered.append(packet)
-        if self.on_delivery is not None:
-            self.on_delivery(packet)
-
-    def _flush_setup(self) -> None:
-        rows = self._setup_rows
-        if not rows:
-            return
-        self._setup_rows = []
-        # pid assignment in execution order (cycle, then key), matching
-        # the vector engine's lazy creation inside its inject events
-        rows.sort(key=lambda t: (t[0], t[1]))
-        cores = self._cores
-        core_of = self._core_of
-        for cycle, key, src, dst, length, payload in rows:
-            packet = self._new_packet(src, dst, length, payload, cycle)
-            if cores:
-                for core in cores:
-                    core.note_packet(packet.pid, packet.dst, packet.length)
-                core_of[src].load_inject(
-                    cycle, key, src, dst, packet.length, packet.pid
-                )
-            else:
-                self._plan.append(
-                    (cycle, key, src, dst, packet.length, packet.pid)
-                )
-
-    def _step_cycle(self, tau: int) -> None:
-        """One global cycle on the in-process sequential scheduler."""
-        cores = self._cores
-        self.cycle = tau
-        self._stepped_cycle = tau
-        for core in cores:
-            core.phase_a(tau)
-        deliveries: List[Tuple[int, int]] = []
-        for core in cores:
-            if core._deliveries:
-                deliveries.extend(core._deliveries)
-        if deliveries:
-            # keys embed the cycle and never tie (one LOCAL grant per
-            # router per cycle): one sort = the global delivery order
-            deliveries.sort()
-            self._in_step = True
-            for _k, pid in deliveries:
-                self._deliver(pid, tau)
-            self._in_step = False
-            if self._deferred_sends:
-                pending = self._deferred_sends
-                self._deferred_sends = []
-                base_key = tau << _CYC_SHIFT
-                for packet in pending:
-                    own = base_key + _LATE_OFF + self._late_seq
-                    self._late_seq += 1
-                    for core in cores:
-                        core.note_packet(packet.pid, packet.dst,
-                                         packet.length)
-                    self._core_of[packet.src].late_inject(
-                        packet.src, packet.pid, packet.length, own
-                    )
-        if len(cores) == 1:
-            cores[0].appender_keys()
-            cores[0].phase_b(tau, ())
-        else:
-            keys = [core.appender_keys() for core in cores]
-            for i, core in enumerate(cores):
-                foreign: List[int] = []
-                for j, ks in enumerate(keys):
-                    if j != i:
-                        foreign.extend(ks)
-                if len(cores) > 2:
-                    foreign.sort()
-                core.phase_b(tau, foreign)
-            for i, core in enumerate(cores):
-                acc_in: List[Tuple[int, int, int, int]] = []
-                cred_in: List[Tuple[int, int]] = []
-                if i > 0:
-                    acc_in.extend(cores[i - 1]._out_acc[1])
-                    cred_in.extend(cores[i - 1]._out_cred[1])
-                if i + 1 < len(cores):
-                    acc_in.extend(cores[i + 1]._out_acc[0])
-                    cred_in.extend(cores[i + 1]._out_cred[0])
-                core.absorb(tau, acc_in, cred_in)
-        self.events_processed = sum(c.events_processed for c in cores)
-
-    def _run_processes(self, until: Optional[int]) -> int:
-        """Fan the run out to one worker process per shard."""
-        if self._mp_done:
+        """Run the plan on one worker process per shard: drain, or
+        pause at ``until``.  One-shot."""
+        if self._ran:
             raise RuntimeError(
-                "the multiprocess sharded run is one-shot; build a "
-                "fresh ShardedFlitNetwork for another run"
+                "the sharded run is one-shot; build a fresh "
+                "ShardedFlitNetwork for another run"
             )
-        self._mp_done = True
+        self._ran = True
         import multiprocessing as mp
         from multiprocessing import shared_memory
 
         config, n = self.config, self.shards
-        lay = _ShmLayout(config, self.bands)
-        pmeta = list(zip(self._pdst, self._plen))
         shard_of_node: List[int] = []
         for i, (y0, y1) in enumerate(self.bands):
             shard_of_node.extend([i] * ((y1 - y0) * config.width))
+        # pid assignment in execution order (cycle, then key), matching
+        # the vector engine's lazy creation inside its inject events
+        packets: List[VectorFlitPacket] = []
         rows_by_shard: List[List[Tuple]] = [[] for _ in range(n)]
-        for row in self._plan:
-            rows_by_shard[shard_of_node[row[2]]].append(row)
+        for cycle, key, src, dst, length, payload in sorted(
+            self._setup_rows, key=lambda t: (t[0], t[1])
+        ):
+            pid = len(packets)
+            packet = VectorFlitPacket(src, dst, max(1, length), payload, pid)
+            packet.injected_cycle = cycle
+            packets.append(packet)
+            rows_by_shard[shard_of_node[src]].append(
+                (cycle, key, src, dst, packet.length, pid)
+            )
+        self.injected = len(packets)
+        pmeta = [(p.dst, p.length) for p in packets]
+
+        lay = _ShmLayout(config, self.bands)
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
@@ -1308,11 +1040,10 @@ class ShardedFlitNetwork:
                 p.join()
             dl: List[Tuple[int, int, int]] = []
             counters: List[Dict] = []
-            events = 0
             last = 0
             for sid in range(n):
                 res = results[sid]
-                events += res["events"]
+                self.events_processed += res["events"]
                 last = max(last, res["last_cycle"])
                 dl.extend(res["deliveries"])
                 counters.append({
@@ -1322,12 +1053,15 @@ class ShardedFlitNetwork:
                     "boundary_flits": tuple(res["boundary_flits"]),
                     "boundary_credits": tuple(res["boundary_credits"]),
                 })
+            # keys embed the cycle and never tie (one LOCAL grant per
+            # router per cycle): one sort = the global delivery order
             dl.sort()
             for _k, dtau, pid in dl:
-                self._deliver(pid, dtau)
-            self.events_processed += events
-            self.cycle = max(self.cycle, last)
-            self._mp_counters = tuple(counters)
+                packet = packets[pid]
+                packet.delivered_cycle = dtau
+                self.delivered.append(packet)
+            self.cycle = last
+            self._counters = tuple(counters)
             return self.cycle
         finally:
             for c in conns:
@@ -1339,40 +1073,3 @@ class ShardedFlitNetwork:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover
                 pass
-
-
-# ----------------------------------------------------------------------
-class ShardedFlitFabric(VectorFlitFabric):
-    """Network-interface wrapper over ``ShardedFlitNetwork`` (co-sim).
-
-    Same counters, endpoint dispatch, fault-injection site and iNPG
-    refusal as :class:`~repro.noc.vecflit.VectorFlitFabric`, with the
-    sharded engine co-simulated in-process against the kernel.
-    """
-
-    fault_model_name = "flit/sharded"
-
-    def __init__(self, sim: Simulator, config: NocConfig,
-                 priority_arbitration: bool = False,
-                 force_python: bool = False):
-        Component.__init__(self, sim, "shardflitfabric")
-        self.config = config
-        self.fabric = ShardedFlitNetwork(
-            config, sim=sim, on_delivery=self._on_delivery,
-            force_python=force_python,
-        )
-        self.mesh = self.fabric.mesh
-        self.priority_arbitration = priority_arbitration
-        self._endpoints = {}
-        self.packets_injected = 0
-        self.packets_delivered = 0
-        self.packets_consumed = 0
-        self.packets_dropped = 0
-        self.total_latency = 0
-        self.memsys = None
-        self.routers: Dict[int, object] = {}
-
-    @property
-    def shard_counters(self) -> Tuple[Dict, ...]:
-        """Per-shard counters (obs samples these at epoch boundaries)."""
-        return self.fabric.shard_counters()

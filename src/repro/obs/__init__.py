@@ -131,30 +131,6 @@ class Observation:
         )
         if emit is not None:
             network._trace = emit
-        # sharded flit fabric: fold the per-shard worker counters into
-        # the registry.  The gauges sample lazily, so a snapshot taken
-        # at an epoch boundary (or after the run) sees the counters the
-        # workers shipped back at their last sync point.
-        shard_counters = getattr(network, "shard_counters", None)
-        if shard_counters is not None:
-
-            def _shard_field(index, field):
-                def sample(net=network, i=index, f=field):
-                    value = net.shard_counters[i][f]
-                    # boundary counters are (up, down) pairs; gauges
-                    # are scalar, so fold the directions together
-                    return sum(value) if isinstance(value, tuple) else value
-
-                return sample
-
-            nshards = len(shard_counters)
-            for i in range(nshards):
-                reg.gauges(
-                    f"noc/shard{i}",
-                    events=_shard_field(i, "events"),
-                    boundary_flits=_shard_field(i, "boundary_flits"),
-                    boundary_credits=_shard_field(i, "boundary_credits"),
-                )
         routers = getattr(network, "routers", None)
         if routers is not None:
             reg.gauges(

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from ..config import FLIT_ENGINES, NocConfig
+from ..config import NocConfig
 from ..sim import Simulator, make_rng
 
 
@@ -231,19 +231,16 @@ def _uniform_flit_plan(packets: int, nodes: int, per_cycle: int, seed: int):
 def _run_flit_plan(width: int, plan, engine: str, shards: int):
     """Drive one engine through the plan; returns ``(events, cycles)``.
 
-    A multi-shard run uses the standalone plan-driven drive (worker
-    processes cannot take mid-run injections); every other engine goes
-    through the kernel like ``flit_big_mesh``.  The engines are
+    The sharded engine runs the standalone plan-driven drive (its
+    worker processes take no mid-run injections); every other engine
+    goes through the kernel like ``flit_big_mesh``.  The engines are
     bit-exact and count events identically on both drives, so the
     pinned event totals are comparable across all legs.
     """
-    if engine == "sharded" and shards > 1:
+    if engine == "sharded":
         from ..noc.shardflit import ShardedFlitNetwork
 
-        net = ShardedFlitNetwork(
-            NocConfig(width=width, height=width,
-                      flit_engine="sharded", shards=shards)
-        )
+        net = ShardedFlitNetwork(NocConfig(width=width, height=width), shards)
         for cycle, src, dst, length in plan:
             net.send_at(cycle, src, dst, length)
         net.run(until=2_000_000)
@@ -465,16 +462,6 @@ QUICK_WORKLOADS = (
     "flit_sharded_big_mesh",
     "dir_invalidation_storm",
 )
-
-#: flit-level workloads and the engine they canonically measure
-FLIT_WORKLOAD_ENGINES: Dict[str, str] = {
-    "flit_uniform": "event",
-    "flit_vector_uniform": "vector",
-    "flit_big_mesh": "vector",
-    "flit_sharded_big_mesh": "sharded",
-    "flit_sharded_mesh32": "sharded",
-}
-
 
 def with_flit_engine(engine: str) -> Dict[str, Callable[[], WorkloadResult]]:
     """A ``WORKLOADS`` view with every flit workload forced to ``engine``.

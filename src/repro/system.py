@@ -104,32 +104,6 @@ class ManyCoreSystem:
                 from .noc.vecflit import VectorFlitFabric
 
                 self.network = VectorFlitFabric(self.sim, config.noc)
-            elif config.noc.flit_engine == "sharded" and (
-                observe is None or not observe.trace_enabled
-            ):
-                # counters-only observation is fine — the sharded fabric
-                # folds per-shard counters at epoch boundaries — but
-                # per-event tracing has no site inside a cycle batch.
-                from .noc.shardflit import ShardedFlitFabric
-
-                self.network = ShardedFlitFabric(self.sim, config.noc)
-            elif config.noc.flit_engine == "sharded":
-                if config.noc.shards > 1:
-                    # a traced multi-shard run has no faithful fallback:
-                    # refuse loudly instead of silently going
-                    # single-process on the event engine.
-                    from .errors import ShardConfigError
-
-                    raise ShardConfigError(
-                        "per-event tracing is unsupported with shards="
-                        f"{config.noc.shards}; disable trace or run "
-                        "shards=1",
-                        engine="sharded",
-                        shards=config.noc.shards,
-                    )
-                from .noc.flit_fabric import FlitFabric
-
-                self.network = FlitFabric(self.sim, config.noc)
             else:
                 from .noc.flit_fabric import FlitFabric
 

@@ -1,36 +1,27 @@
 """Tests for the sharded flit engine (:mod:`repro.noc.shardflit`).
 
 The sharded engine's contract is the vector engine's, spatially
-partitioned: row-band shards advanced under a cycle-batched
-boundary-exchange barrier must replay the single-process engines
-delivery for delivery — in-process or across worker processes, NumPy or
-pure Python, one shard or many.  These tests pin that claim against the
-committed flit golden, property-check it against the event reference on
-randomized traffic, and cover the engine's structured refusals (engine
-mismatches, traced multi-shard runs, worker crashes, non-mesh
-topologies, router/link fault sites).
+partitioned: row-band shards, each advanced by its own worker process
+under a cycle-batched boundary-exchange barrier, must replay the
+single-process engines delivery for delivery — NumPy or pure Python,
+one shard or many.  These tests pin that claim against the committed
+flit golden, property-check it against the event reference on
+randomized traffic, and cover the engine's structured refusals (shard
+ranges, worker crashes, non-mesh topologies) and its place outside the
+config axes: it is a standalone drive, never a full-system engine.
 """
 
 import dataclasses
-import json
 import os
 
 import pytest
 
-from repro import ManyCoreSystem, SystemConfig, single_lock_workload
+from repro import SystemConfig
 from repro.config import NocConfig
-from repro.errors import (
-    ExecutorError,
-    ShardConfigError,
-    ShardWorkerError,
-    UnsupportedFaultSite,
-    UnsupportedTopology,
-)
+from repro.errors import ExecutorError, ShardWorkerError, UnsupportedTopology
 from repro.exec import RunSpec
-from repro.faults import FaultPlan
-from repro.faults.injector import FaultInjector
-from repro.noc.shardflit import ShardedFlitFabric, ShardedFlitNetwork
 from repro.noc.engines import make_flit_network
+from repro.noc.shardflit import ShardedFlitNetwork
 from repro.sim import Simulator
 
 from test_golden_determinism import GOLDEN_FLIT
@@ -43,21 +34,17 @@ from test_vecflit import (
 )
 
 
-def _sharded_config(mesh, shards):
-    """A sharded-engine config on a square ``mesh`` or a ``(width,
-    height)`` shape."""
+def _mesh_config(mesh):
+    """A mesh config, square ``mesh`` or a ``(width, height)`` shape."""
     width, height = (mesh, mesh) if isinstance(mesh, int) else mesh
-    return NocConfig(
-        width=width, height=height, flit_engine="sharded", shards=shards
-    )
+    return NocConfig(width=width, height=height)
 
 
-def _run_standalone(mesh, plan, shards, force_python=False,
-                    use_processes=None):
-    """Plan-driven drive (``send_at``/``run``); returns the trace."""
+def _run(mesh, plan, shards, force_python=False):
+    """The worker drive (``send_at`` + one ``run``).  Returns the network
+    and its trace in :func:`test_vecflit._run_cosim`'s shape."""
     net = ShardedFlitNetwork(
-        _sharded_config(mesh, shards),
-        force_python=force_python, use_processes=use_processes,
+        _mesh_config(mesh), shards, force_python=force_python
     )
     for cycle, src, dst, length in plan:
         net.send_at(cycle, src, dst, length)
@@ -66,64 +53,46 @@ def _run_standalone(mesh, plan, shards, force_python=False,
         (p.src, p.dst, p.length, p.injected_cycle, p.delivered_cycle)
         for p in net.delivered
     ]
-    return net, stream
+    return net, (stream, net.cycle, net.events_processed)
 
 
-def _run_sharded_cosim(mesh, plan, shards, force_python=False):
-    """Kernel co-sim drive (``schedule_at``); returns the trace."""
-    sim = Simulator()
-    net = ShardedFlitNetwork(
-        _sharded_config(mesh, shards), sim=sim, force_python=force_python
+def _golden(net):
+    return (
+        _fingerprint(net.delivered),
+        net.events_processed,
+        len(net.delivered),
     )
-    for cycle, src, dst, length in plan:
-        sim.schedule_at(cycle, net.send, src, dst, length)
-    sim.run(until=2_000_000)
-    stream = [
-        (p.src, p.dst, p.length, p.injected_cycle, p.delivered_cycle)
-        for p in net.delivered
-    ]
-    return stream, sim.cycle, sim.events_processed
 
 
 # ----------------------------------------------------------------------
-# Vocabulary: the shards axis and its engine coupling
+# Vocabulary: a standalone drive, not a config axis
 # ----------------------------------------------------------------------
 class TestShardVocabulary:
     def test_shards_validated_against_mesh_height(self):
-        assert NocConfig(flit_engine="sharded", shards=8).shards == 8
+        cfg = NocConfig(width=8, height=8)
+        assert ShardedFlitNetwork(cfg, 8).shards == 8
         with pytest.raises(ValueError, match="between 1 and the mesh"):
-            NocConfig(flit_engine="sharded", shards=0)
+            ShardedFlitNetwork(cfg, 0)
         with pytest.raises(ValueError, match="between 1 and the mesh"):
-            NocConfig(width=8, height=8, flit_engine="sharded", shards=9)
+            ShardedFlitNetwork(cfg, 9)
 
-    def test_multi_shard_requires_the_sharded_engine(self):
-        for engine in ("event", "vector"):
-            with pytest.raises(ValueError, match="requires flit_engine"):
-                NocConfig(flit_engine=engine, shards=2)
-
-    def test_factory_builds_sharded_network(self):
-        net = make_flit_network(
-            Simulator(), NocConfig(width=4, height=4), "sharded"
-        )
-        assert isinstance(net, ShardedFlitNetwork)
-
-    def test_factory_refuses_multi_shard_on_single_process_engines(self):
-        cfg = NocConfig(width=8, height=8, flit_engine="sharded", shards=4)
-        for engine in ("event", "vector"):
-            with pytest.raises(ShardConfigError) as excinfo:
-                make_flit_network(Simulator(), cfg, engine)
-            assert excinfo.value.engine == engine
-            assert excinfo.value.shards == 4
-            # a generic config-validation fence still catches it
-            assert isinstance(excinfo.value, ValueError)
+    def test_sharded_is_not_a_config_engine(self):
+        """Neither a config nor the engine factory accepts the sharded
+        engine; the config's refusal names the engines it allows."""
+        with pytest.raises(ValueError) as excinfo:
+            NocConfig(flit_engine="sharded")
+        message = str(excinfo.value)
+        assert "'sharded'" in message
+        assert "'event'" in message and "'vector'" in message
+        with pytest.raises(ValueError, match="unknown flit engine"):
+            make_flit_network(Simulator(), NocConfig(), "sharded")
 
     def test_non_mesh_topology_refused_structurally(self):
         cfg = dataclasses.replace(
-            NocConfig(width=4, height=4, flit_engine="sharded", shards=2),
-            topology="torus",
+            NocConfig(width=4, height=4), topology="torus"
         )
         with pytest.raises(UnsupportedTopology) as excinfo:
-            ShardedFlitNetwork(cfg)
+            ShardedFlitNetwork(cfg, 2)
         assert excinfo.value.model == "flit/sharded"
         assert excinfo.value.topology == "torus"
 
@@ -133,59 +102,40 @@ class TestShardVocabulary:
 # ----------------------------------------------------------------------
 class TestShardedGolden:
     def test_single_shard_matches_pinned_golden(self):
-        net, _stream = _run_standalone(8, _golden_plan(), shards=1)
-        assert (
-            _fingerprint(net.delivered),
-            net.events_processed,
-            len(net.delivered),
-        ) == GOLDEN_FLIT
-
-    def test_cosim_drive_matches_pinned_golden(self):
-        for shards in (1, 2, 4):
-            stream, _cycle, events = _run_sharded_cosim(
-                8, _golden_plan(), shards
-            )
-            assert events == GOLDEN_FLIT[1], f"shards={shards}"
-            assert len(stream) == GOLDEN_FLIT[2], f"shards={shards}"
+        net, _trace = _run(8, _golden_plan(), shards=1)
+        assert _golden(net) == GOLDEN_FLIT
 
     def test_pure_python_path_matches_pinned_golden(self):
-        net, _stream = _run_standalone(
-            8, _golden_plan(), shards=2, force_python=True,
-            use_processes=False,
-        )
-        assert (
-            _fingerprint(net.delivered),
-            net.events_processed,
-            len(net.delivered),
-        ) == GOLDEN_FLIT
+        for shards in (1, 2, 4):
+            net, _trace = _run(
+                8, _golden_plan(), shards=shards, force_python=True
+            )
+            assert _golden(net) == GOLDEN_FLIT, f"shards={shards}"
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_worker_processes_match_pinned_golden(self, shards):
-        net, _stream = _run_standalone(8, _golden_plan(), shards=shards)
-        assert (
-            _fingerprint(net.delivered),
-            net.events_processed,
-            len(net.delivered),
-        ) == GOLDEN_FLIT
+        net, _trace = _run(8, _golden_plan(), shards=shards)
+        assert _golden(net) == GOLDEN_FLIT
         counters = net.shard_counters()
         assert len(counters) == shards
         assert sum(c["events"] for c in counters) == net.events_processed
 
     def test_worker_runs_replay_each_other(self):
         """Back-to-back multiprocess runs are bit-identical."""
-        _net1, first = _run_standalone(8, _golden_plan(), shards=2)
-        _net2, second = _run_standalone(8, _golden_plan(), shards=2)
+        _net1, first = _run(8, _golden_plan(), shards=2)
+        _net2, second = _run(8, _golden_plan(), shards=2)
         assert first == second
 
     def test_multiprocess_run_is_one_shot(self):
-        net, _stream = _run_standalone(8, _golden_plan(packets=40), 2)
-        with pytest.raises(Exception, match="one-shot|already ran"):
+        net, _trace = _run(8, _golden_plan(packets=40), 2)
+        with pytest.raises(RuntimeError, match="one-shot"):
             net.run(until=2_000_000)
 
     def test_multiprocess_drive_is_plan_only(self):
-        net = ShardedFlitNetwork(_sharded_config(8, 2))
-        with pytest.raises(RuntimeError, match="send_at"):
-            net.send(0, 9, 1)
+        """No kernel-stepper surface: injections queue with send_at."""
+        net = ShardedFlitNetwork(_mesh_config(8), 2)
+        for name in ("send", "next_cycle", "advance_n"):
+            assert not hasattr(net, name), name
 
 
 # ----------------------------------------------------------------------
@@ -194,21 +144,20 @@ class TestShardedGolden:
 class TestShardedParity:
     @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
     def test_event_vs_sharded_parity(self, seed, shape):
-        """Seed and shape sweep: the sharded engine replays the event
+        """Seed and shape sweep: the worker drive replays the event
         reference exactly — same stream, same final cycle, same event
-        count.  A one-row mesh runs as a single band."""
+        count — at every shard count of (1, 2, 4) the mesh height
+        allows."""
         shape, plan = _random_plan(seed, shape)
         reference = _run_cosim("event", shape, plan)
-        for shards in [k for k in (2, 4) if k <= shape[1]] or [1]:
-            assert _run_sharded_cosim(shape, plan, shards) == reference, \
-                f"seed={seed} shards={shards}"
+        for shards in (k for k in (1, 2, 4) if k <= shape[1]):
+            _net, trace = _run(shape, plan, shards)
+            assert trace == reference, f"seed={seed} shards={shards}"
 
     def test_boundary_counters_are_symmetric(self):
         """Every flit shard i ships down is a credit shard i+1 ships up
-        (and vice versa): the seam accounting must agree."""
-        net, _stream = _run_standalone(
-            8, _golden_plan(), shards=2, use_processes=False
-        )
+        (and vice versa): the workers' seam accounting must agree."""
+        net, _trace = _run(8, _golden_plan(), shards=2)
         lo, hi = net.shard_counters()
         assert lo["boundary_flits"][1] == hi["boundary_credits"][0]
         assert hi["boundary_flits"][0] == lo["boundary_credits"][1]
@@ -221,7 +170,7 @@ class TestShardedParity:
 class TestWorkerFailure:
     def test_worker_crash_raises_structured_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_TEST_CRASH", "1")
-        net = ShardedFlitNetwork(_sharded_config(8, 4))
+        net = ShardedFlitNetwork(_mesh_config(8), 4)
         for cycle, src, dst, length in _golden_plan(packets=80):
             net.send_at(cycle, src, dst, length)
         with pytest.raises(ShardWorkerError) as excinfo:
@@ -235,154 +184,26 @@ class TestWorkerFailure:
 
 
 # ----------------------------------------------------------------------
-# Addressing: fingerprints, labels, the wire
+# Addressing: removing the shards field moved no cache address
 # ----------------------------------------------------------------------
 class TestShardAddressing:
-    @staticmethod
-    def _spec(**noc_kw):
-        return RunSpec(
-            benchmark="bwaves",
-            config=SystemConfig(noc=NocConfig(flit_level=True, **noc_kw)),
-        )
-
     def test_default_shards_keeps_spec_fingerprints(self):
-        """Spelling out shards=1 must not re-address cached results; a
-        multi-shard run is bit-exact but addresses itself."""
-        base = self._spec(flit_engine="vector")
-        spelled = self._spec(flit_engine="vector", shards=1)
-        assert base.fingerprint == spelled.fingerprint
-        sharded = self._spec(flit_engine="sharded", shards=4)
-        assert sharded.fingerprint != base.fingerprint
-        payload = spelled.canonical_payload()
-        assert "shards" not in payload["config"]["noc"]
+        """Flit-level specs keep the addresses they had while
+        ``NocConfig.shards`` existed and its default was elided."""
 
-    def test_label_names_multi_shard_runs(self):
-        assert "shards=4" in self._spec(
-            flit_engine="sharded", shards=4
-        ).label()
-        assert "shards" not in self._spec(flit_engine="vector").label()
-
-    def test_sharded_spec_round_trips_through_serve_proto(self):
-        from repro.serve import proto
-
-        spec = self._spec(flit_engine="sharded", shards=4)
-        request = proto.submit_request([spec])
-        wire = json.loads(json.dumps(request))  # a real wire hop
-        decoded, _policy = proto.decode_submit(wire)
-        assert decoded == [spec]
-        assert decoded[0].fingerprint == spec.fingerprint
-        assert decoded[0].config.noc.shards == 4
-
-
-# ----------------------------------------------------------------------
-# Full system
-# ----------------------------------------------------------------------
-def _system_config(engine, shards=1):
-    base = SystemConfig()
-    return dataclasses.replace(
-        base,
-        noc=dataclasses.replace(
-            base.noc, flit_level=True, flit_engine=engine, shards=shards
-        ),
-    )
-
-
-class TestShardedFullSystem:
-    def test_sharded_fabric_is_selected(self):
-        system = ManyCoreSystem(
-            _system_config("sharded", shards=2),
-            single_lock_workload(8, home_node=5),
-        )
-        assert isinstance(system.network, ShardedFlitFabric)
-
-    def test_full_system_matches_vector_engine_exactly(self):
-        """Co-simulated shards share the vector engine's schedule, so a
-        full system replays it cycle for cycle (the event engine is only
-        statistically close — DESIGN.md §13)."""
-        workload = single_lock_workload(
-            8, home_node=5, cs_per_thread=2, cs_cycles=50,
-            parallel_cycles=150,
-        )
-        runs = {}
-        for engine, shards in (("vector", 1), ("sharded", 2)):
-            system = ManyCoreSystem(
-                _system_config(engine, shards), workload, primitive="mcs"
+        def spec(**noc_kw):
+            return RunSpec(
+                benchmark="bwaves",
+                config=SystemConfig(noc=NocConfig(flit_level=True, **noc_kw)),
             )
-            result = system.run(max_cycles=20_000_000)
-            runs[engine] = (
-                result.roi_cycles, result.cs_completed,
-                system.sim.events_processed,
-            )
-        assert runs["sharded"] == runs["vector"]
 
-    def test_traced_multi_shard_run_is_refused(self):
-        from repro.obs import Observation
-
-        with pytest.raises(ShardConfigError) as excinfo:
-            ManyCoreSystem(
-                _system_config("sharded", shards=2),
-                single_lock_workload(8, home_node=5),
-                observe=Observation(trace=True),
-            )
-        assert excinfo.value.shards == 2
-
-    def test_traced_single_shard_run_falls_back_to_event_engine(self):
-        from repro.noc.flit_fabric import FlitFabric
-        from repro.obs import Observation
-
-        system = ManyCoreSystem(
-            _system_config("sharded", shards=1),
-            single_lock_workload(8, home_node=5),
-            observe=Observation(trace=True),
+        assert spec().fingerprint == (
+            "bdd1e7eac225756b1179a0571a48e769ecde7859a151b5b4872bef1e8a999028"
         )
-        assert isinstance(system.network, FlitFabric)
-
-    def test_counter_observation_samples_per_shard_gauges(self):
-        from repro.obs import Observation
-
-        observe = Observation(trace=False)
-        system = ManyCoreSystem(
-            _system_config("sharded", shards=2),
-            single_lock_workload(64, home_node=53),
-            observe=observe,
+        assert spec(flit_engine="vector").fingerprint == (
+            "4931cf071d686508e004ff9d3359fe387f3c758ca027278a74c35743763c730f"
         )
-        system.run(max_cycles=20_000_000)
-        snap = observe.registry.snapshot()
-        assert snap["noc/shard0/events"] > 0
-        assert snap["noc/shard1/events"] > 0
-        # the seam accounting agrees when folded across directions
-        assert snap["noc/shard0/boundary_flits"] > 0
-
-
-# ----------------------------------------------------------------------
-# Faults
-# ----------------------------------------------------------------------
-class TestShardedFaults:
-    def test_router_sites_refused_structurally(self):
-        fabric = ShardedFlitFabric(
-            Simulator(), NocConfig(width=4, height=4, flit_engine="sharded")
-        )
-        with pytest.raises(UnsupportedFaultSite) as excinfo:
-            FaultInjector(FaultPlan.parse("drop:1@router:3", seed=1)) \
-                .install(fabric)
-        assert excinfo.value.model == "flit/sharded"
-        assert excinfo.value.site_kinds == ("router",)
-
-    def test_inject_sites_apply(self):
-        sim = Simulator()
-        fabric = ShardedFlitFabric(
-            sim, NocConfig(width=4, height=4, flit_engine="sharded")
-        )
-        for n in range(16):
-            fabric.register_endpoint(n, lambda p: None)
-        FaultInjector(FaultPlan.parse("drop:1@inject", seed=1)) \
-            .install(fabric)
-        for src in range(4):
-            fabric.send(src, 15, payload="x", size_flits=2)
-        sim.run(until=100_000)
-        assert fabric.packets_injected == 4
-        assert fabric.packets_dropped == 4
-        assert fabric.packets_delivered == 0
+        assert "shards" not in spec().canonical_payload()["config"]["noc"]
 
 
 # ----------------------------------------------------------------------
@@ -399,16 +220,11 @@ class TestPerfIntegration:
         assert layer_of("src/repro/noc/router.py") == "noc"
 
     def test_sharded_workloads_registered(self):
-        from repro.perf.workloads import (
-            FLIT_WORKLOAD_ENGINES,
-            QUICK_WORKLOADS,
-            WORKLOADS,
-        )
+        from repro.perf.workloads import QUICK_WORKLOADS, WORKLOADS
 
         assert "flit_sharded_big_mesh" in WORKLOADS
+        assert "flit_sharded_mesh32" in WORKLOADS
         assert "flit_sharded_big_mesh" in QUICK_WORKLOADS
-        assert FLIT_WORKLOAD_ENGINES["flit_sharded_big_mesh"] == "sharded"
-        assert FLIT_WORKLOAD_ENGINES["flit_sharded_mesh32"] == "sharded"
 
     def test_unknown_workload_names_rejected_up_front(self, capsys):
         from repro.perf.report import main
@@ -428,34 +244,6 @@ class TestPerfIntegration:
         assert sharded.name == "flit_sharded_big_mesh[shards=2]"
         assert (sharded.events, sharded.cycles) == \
             (vector.events, vector.cycles)
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-class TestShardCli:
-    def test_shards_without_sharded_engine_is_a_usage_error(self, capsys):
-        from repro.cli import main
-
-        assert main(["microbench", "--flit-engine", "vector",
-                     "--shards", "2"]) == 2
-        assert "requires --flit-engine sharded" in capsys.readouterr().err
-
-    def test_shards_env_default(self, monkeypatch):
-        from repro.cli import resolve_shards
-
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert resolve_shards(object()) == 4
-        monkeypatch.delenv("REPRO_SHARDS")
-        assert resolve_shards(object()) == 1
-
-    def test_experiment_options_carry_shards_into_configs(self):
-        from repro.experiments.common import ExperimentOptions
-
-        options = ExperimentOptions(flit_engine="sharded", shards=2)
-        spec = options.apply_to_spec(RunSpec(benchmark="bwaves"))
-        assert spec.config.noc.flit_engine == "sharded"
-        assert spec.config.noc.shards == 2
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import NocConfig
 from repro.noc.flitsim import FlitNetwork
-from repro.noc.shardflit import ShardedFlitNetwork
+from repro.noc.shardflit import _ShardCore
 from repro.noc.topology import (
     EAST,
     LOCAL,
@@ -126,16 +126,13 @@ class TestXYPortRows:
         cfg = NocConfig(width=width, height=height)
         event = FlitNetwork(Simulator(), cfg)
         vector = VectorFlitNetwork(cfg)
-        sharded = ShardedFlitNetwork(
-            NocConfig(width=width, height=height, flit_engine="sharded",
-                      shards=3),
-            sim=Simulator(),
-        )
+        cores = [
+            _ShardCore(cfg, band) for band in ((0, 1), (1, 2), (2, height))
+        ]
         for node, row in enumerate(rows):
             assert event.routers[node]._route_row is row
         assert vector._route is rows
-        assert len(sharded._cores) == 3
-        for core in sharded._cores:
+        for core in cores:
             assert core._route is rows
             assert core._link is vector._link
             assert core._router_of is vector._router_of

@@ -233,7 +233,7 @@ class TestEngineGuards:
         assert NocConfig(flit_engine="vector").flit_engine == "vector"
         with pytest.raises(ValueError, match="flit engine"):
             NocConfig(flit_engine="simd")
-        assert set(FLIT_ENGINES) == {"event", "vector", "sharded"}
+        assert set(FLIT_ENGINES) == {"event", "vector"}
 
     def test_default_engine_keeps_spec_fingerprints(self):
         """Spelling out flit_engine='event' must not re-address cached
