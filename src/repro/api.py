@@ -94,12 +94,9 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "run_benchmark": ".system",
 })
 
-#: the four simulation axes, one name-tuple each (default first) —
-#: ``PROTOCOLS`` / ``FLIT_ENGINES`` / ``TOPOLOGIES`` / ``ARBITERS`` all
-#: follow one convention, described by :func:`describe_axes`.
-#: (``PROTOCOLS`` used to re-export the ``name -> ProtocolSpec`` table;
-#: that table is :data:`PROTOCOL_SPECS` now, and ``PROTOCOL_NAMES``
-#: remains an alias of the tuple.)
+#: the axes' name tuples (default first) come from ``repro.config.AXES``;
+#: ``PROTOCOLS`` aliases ``PROTOCOL_NAMES``, and the ``name ->
+#: ProtocolSpec`` table is :data:`PROTOCOL_SPECS`
 PROTOCOLS = PROTOCOL_NAMES
 
 __all__ = [
@@ -173,13 +170,15 @@ def simulate(
     liveness watchdog (:class:`LivelockDetected` on no-progress),
     ``check_protocol`` attaches the online coherence checker, and
     ``timeout_s`` bounds the run's wall clock (:class:`RunTimeout`).
-    The retry/on_error fields are executor policy and ignored here.
+    Each axis the options set fills ``config`` wherever the config keeps
+    that axis's default, as in :func:`run_plan`.  The retry/on_error
+    fields are executor policy and ignored here.
     """
     from .system import ManyCoreSystem
 
     opts = options if options is not None else ExperimentOptions()
     system = ManyCoreSystem(
-        config,
+        opts.apply_to_config(config),
         workload,
         primitive=primitive,
         observe=observe,
@@ -238,11 +237,11 @@ def run_plan(
     observation with ``Executor.observation_for`` by building the
     :class:`Executor` yourself when you need them.
 
-    ``options`` carries the robustness knobs: ``fault_plan`` /
-    ``watchdog_cycles`` / ``check_protocol`` overlay onto specs that do
-    not set their own, and ``timeout_s`` / ``retries`` / ``on_error``
-    configure the executor.  Under ``on_error="skip"`` a failed spec's
-    slot holds ``None`` instead of a result.
+    ``options`` carries the robustness knobs and the axes: ``fault_plan``
+    / ``watchdog_cycles`` / ``check_protocol`` and each axis overlay onto
+    specs that do not set their own, and ``timeout_s`` / ``retries`` /
+    ``on_error`` configure the executor.  Under ``on_error="skip"`` a
+    failed spec's slot holds ``None`` instead of a result.
     """
     opts = options if options is not None else ExperimentOptions()
     effective = [opts.apply_to_spec(spec) for spec in specs]

@@ -12,10 +12,10 @@ Examples::
 This module also owns the *shared* command-line vocabulary: every
 ``inpg-*`` tool that executes simulations builds its parser over
 :func:`execution_parent` (``--jobs`` / ``--timeout`` / ``--cache-dir`` /
-``--no-cache`` / ``--remote``) and :func:`add_flit_engine_argument`, so
-one flag is spelled, typed and documented identically everywhere, and
-:func:`executor_from_args` turns the parsed flags into the right
-executor — in-process by default, a
+``--no-cache`` / ``--remote``) and :func:`axes_parent` (one flag per
+axis of :data:`repro.config.AXES`), so one flag is spelled, typed and
+documented identically everywhere, and :func:`executor_from_args` turns
+the parsed flags into the right executor — in-process by default, a
 :class:`~repro.serve.client.RemoteExecutor` when ``--remote`` names a
 running ``inpg-serve``.
 """
@@ -26,17 +26,9 @@ import argparse
 import json
 import sys
 
-from dataclasses import replace
-
-from .config import (
-    ARBITERS,
-    FLIT_ENGINES,
-    MECHANISMS,
-    PROTOCOL_NAMES,
-    TOPOLOGIES,
-    SystemConfig,
-)
+from .config import AXES, MECHANISMS, Axis, SystemConfig, describe_axes
 from .exec import Executor, RunSpec
+from .experiments.common import ExperimentOptions
 from .locks.factory import PRIMITIVES, canonical_primitive
 from .stats.export import render_gantt, run_result_to_dict
 from .workloads.profiles import ALL_PROFILES
@@ -86,47 +78,28 @@ def execution_parent(remote: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
-def add_flit_engine_argument(parser, extra_help: str = "") -> None:
-    """Add the shared ``--flit-engine`` flag (identical everywhere)."""
-    text = ("run the NoC at flit granularity with this engine "
-            "('event' = reference, 'vector' = cycle-batched arrays, "
-            "bit-exact)")
-    if extra_help:
-        text = f"{text}; {extra_help}"
-    parser.add_argument("--flit-engine", default=None,
-                        choices=list(FLIT_ENGINES), help=text)
+def add_axis_argument(parser, axis: Axis, extra_help: str = "") -> None:
+    """Add one axis's shared flag (identical everywhere)."""
+    text = f"{axis.help}; {extra_help}" if extra_help else axis.help
+    parser.add_argument(axis.flag, default=None, choices=list(axis.choices),
+                        help=text)
 
 
 def axes_parent() -> argparse.ArgumentParser:
     """The argparse parent carrying the shared simulation-axis flags.
 
-    One flag per axis of ``repro.api.describe_axes()`` —
+    One flag per axis of :data:`repro.config.AXES` that has help text —
     ``--protocol`` / ``--flit-engine`` / ``--topology`` / ``--arbiter``
     — spelled, typed and documented identically on ``inpg-sim`` and
-    ``inpg-experiments`` (specs built from them travel unchanged through
-    the ``inpg-serve`` proto).  Every flag defaults to ``None``, meaning
+    ``inpg-experiments``.  Every flag defaults to ``None``, meaning
     "keep the config's value" (the paper's MOESI / packet-level / mesh /
     round-robin defaults).
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("simulation axes")
-    group.add_argument(
-        "--protocol", default=None, choices=list(PROTOCOL_NAMES),
-        help="coherence protocol variant (default: the paper's "
-             "directory MOESI)",
-    )
-    add_flit_engine_argument(group)
-    group.add_argument(
-        "--topology", default=None, choices=list(TOPOLOGIES),
-        help="NoC fabric topology (default: the paper's 8x8 mesh; "
-             "torus/ring need the packet-level model)",
-    )
-    group.add_argument(
-        "--arbiter", default=None, choices=list(ARBITERS),
-        help="output-port arbitration across VC classes (default: "
-             "round-robin; 'wrr' = weighted round-robin with "
-             "noc.wrr_weights credits)",
-    )
+    for axis in AXES:
+        if axis.help is not None:
+            add_axis_argument(group, axis)
     return parent
 
 
@@ -241,29 +214,19 @@ def main(argv=None) -> int:
         from .faults import FaultPlan
 
         fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-    robust = dict(
+    options = ExperimentOptions(
         fault_plan=fault_plan,
         watchdog_cycles=args.watchdog,
         check_protocol=args.check_protocol,
-        protocol=args.protocol,
-        topology=args.topology,
-        arbiter=args.arbiter,
+        **{name: getattr(args, name) for name in describe_axes()},
     )
-    base_config = SystemConfig()
-    if args.flit_engine is not None:
-        base_config = replace(
-            base_config,
-            noc=replace(base_config.noc, flit_level=True,
-                        flit_engine=args.flit_engine),
-        )
     if args.benchmark == "microbench":
         spec = RunSpec.microbench(
             home_node=args.home,
             mechanism=args.mechanism,
             primitive=primitive,
             seed=args.seed,
-            config=replace(base_config, num_threads=args.threads),
-            **robust,
+            config=SystemConfig(num_threads=args.threads),
         )
     else:
         spec = RunSpec(
@@ -272,9 +235,8 @@ def main(argv=None) -> int:
             primitive=primitive,
             scale=args.scale,
             seed=args.seed,
-            config=None if args.flit_engine is None else base_config,
-            **robust,
         )
+    spec = options.apply_to_spec(spec)
     observe = None
     if traced:
         from .exec.executor import execute_spec

@@ -9,7 +9,7 @@ workload), so experiments are declarative parameter sweeps over it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,7 @@ class NocConfig:
     wrr_weights: Tuple[int, ...] = (2, 1)
 
     def __post_init__(self) -> None:
-        if self.flit_engine not in FLIT_ENGINES:
-            raise ValueError(
-                f"unknown flit engine {self.flit_engine!r}; "
-                f"choose from {FLIT_ENGINES}"
-            )
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; "
-                f"choose from {TOPOLOGIES}"
-            )
-        if self.arbiter not in ARBITERS:
-            raise ValueError(
-                f"unknown arbiter {self.arbiter!r}; choose from {ARBITERS}"
-            )
+        _check_axes(self, "noc")
         # JSON round-trips turn tuples into lists; normalize so configs
         # stay hashable (frozen RunSpecs embed them) and compare equal.
         weights = tuple(int(w) for w in self.wrr_weights)
@@ -166,11 +153,7 @@ class InpgConfig:
     placement: str = "spread"
 
     def __post_init__(self) -> None:
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown big-router placement {self.placement!r}; "
-                f"choose from {PLACEMENTS}"
-            )
+        _check_axes(self, "inpg")
 
 
 @dataclass(frozen=True)
@@ -242,11 +225,7 @@ class SystemConfig:
     protocol: str = "moesi"
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOL_NAMES:
-            raise ValueError(
-                f"unknown coherence protocol {self.protocol!r}; "
-                f"choose from {PROTOCOL_NAMES}"
-            )
+        _check_axes(self, "")
 
     def with_overrides(self, **overrides) -> "SystemConfig":
         """Return a copy with fields deep-replaced into nested sections.
@@ -257,8 +236,8 @@ class SystemConfig:
             cfg.with_overrides(noc={"topology": "torus"}, num_threads=32)
             cfg.with_overrides(inpg={"enabled": True, "placement": "center"})
 
-        Strict like :func:`config_from_dict`: an unknown section field or
-        top-level field raises ``TypeError`` instead of being dropped.
+        Strict: an unknown section field or top-level field raises
+        ``TypeError`` instead of being dropped.
         This is the supported way to derive configs — it keeps every
         section a frozen value object (no mutation patterns) and runs all
         ``__post_init__`` validation on the rebuilt sections.
@@ -344,70 +323,111 @@ def config_from_dict(payload: Dict) -> SystemConfig:
     """Rebuild a :class:`SystemConfig` from its :func:`config_to_dict`
     encoding.
 
-    Strict by design: an unknown section or field raises ``TypeError``
-    rather than being silently dropped — a config that crossed a process
-    or network boundary must mean exactly what it meant at the sender,
-    or fingerprints would diverge.
+    Strict by design, like :meth:`SystemConfig.with_overrides`: a config
+    that crossed a process or network boundary must mean exactly what it
+    meant at the sender, or fingerprints would diverge.
     """
-    kwargs = {}
-    for name, value in payload.items():
-        section = _SECTION_TYPES.get(name)
-        if section is not None:
-            if not isinstance(value, dict):
-                raise TypeError(
-                    f"config section {name!r} must be a mapping, "
-                    f"got {type(value).__name__}"
-                )
-            kwargs[name] = section(**value)
-        else:
-            kwargs[name] = value
-    return SystemConfig(**kwargs)
+    return SystemConfig().with_overrides(**payload)
 
 
 #: The four comparative cases of Section 5.1.
 MECHANISMS = ("original", "ocor", "inpg", "inpg+ocor")
 
-#: The coherence protocol family (default first); the specs themselves
-#: live in ``repro.coherence.protocol``.
-PROTOCOL_NAMES = ("moesi", "msi", "mesi")
 
-#: Flit-level fabric engines (default first): the event-driven reference
-#: router and the vectorized cycle-batched fabric, behind the same API.
-FLIT_ENGINES = ("event", "vector")
+class Axis(NamedTuple):
+    """One simulation axis: a config field swept over named values."""
 
-#: NoC topologies (default first); classes in ``repro.noc.topology``.
-TOPOLOGIES = ("mesh", "torus", "ring")
+    name: str
+    #: dotted :class:`SystemConfig` field, e.g. ``noc.topology``
+    path: str
+    #: the valid values, default first
+    choices: Tuple[str, ...]
+    #: the CLI flag's help text; ``None`` keeps the axis config-only
+    help: Optional[str]
 
-#: Output-port arbitration policies (default first): strict VC priority
-#: round-robin, and weighted round-robin (``repro.noc.arbiter``).
-ARBITERS = ("rr", "wrr")
+    @property
+    def default(self) -> str:
+        return self.choices[0]
 
-#: Big-router placement strategies (default first);
-#: ``repro.inpg.deployment`` implements them.
-PLACEMENTS = ("spread", "center", "perimeter")
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    @property
+    def section(self) -> str:
+        """The config section holding the axis; ``""`` is the top level."""
+        return self.path.rpartition(".")[0]
+
+    @property
+    def key(self) -> str:
+        return self.path.rpartition(".")[2]
+
+    def of(self, config: SystemConfig) -> str:
+        """This axis's value in ``config``."""
+        holder = getattr(config, self.section) if self.section else config
+        return getattr(holder, self.key)
+
+
+#: Every simulation axis, in one table.  Validation, the name tuples
+#: below, :func:`describe_axes`, the CLI flags (``repro.cli``), the
+#: ``ExperimentOptions`` overlay and the fingerprint's default elision
+#: (``repro.exec.spec``) all derive from these rows.
+AXES = (
+    # the protocol specs live in repro.coherence.protocol
+    Axis("protocol", "protocol", ("moesi", "msi", "mesi"),
+         "coherence protocol variant (default: the paper's directory "
+         "MOESI)"),
+    # repro.noc.flitsim and repro.noc.vecflit, behind one API
+    Axis("flit_engine", "noc.flit_engine", ("event", "vector"),
+         "run the NoC at flit granularity with this engine ('event' = "
+         "reference, 'vector' = cycle-batched arrays, bit-exact)"),
+    # classes in repro.noc.topology
+    Axis("topology", "noc.topology", ("mesh", "torus", "ring"),
+         "NoC fabric topology (default: the paper's 8x8 mesh; torus/ring "
+         "need the packet-level model)"),
+    # WRR in repro.noc.arbiter
+    Axis("arbiter", "noc.arbiter", ("rr", "wrr"),
+         "output-port arbitration across VC classes (default: "
+         "round-robin; 'wrr' = weighted round-robin with noc.wrr_weights "
+         "credits)"),
+    # repro.inpg.deployment; set through the config only
+    Axis("placement", "inpg.placement", ("spread", "center", "perimeter"),
+         None),
+)
+
+PROTOCOL_NAMES, FLIT_ENGINES, TOPOLOGIES, ARBITERS, PLACEMENTS = (
+    axis.choices for axis in AXES
+)
+
+
+def _check_axes(holder, section: str) -> None:
+    """Reject an axis value of ``holder`` (one config section) that is
+    not among its choices."""
+    for axis in AXES:
+        if axis.section == section:
+            value = getattr(holder, axis.key)
+            if value not in axis.choices:
+                raise ValueError(
+                    f"unknown {axis.name.replace('_', ' ')} {value!r}; "
+                    f"choose from {axis.choices}"
+                )
 
 
 def describe_axes() -> Dict[str, Dict[str, object]]:
-    """One record per simulation axis, in a single convention.
+    """One record per CLI axis of :data:`AXES`, in a single convention.
 
     Each record names the valid ``choices`` (default first), the
     ``default``, the dotted config field that carries the axis, and the
     shared CLI flag (identical spelling on ``inpg-sim`` and
-    ``inpg-experiments``; specs travel through the serve proto with the
-    same values).  Re-exported by :mod:`repro.api`.
+    ``inpg-experiments``).  Re-exported by :mod:`repro.api`.
     """
-    axes = {
-        "protocol": ("protocol", "--protocol", PROTOCOL_NAMES),
-        "flit_engine": ("noc.flit_engine", "--flit-engine", FLIT_ENGINES),
-        "topology": ("noc.topology", "--topology", TOPOLOGIES),
-        "arbiter": ("noc.arbiter", "--arbiter", ARBITERS),
-    }
     return {
-        name: {
-            "choices": choices,
-            "default": choices[0],
-            "config_field": config_field,
-            "flag": flag,
+        axis.name: {
+            "choices": axis.choices,
+            "default": axis.default,
+            "config_field": axis.path,
+            "flag": axis.flag,
         }
-        for name, (config_field, flag, choices) in axes.items()
+        for axis in AXES
+        if axis.help is not None
     }

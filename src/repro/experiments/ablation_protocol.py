@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..config import PROTOCOL_NAMES
+from ..config import PROTOCOL_NAMES, SystemConfig
 from ..exec import RunSpec
 from .common import (
     ExperimentOptions,
@@ -121,7 +121,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
             primitive="qsl",
             scale=opts.scale,
             seed=opts.seed,
-            protocol=proto,
+            config=SystemConfig(protocol=proto),
         )
         for proto in protocols
         for bench in benches

@@ -133,14 +133,6 @@ class TopologyAblationResult:
         return "\n".join(lines)
 
 
-def _inpg_config(placement: str) -> Optional[SystemConfig]:
-    """Config for an iNPG row; the default placement stays ``None`` so
-    mesh/spread cells share fingerprints with the fig11/fig12 matrix."""
-    if placement == "spread":
-        return None
-    return SystemConfig().with_overrides(inpg={"placement": placement})
-
-
 def run(options: "ExperimentOptions" = None, *, scale: float = None,
         quick: bool = None,
         benchmarks: Optional[Tuple[str, ...]] = None,
@@ -152,8 +144,9 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
     )
     specs: Dict[Tuple[str, str, str, str], RunSpec] = {}
     for topo in topologies:
-        # the axis value enters the spec explicitly; the default mesh is
-        # elided from the fingerprint so those rows stay cache-shared
+        # the default mesh and spread placement are elided from the
+        # fingerprint, so those rows stay cache-shared with fig11/fig12
+        fabric = SystemConfig().with_overrides(noc={"topology": topo})
         for bench in benches:
             specs[(topo, NO_PLACEMENT, bench, "original")] = RunSpec(
                 benchmark=bench,
@@ -161,7 +154,7 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
                 primitive="qsl",
                 scale=opts.scale,
                 seed=opts.seed,
-                topology=topo,
+                config=fabric,
             )
             for placement in PLACEMENTS:
                 specs[(topo, placement, bench, "inpg")] = RunSpec(
@@ -170,8 +163,8 @@ def run(options: "ExperimentOptions" = None, *, scale: float = None,
                     primitive="qsl",
                     scale=opts.scale,
                     seed=opts.seed,
-                    topology=topo,
-                    config=_inpg_config(placement),
+                    config=fabric.with_overrides(
+                        inpg={"placement": placement}),
                 )
     # one flat plan: the shared executor dedups/caches/parallelizes
     results = execute(list(specs.values()), options=opts)

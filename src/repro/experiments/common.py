@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..config import MECHANISMS, SystemConfig
+from ..config import AXES, MECHANISMS, SystemConfig
 from ..exec import Executor, RunSpec
 from ..stats.metrics import RunResult
 from ..workloads.profiles import ALL_PROFILES, group_of, grouped_profiles
@@ -86,19 +86,11 @@ class ExperimentOptions:
     watchdog_cycles: Optional[int] = None
     #: attach the online coherence protocol checker to every run
     check_protocol: bool = False
-    #: coherence protocol variant for every run that does not pin its
-    #: own (``moesi`` / ``msi`` / ``mesi``); ``None`` = spec default
+    #: one field per CLI axis of :data:`repro.config.AXES`, named like
+    #: it; ``None`` keeps the config's value (see :meth:`apply_to_config`)
     protocol: Optional[str] = None
-    #: NoC topology for every run that does not pin its own
-    #: (``mesh`` / ``torus`` / ``ring``); ``None`` = spec default
     topology: Optional[str] = None
-    #: output-port arbiter for every run that does not pin its own
-    #: (``rr`` / ``wrr``); ``None`` = spec default
     arbiter: Optional[str] = None
-    #: flit-level engine (``event`` / ``vector``) for every run whose
-    #: config does not already run flit-level; implies
-    #: ``noc.flit_level``, so mechanisms needing the packet model (iNPG)
-    #: raise their usual structured errors
     flit_engine: Optional[str] = None
     #: per-run wall-clock budget (seconds); a timed-out run raises
     #: :class:`~repro.errors.RunTimeout` and is never cached
@@ -112,13 +104,34 @@ class ExperimentOptions:
     def benchmarks(self) -> List[str]:
         return benchmarks_for(self.quick)
 
+    def apply_to_config(self, config: SystemConfig) -> SystemConfig:
+        """``config`` with each axis these options set filled in wherever
+        ``config`` keeps that axis's default.
+
+        A ``flit_engine`` also turns on ``noc.flit_level``: choosing an
+        engine means running at flit granularity, so mechanisms needing
+        the packet model (iNPG) raise their usual structured errors.
+        """
+        overrides: Dict = {}
+        for axis in AXES:
+            # an axis without a CLI flag has no option either
+            value = None if axis.help is None else getattr(self, axis.name)
+            if value is not None and axis.of(config) == axis.default:
+                holder = (overrides.setdefault(axis.section, {})
+                          if axis.section else overrides)
+                holder[axis.key] = value
+        if "flit_engine" in overrides.get("noc", {}):
+            overrides["noc"]["flit_level"] = True
+        return config.with_overrides(**overrides)
+
     def apply_to_spec(self, spec: RunSpec) -> RunSpec:
-        """Overlay the robustness knobs onto ``spec``.
+        """Overlay the robustness knobs and the axes onto ``spec``.
 
         A spec's own ``fault_plan`` / ``watchdog_cycles`` /
-        ``check_protocol`` always win — the overlay fills gaps only, so
-        harness-built plans can pin per-run fault scenarios while the
-        campaign sets the sweep-wide default.
+        ``check_protocol`` and its config's non-default axis values
+        always win — the overlay fills gaps only, so harness-built plans
+        can pin per-run scenarios while the campaign sets the sweep-wide
+        default.
         """
         updates = {}
         if self.fault_plan is not None and spec.fault_plan is None:
@@ -127,18 +140,10 @@ class ExperimentOptions:
             updates["watchdog_cycles"] = self.watchdog_cycles
         if self.check_protocol and not spec.check_protocol:
             updates["check_protocol"] = True
-        if self.protocol is not None and spec.protocol is None:
-            updates["protocol"] = self.protocol
-        if self.topology is not None and spec.topology is None:
-            updates["topology"] = self.topology
-        if self.arbiter is not None and spec.arbiter is None:
-            updates["arbiter"] = self.arbiter
-        if self.flit_engine is not None:
-            cfg = spec.config or SystemConfig()
-            if not cfg.noc.flit_level:
-                updates["config"] = cfg.with_overrides(
-                    noc={"flit_level": True, "flit_engine": self.flit_engine}
-                )
+        base = spec.config or SystemConfig()
+        config = self.apply_to_config(base)
+        if config != base:
+            updates["config"] = config
         return replace(spec, **updates) if updates else spec
 
     def executor_policy(self) -> Dict[str, object]:

@@ -30,6 +30,7 @@ from ..cli import (
     executor_from_args,
     footer_cache_dir,
 )
+from ..config import describe_axes
 from . import common
 
 #: experiment name -> harness module in this package, imported only when
@@ -135,11 +136,8 @@ def main(argv=None) -> int:
     options = common.ExperimentOptions(
         quick=not args.full,
         scale=args.scale,
-        protocol=args.protocol,
-        topology=args.topology,
-        arbiter=args.arbiter,
-        flit_engine=args.flit_engine,
         check_protocol=args.check_protocol,
+        **{name: getattr(args, name) for name in describe_axes()},
     )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

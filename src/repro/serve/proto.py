@@ -10,7 +10,7 @@ applies to results on disk.
 
 An envelope is a JSON object::
 
-    {"proto": 1, "kind": "<message kind>", ...body...}
+    {"proto": 2, "kind": "<message kind>", ...body...}
 
 ``open_envelope`` rejects a payload whose ``proto`` does not match this
 module's version (or whose ``kind`` is not the expected one) with a
@@ -51,8 +51,10 @@ from typing import Dict, List, Optional, Sequence
 from ..exec import RunSpec
 from ..stats.serialize import RESULT_SCHEMA_VERSION
 
-#: bump when any envelope body below changes shape
-PROTO_SCHEMA_VERSION = 1
+#: bump when any envelope body below changes shape.  2: specs carry
+#: their axes in ``config`` only; a v1 spec's ``protocol`` /
+#: ``topology`` / ``arbiter`` keys no longer decode
+PROTO_SCHEMA_VERSION = 2
 
 #: every message kind the proto defines (closed vocabulary: an unknown
 #: kind is a proto error, not a silent pass-through)

@@ -156,10 +156,11 @@ class TestSharedFlagVocabulary:
         from repro.serve.proto import decode_submit, submit_request
 
         spec = RunSpec(
-            benchmark="vips", mechanism="inpg", protocol="msi",
-            topology="torus", arbiter="wrr",
+            benchmark="vips", mechanism="inpg",
             config=SystemConfig().with_overrides(
-                noc={"wrr_weights": (3, 1)},
+                protocol="msi",
+                noc={"topology": "torus", "arbiter": "wrr",
+                     "flit_engine": "vector", "wrr_weights": (3, 1)},
                 inpg={"placement": "center"},
             ),
         )
@@ -167,6 +168,8 @@ class TestSharedFlagVocabulary:
         assert decoded == spec
         assert decoded.fingerprint == spec.fingerprint
         resolved = decoded.resolved_config()
+        assert resolved.protocol == "msi"
+        assert resolved.noc.flit_engine == "vector"
         assert resolved.noc.topology == "torus"
         assert resolved.noc.arbiter == "wrr"
         assert resolved.inpg.placement == "center"

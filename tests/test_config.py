@@ -1,6 +1,8 @@
 """Unit tests for SystemConfig, mechanism selection, the generic
 ``with_overrides`` builder, and the simulation-axis vocabulary."""
 
+import json
+
 import pytest
 
 from repro.config import (
@@ -13,6 +15,8 @@ from repro.config import (
     InpgConfig,
     NocConfig,
     SystemConfig,
+    config_from_dict,
+    config_to_dict,
     describe_axes,
 )
 
@@ -148,6 +152,28 @@ class TestAxisVocabulary:
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError, match="placement"):
             InpgConfig(placement="edges")
+
+
+class TestConfigFromDict:
+    def test_every_axis_round_trips_through_json(self):
+        config = SystemConfig().with_overrides(
+            protocol="mesi",
+            noc={"flit_level": True, "flit_engine": "vector",
+                 "topology": "torus", "arbiter": "wrr",
+                 "wrr_weights": (3, 1)},
+            inpg={"placement": "perimeter"},
+        )
+        wire = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(wire) == config
+
+    @pytest.mark.parametrize("payload", [
+        {"noc": {"no_such_field": 1}},
+        {"no_such_field": 1},
+        {"noc": [8, 8]},
+    ], ids=["section-field", "top-level-field", "section-not-mapping"])
+    def test_strict(self, payload):
+        with pytest.raises(TypeError):
+            config_from_dict(payload)
 
 
 class TestNocConfig:

@@ -79,24 +79,41 @@ class TestFingerprint:
 class TestAxisFingerprints:
     """Every simulation axis follows one fingerprint convention: the
     default value is elided (legacy cache keys stay valid), every
-    non-default value addresses itself."""
+    non-default value addresses itself and shows in the label."""
 
     BASELINE = RunSpec(benchmark="vips", mechanism="original")
 
-    # (RunSpec field, default value, each non-default value)
+    # (axis, default value, each non-default value), spelled out here
+    # rather than read from repro.config.AXES so that a row dropped from
+    # the table fails
     SPEC_AXES = [
         ("protocol", "moesi", ("msi", "mesi")),
         ("topology", "mesh", ("torus", "ring")),
         ("arbiter", "rr", ("wrr",)),
+        ("flit_engine", "event", ("vector",)),
+        ("placement", "spread", ("center", "perimeter")),
     ]
+    #: the config section holding each axis (None: top level)
+    SECTIONS = {"protocol": None, "topology": "noc", "arbiter": "noc",
+                "flit_engine": "noc", "placement": "inpg"}
+
+    @classmethod
+    def spec(cls, axis, value):
+        section = cls.SECTIONS[axis]
+        overrides = {section: {axis: value}} if section else {axis: value}
+        return RunSpec(benchmark="vips", mechanism="original",
+                       config=SystemConfig().with_overrides(**overrides))
 
     @pytest.mark.parametrize("field,default,_", SPEC_AXES,
                              ids=lambda v: str(v))
     def test_explicit_default_never_changes_fingerprint(
             self, field, default, _):
-        spec = RunSpec(benchmark="vips", mechanism="original",
-                       **{field: default})
+        spec = self.spec(field, default)
         assert spec.fingerprint == self.BASELINE.fingerprint
+        config = spec.canonical_payload()["config"]
+        section = self.SECTIONS[field]
+        assert field not in (config[section] if section else config)
+        assert f"{field}=" not in spec.label()
 
     @pytest.mark.parametrize("field,default,values", SPEC_AXES,
                              ids=lambda v: str(v))
@@ -104,8 +121,7 @@ class TestAxisFingerprints:
             self, field, default, values):
         prints = {self.BASELINE.fingerprint}
         for value in values:
-            spec = RunSpec(benchmark="vips", mechanism="original",
-                           **{field: value})
+            spec = self.spec(field, value)
             prints.add(spec.fingerprint)
             assert f"{field}={value}" in spec.label()
         assert len(prints) == 1 + len(values)
@@ -142,12 +158,11 @@ class TestAxisFingerprints:
             config=SystemConfig().with_overrides(
                 noc={"wrr_weights": (7, 3)}))
         assert weighted.fingerprint == self.BASELINE.fingerprint
-        wrr_a = RunSpec(benchmark="vips", mechanism="original",
-                        arbiter="wrr")
+        wrr_a = self.spec("arbiter", "wrr")
         wrr_b = RunSpec(
-            benchmark="vips", mechanism="original", arbiter="wrr",
+            benchmark="vips", mechanism="original",
             config=SystemConfig().with_overrides(
-                noc={"wrr_weights": (7, 3)}))
+                noc={"arbiter": "wrr", "wrr_weights": (7, 3)}))
         assert wrr_b.fingerprint != wrr_a.fingerprint
 
     def test_legacy_payload_shape_is_stable(self):
@@ -161,8 +176,10 @@ class TestAxisFingerprints:
         assert "protocol" not in payload["config"]
 
     def test_axis_specs_roundtrip_to_dict(self):
-        spec = RunSpec(benchmark="vips", mechanism="original",
-                       topology="torus", arbiter="wrr")
+        spec = RunSpec(
+            benchmark="vips", mechanism="original",
+            config=SystemConfig().with_overrides(
+                noc={"topology": "torus", "arbiter": "wrr"}))
         clone = RunSpec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.fingerprint == spec.fingerprint

@@ -53,6 +53,43 @@ class TestCommon:
         assert "xyz" in out and "2.50" in out
 
 
+class TestAxisOverlay:
+    """``ExperimentOptions`` fills an axis wherever a config keeps that
+    axis's default, on every entry point that takes options."""
+
+    def test_overlay_fills_default_axes_only(self):
+        from repro.config import SystemConfig
+
+        opts = ExperimentOptions(protocol="msi", topology="torus",
+                                 flit_engine="vector")
+        filled = opts.apply_to_config(SystemConfig())
+        assert filled.protocol == "msi"
+        assert filled.noc.topology == "torus"
+        # choosing an engine means running at flit granularity
+        assert filled.noc.flit_level and filled.noc.flit_engine == "vector"
+        pinned = SystemConfig().with_overrides(protocol="mesi",
+                                               noc={"topology": "ring"})
+        kept = opts.apply_to_config(pinned)
+        assert (kept.protocol, kept.noc.topology) == ("mesi", "ring")
+        assert ExperimentOptions().apply_to_config(pinned) is pinned
+
+    def test_simulate_applies_the_axis_overlay(self):
+        from repro import api
+        from repro.config import NocConfig, SystemConfig
+
+        config = SystemConfig(noc=NocConfig(width=4, height=4),
+                              num_threads=8)
+        workload = api.single_lock_workload(num_threads=8, home_node=5)
+        mesh = api.simulate(config, workload, "tas")
+        ring = api.simulate(
+            config.with_overrides(noc={"topology": "ring"}), workload,
+            "tas")
+        overlaid = api.simulate(config, workload, "tas",
+                                options=ExperimentOptions(topology="ring"))
+        assert ring.roi_cycles != mesh.roi_cycles
+        assert overlaid.roi_cycles == ring.roi_cycles
+
+
 class TestStaticExperiments:
     def test_table1_renders_config(self):
         out = table1_config.run().render()
@@ -296,3 +333,45 @@ class TestSeedReachesEverySpec:
             assert spec.fingerprint not in default_prints
             # the seed is the only thing that moved
             assert replace(spec, seed=base.seed) == base
+
+
+class TestAxisOptionsKeepEveryAddress:
+    """Each CLI axis value, set through ``ExperimentOptions``, reaches
+    every plan the twelve plan-submitting harnesses build at the same
+    cache addresses as before the axes moved into ``SystemConfig``."""
+
+    HARNESSES = (
+        "ablation_lco", "ablation_protocol", "ablation_topology",
+        "fig02_lco", "fig08_cs_chars", "fig09_timing_profile",
+        "fig10_rtt", "fig11_cs_expedition", "fig12_roi",
+        "fig13_primitives", "fig14_deployment", "fig15_sensitivity",
+    )
+
+    #: (axis, value) -> (digest over every harness's sorted
+    #: fingerprints, spec count), taken while ``RunSpec`` still carried
+    #: protocol/topology/arbiter fields of its own
+    PLANS = {
+        ("protocol", "moesi"): ("176c87ab06a50868", 353),
+        ("protocol", "msi"): ("c70fea74cab18524", 353),
+        ("protocol", "mesi"): ("983d9c48865a08fc", 353),
+        ("flit_engine", "event"): ("7997e591919031c7", 377),
+        ("flit_engine", "vector"): ("be8016ebcf418caa", 377),
+        ("topology", "mesh"): ("a9564eec30690a13", 329),
+        ("topology", "torus"): ("d659aa374cf97027", 329),
+        ("topology", "ring"): ("420976c7013a4b0a", 329),
+        ("arbiter", "rr"): ("30a4d70451bd6862", 377),
+        ("arbiter", "wrr"): ("4f78a99fb9af757c", 377),
+    }
+
+    @pytest.mark.parametrize("axis,value", sorted(PLANS))
+    def test_axis_value_keeps_every_fingerprint(self, monkeypatch, axis,
+                                                value):
+        lines, count = [], 0
+        for harness in self.HARNESSES:
+            specs = TestSeedReachesEverySpec._plan(
+                monkeypatch, harness, **{axis: value})
+            count += len(specs)
+            lines.append(harness + " " + "".join(
+                sorted(s.fingerprint for s in specs)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert (digest, count) == self.PLANS[(axis, value)]

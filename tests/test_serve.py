@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.exec import Executor, RunSpec
 from repro.exec.executor import FailureRecord
 from repro.serve import proto
@@ -47,7 +48,8 @@ class TestProto:
             RunSpec(**GOLDEN_SPEC),
             RunSpec(benchmark="kdtree", mechanism="inpg",
                     primitive="tas", scale=0.5, seed=7,
-                    protocol="msi", check_protocol=True),
+                    config=SystemConfig(protocol="msi"),
+                    check_protocol=True),
         ]
         request = proto.submit_request(specs, timeout_s=1.5, retries=2)
         wire = json.loads(json.dumps(request))  # a real wire hop
@@ -80,6 +82,17 @@ class TestProto:
         request = proto.submit_request([RunSpec(**GOLDEN_SPEC)])
         request["specs"][0]["config"] = {"noc": {"no_such_field": 1}}
         with pytest.raises(proto.ProtoError, match="undecodable spec"):
+            proto.decode_submit(request)
+
+    @pytest.mark.parametrize("key,value", [
+        ("protocol", "msi"), ("topology", "torus"), ("arbiter", "wrr"),
+    ])
+    def test_v1_spec_axis_keys_rejected(self, key, value):
+        # proto v1 specs carried these axes beside the config; decoding
+        # one leniently would run the spec on the default fabric
+        request = proto.submit_request([RunSpec(**GOLDEN_SPEC)])
+        request["specs"][0][key] = value
+        with pytest.raises(proto.ProtoError, match=key):
             proto.decode_submit(request)
 
     def test_golden_spec_fingerprint_pinned(self):
