@@ -11,10 +11,12 @@ time someone reads them::
         "PROTOCOL_SPECS": ".coherence.protocol:PROTOCOLS",
     })
 
-A loaded name is stored in the module's globals, so later reads are
-plain attribute lookups.  Module ``__getattr__`` is not consulted for
-the module's own global lookups: code inside the facade imports these
-names locally.
+Loading a module stores every name the table takes from it in the
+facade's globals, so later reads are plain attribute lookups, and a
+facade whose module was loaded through one name holds all its names
+(``vars(facade)`` and tracers patching the facade see them).  Module
+``__getattr__`` is not consulted for the module's own global lookups:
+code inside the facade imports these names locally.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ def lazy_names(
     to the package; the attribute of the same name), ``"module:attr"``,
     or ``None`` for the package's submodule of that name."""
     package = namespace["__package__"]
+    #: module -> the (name, attribute) pairs the table takes from it
+    by_module: Dict[str, List[Tuple[str, str]]] = {}
+    for name, where in table.items():
+        if where is not None:
+            module, _, attr = where.partition(":")
+            by_module.setdefault(module, []).append((name, attr or name))
 
     def __getattr__(name: str):
         try:
@@ -40,12 +48,13 @@ def lazy_names(
                 f"module {namespace['__name__']!r} has no attribute {name!r}"
             ) from None
         if where is None:
-            value = import_module(f".{name}", package)
-        else:
-            module, _, attr = where.partition(":")
-            value = getattr(import_module(module, package), attr or name)
-        namespace[name] = value
-        return value
+            namespace[name] = import_module(f".{name}", package)
+            return namespace[name]
+        module = where.partition(":")[0]
+        loaded = import_module(module, package)
+        for bound, attr in by_module[module]:
+            namespace[bound] = getattr(loaded, attr)
+        return namespace[name]
 
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(table))

@@ -64,34 +64,32 @@ from .errors import (
 )
 from .exec import Executor, RunSpec
 from .experiments.common import ExperimentOptions
-from .obs import DEFAULT_CAPACITY, Observation
 from .stats.metrics import RunResult
 from .stats.serialize import (
     deserialize_run_result,
     result_fingerprint,
     serialize_run_result,
 )
-from .workloads.generator import (
-    Workload,
-    generate_workload,
-    single_lock_workload,
-)
 
-#: the simulator, protocol tables, fault injection and service client,
-#: imported on first access: a process that only replays cached results
-#: never loads them
+#: the simulator, the workload generator, observability, protocol
+#: tables, fault injection and the service client, imported on first
+#: access: a process that only replays cached results never loads them
 __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "FaultPlan": ".faults",
     "FaultSite": ".faults",
     "LocalClient": ".serve.client",
     "ManyCoreSystem": ".system",
+    "Observation": ".obs",
     "PROTOCOL_SPECS": ".coherence.protocol:PROTOCOLS",
     "ProtocolSpec": ".coherence.protocol",
     "RemoteExecutor": ".serve.client",
     "ServiceClient": ".serve.client",
+    "Workload": ".workloads.generator",
     "connect": ".serve.client",
+    "generate_workload": ".workloads.generator",
     "get_protocol": ".coherence.protocol",
     "run_benchmark": ".system",
+    "single_lock_workload": ".workloads.generator",
 })
 
 #: the axes' name tuples (default first) come from ``repro.config.AXES``;
@@ -193,22 +191,27 @@ def simulate(
 def trace(
     out=None,
     *,
-    capacity: int = DEFAULT_CAPACITY,
+    capacity: Optional[int] = None,
     label: str = "run",
     metadata: Optional[Dict] = None,
 ) -> Iterator[Observation]:
     """Context manager around an :class:`Observation` for one run.
 
     Yields an unattached observation to pass to :func:`simulate` (or any
-    ``observe=`` parameter).  On clean exit, writes the run as a Chrome
-    trace-event JSON file to ``out`` when given — viewable in Perfetto
-    or ``chrome://tracing``.
+    ``observe=`` parameter), whose trace ring holds ``capacity`` records
+    (default :data:`repro.obs.DEFAULT_CAPACITY`).  On clean exit, writes
+    the run as a Chrome trace-event JSON file to ``out`` when given —
+    viewable in Perfetto or ``chrome://tracing``.
 
     ::
 
         with api.trace(out="t.json", label="inpg/tas") as obs:
             api.simulate(config, workload, "tas", observe=obs)
     """
+    from .obs import DEFAULT_CAPACITY, Observation
+
+    if capacity is None:
+        capacity = DEFAULT_CAPACITY
     obs = Observation(trace=True, trace_capacity=capacity, label=label)
     yield obs
     if out is not None and obs.attached:

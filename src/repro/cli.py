@@ -26,11 +26,17 @@ import argparse
 import json
 import sys
 
-from .config import AXES, MECHANISMS, Axis, SystemConfig, describe_axes
+from .config import (
+    AXES,
+    MECHANISMS,
+    PRIMITIVES,
+    Axis,
+    SystemConfig,
+    canonical_primitive,
+    describe_axes,
+)
 from .exec import Executor, RunSpec
 from .experiments.common import ExperimentOptions
-from .locks.factory import PRIMITIVES, canonical_primitive
-from .stats.export import render_gantt, run_result_to_dict
 from .workloads.profiles import ALL_PROFILES
 
 
@@ -195,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .stats.export import render_gantt, run_result_to_dict
+
     parser = build_parser()
     if argv and "--list" in argv or argv is None and "--list" in sys.argv:
         for profile in ALL_PROFILES:
@@ -242,9 +250,7 @@ def main(argv=None) -> int:
         from .exec.executor import execute_spec
         from .obs import Observation
 
-        observe = Observation(
-            label=f"{args.benchmark}[{args.mechanism}/{primitive}]"
-        )
+        observe = Observation(label=spec.label())
         # observed runs execute inline and never touch the cache: cached
         # results carry no trace ring, and traced payloads must not leak
         # into unobserved plans.

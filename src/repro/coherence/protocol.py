@@ -280,6 +280,12 @@ class ProtocolSpec:
         self.exclusive_fill_state: L1State = (
             L1State.EXCLUSIVE if self.grant_exclusive_clean else L1State.SHARED
         )
+        #: tag-indexed handler names per controller kind, bound onto
+        #: each controller at attach time
+        self.l1_handlers = _handler_names(
+            self.l1_table, _l1cache_mod._HANDLER_NAMES)
+        self.dir_handlers = _handler_names(
+            self.dir_table, _directory_mod._HANDLER_NAMES)
 
     # ------------------------------------------------------------------
     # Table lookups (checker API)
@@ -295,25 +301,10 @@ class ProtocolSpec:
     # ------------------------------------------------------------------
     # Attach-time compiler: lower the table onto a controller
     # ------------------------------------------------------------------
-    def _message_dispatch(self, table, controller, handler_names) -> tuple:
-        """The tag-indexed bound-method tuple for the events ``table``
-        actually handles (an event with only UNHANDLED entries gets no
-        handler and stays a hard dispatch error)."""
-        names: List[Optional[str]] = [None] * N_MESSAGE_TYPES
-        for (_state, event), entry in table.items():
-            if isinstance(event, MessageType) and entry is not UNHANDLED:
-                names[event.tag] = handler_names[event.tag]
-        return tuple(
-            getattr(controller, name) if name is not None else None
-            for name in names
-        )
-
     def compile_l1(self, l1) -> None:
         """Lower the L1 table onto one :class:`~repro.coherence.l1cache.L1Cache`."""
         l1.protocol = self
-        l1._dispatch = self._message_dispatch(
-            self.l1_table, l1, _l1cache_mod._HANDLER_NAMES
-        )
+        l1._dispatch = _bind(l1, self.l1_handlers)
         l1._can_read = self.can_read
         l1._can_write = self.can_write
         l1._owns = self.owns_data
@@ -325,11 +316,28 @@ class ProtocolSpec:
         """Lower the directory table onto one
         :class:`~repro.coherence.directory.DirectoryController`."""
         dir_ctrl.protocol = self
-        dir_ctrl._dispatch = self._message_dispatch(
-            self.dir_table, dir_ctrl, _directory_mod._HANDLER_NAMES
-        )
+        dir_ctrl._dispatch = _bind(dir_ctrl, self.dir_handlers)
         dir_ctrl._home_takes_ownership = self.home_takes_ownership
         dir_ctrl._grant_exclusive_clean = self.grant_exclusive_clean
+
+
+def _handler_names(table, handler_names) -> Tuple[Optional[str], ...]:
+    """The tag-indexed handler-name tuple for the events ``table``
+    actually handles (an event with only UNHANDLED entries gets no
+    handler and stays a hard dispatch error)."""
+    names: List[Optional[str]] = [None] * N_MESSAGE_TYPES
+    for (_state, event), entry in table.items():
+        if isinstance(event, MessageType) and entry is not UNHANDLED:
+            names[event.tag] = handler_names[event.tag]
+    return tuple(names)
+
+
+def _bind(controller, names) -> tuple:
+    """``names`` as ``controller``'s bound methods, ``None`` kept."""
+    return tuple(
+        getattr(controller, name) if name is not None else None
+        for name in names
+    )
 
 
 # ----------------------------------------------------------------------

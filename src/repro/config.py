@@ -333,6 +333,22 @@ def config_from_dict(payload: Dict) -> SystemConfig:
 #: The four comparative cases of Section 5.1.
 MECHANISMS = ("original", "ocor", "inpg", "inpg+ocor")
 
+#: The five locking primitives (Section 2.1), as named throughout the
+#: paper's figures; the classes are in :mod:`repro.locks`.
+PRIMITIVES = ("tas", "ticket", "abql", "mcs", "qsl")
+
+#: paper aliases
+_PRIMITIVE_ALIASES = {"ttl": "ticket"}
+
+
+def canonical_primitive(name: str) -> str:
+    """Resolve a primitive name or paper alias (e.g. TTL) to canonical form."""
+    key = name.lower()
+    key = _PRIMITIVE_ALIASES.get(key, key)
+    if key not in PRIMITIVES:
+        raise ValueError(f"unknown lock primitive {name!r}; use one of {PRIMITIVES}")
+    return key
+
 
 class Axis(NamedTuple):
     """One simulation axis: a config field swept over named values."""

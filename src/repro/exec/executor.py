@@ -38,9 +38,9 @@ Resilience policy (new with ``repro.faults``):
 from __future__ import annotations
 
 import os
+import sys
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,15 +63,22 @@ ON_ERROR_MODES = ("raise", "skip")
 #: error shapes worth retrying: infrastructure, not simulation.  A
 #: :class:`ReproError` is definitionally deterministic (a run is a pure
 #: function of its spec) and is excluded even when it subclasses one of
-#: these (``SimulationError`` is a ``RuntimeError``, for instance).
-_TRANSIENT_ERRORS = (OSError, EOFError, BrokenExecutor)
+#: these (``SimulationError`` is a ``RuntimeError``, for instance).  A
+#: broken process pool (``concurrent.futures.BrokenExecutor``) is one
+#: too; see :func:`is_transient_error`.
+_TRANSIENT_ERRORS = (OSError, EOFError)
 
 
 def is_transient_error(error: BaseException) -> bool:
     """Would re-running the same spec plausibly succeed?"""
     if isinstance(error, ReproError):
         return False
-    return isinstance(error, _TRANSIENT_ERRORS)
+    if isinstance(error, _TRANSIENT_ERRORS):
+        return True
+    # a BrokenExecutor exists only once the module defining it is
+    # loaded, so a process that never ran a pool need not import it
+    futures = sys.modules.get("concurrent.futures")
+    return futures is not None and isinstance(error, futures.BrokenExecutor)
 
 
 def default_jobs() -> int:
@@ -146,6 +153,13 @@ def execute_spec(
         check_protocol=spec.check_protocol,
         timeout_s=timeout_s,
     )
+
+
+def load_worker_modules() -> None:
+    """Import everything :func:`execute_spec` runs.  ``_run_pool`` calls
+    it before the pool forks: every worker inherits the modules instead
+    of compiling its own copies while the plan is timed."""
+    from .. import system  # noqa: F401
 
 
 def _pool_worker(
@@ -499,12 +513,13 @@ class Executor:
     def _run_pool(self, missing: Dict[str, RunSpec],
                   timeout_s: Optional[float], retries: int,
                   on_error: str) -> None:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
 
-        # the simulator, loaded once before the pool forks: every worker
-        # inherits it instead of compiling its own copy while timed
-        from .. import system  # noqa: F401
-
+        load_worker_modules()
         workers = min(self.jobs, len(missing))
         starts = {fp: time.perf_counter() for fp in missing}
         attempts = {fp: 0 for fp in missing}

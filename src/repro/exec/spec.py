@@ -45,6 +45,47 @@ _MICROBENCH_DEFAULTS = {
     "parallel_cycles": 200,
 }
 
+#: how many configs :func:`_config_payload` keeps encoded
+CONFIG_MEMO_SIZE = 64
+
+#: (id of a spec's config, mechanism) -> (that config, its encoding)
+_config_payloads: Dict[Tuple[int, Optional[str]], Tuple[object, Dict]] = {}
+
+
+def _config_payload(spec: "RunSpec") -> Dict:
+    """The canonical encoding of ``spec``'s resolved config, shared: a
+    caller must not change it.
+
+    A plan's specs share a few configs (the Figure 12 plan: no config
+    and four mechanisms), so each is resolved and encoded once per
+    process.  The memo is keyed by the config *object*, not its value:
+    equal configs can encode differently (``2 == 2.0``), and an address
+    must not depend on which of them a process saw first.  An entry
+    holds its config, so the id in its key is not reused while it
+    lives; the memo is emptied when it reaches :data:`CONFIG_MEMO_SIZE`.
+    Threads racing on one config encode it twice, identically: a race
+    costs time, never a wrong address.
+    """
+    key = (id(spec.config), spec.mechanism)
+    entry = _config_payloads.get(key)
+    if entry is None:
+        config = asdict(spec.resolved_config())
+        # an axis at its default is elided, so every fingerprint (= cache
+        # address) and golden taken before the axis existed stays valid;
+        # a non-default value is a different run and addresses itself
+        for axis in AXES:
+            holder = config[axis.section] if axis.section else config
+            if holder[axis.key] == axis.default:
+                del holder[axis.key]
+        # WRR weights are inert under the default round-robin arbiter,
+        # so they address a run only when the WRR arbiter reads them
+        if "arbiter" not in config["noc"]:
+            del config["noc"]["wrr_weights"]
+        if len(_config_payloads) >= CONFIG_MEMO_SIZE:
+            _config_payloads.clear()
+        entry = _config_payloads[key] = (spec.config, config)
+    return entry[1]
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -192,7 +233,15 @@ class RunSpec:
     # Fingerprinting
     # ------------------------------------------------------------------
     def canonical_payload(self) -> Dict:
-        """Everything that determines the result, mechanism resolved."""
+        """Everything that determines the result, mechanism resolved;
+        a new dict, the caller's to keep or change."""
+        # the config's sections are its only nested dicts
+        config = {key: dict(value) if isinstance(value, dict) else value
+                  for key, value in _config_payload(self).items()}
+        return self._payload(config)
+
+    def _payload(self, config: Dict) -> Dict:
+        """The canonical payload around the config encoding ``config``."""
         payload = {
             "schema": SPEC_SCHEMA_VERSION,
             "benchmark": self.benchmark,
@@ -201,20 +250,8 @@ class RunSpec:
             "seed": self.seed,
             "lock_homes": list(self.lock_homes),
             "max_cycles": self.max_cycles,
-            "config": asdict(self.resolved_config()),
+            "config": config,
         }
-        # an axis at its default is elided, so every fingerprint (= cache
-        # address) and golden taken before the axis existed stays valid;
-        # a non-default value is a different run and addresses itself
-        config = payload["config"]
-        for axis in AXES:
-            holder = config[axis.section] if axis.section else config
-            if holder[axis.key] == axis.default:
-                del holder[axis.key]
-        # WRR weights are inert under the default round-robin arbiter,
-        # so they address a run only when the WRR arbiter reads them
-        if "arbiter" not in config["noc"]:
-            del config["noc"]["wrr_weights"]
         if self.is_microbench:
             payload["workload"] = self.microbench_params()
         # robustness knobs: keys exist only when active so legacy
@@ -231,7 +268,8 @@ class RunSpec:
     def fingerprint(self) -> str:
         """SHA-256 content address over the canonical payload."""
         blob = json.dumps(
-            self.canonical_payload(), sort_keys=True, separators=(",", ":")
+            self._payload(_config_payload(self)), sort_keys=True,
+            separators=(",", ":")
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

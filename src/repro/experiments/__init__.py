@@ -33,26 +33,30 @@ from .common import (
     run_mechanism_matrix,
     set_executor,
 )
-from .sweep import Sweep, SweepPoint, vary
 
-#: the harness modules, each imported on first access: regenerating one
-#: figure loads no other figure's module
-__getattr__, __dir__ = _lazy.lazy_names(globals(), dict.fromkeys((
-    "ablation_lco",
-    "ablation_protocol",
-    "ablation_topology",
-    "fig02_lco",
-    "fig07_synthesis",
-    "fig08_cs_chars",
-    "fig09_timing_profile",
-    "fig10_rtt",
-    "fig11_cs_expedition",
-    "fig12_roi",
-    "fig13_primitives",
-    "fig14_deployment",
-    "fig15_sensitivity",
-    "table1_config",
-)))
+#: the sweep builder and the harness modules, each imported on first
+#: access: regenerating one figure loads no other figure's module
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "Sweep": ".sweep",
+    "SweepPoint": ".sweep",
+    "vary": ".sweep",
+    **dict.fromkeys((
+        "ablation_lco",
+        "ablation_protocol",
+        "ablation_topology",
+        "fig02_lco",
+        "fig07_synthesis",
+        "fig08_cs_chars",
+        "fig09_timing_profile",
+        "fig10_rtt",
+        "fig11_cs_expedition",
+        "fig12_roi",
+        "fig13_primitives",
+        "fig14_deployment",
+        "fig15_sensitivity",
+        "table1_config",
+    )),
+})
 
 __all__ = [
     "ExperimentOptions",

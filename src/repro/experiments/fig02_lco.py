@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..config import PRIMITIVES
 from ..exec import RunSpec
-from ..locks.factory import PRIMITIVES
 from .common import (
     ExperimentOptions,
     execute,

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..config import PRIMITIVES
 from ..exec import RunSpec
-from ..locks.factory import PRIMITIVES
 from .common import (
     ExperimentOptions,
     arithmetic_mean,

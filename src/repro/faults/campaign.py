@@ -38,9 +38,13 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..cli import execution_parent, footer_cache_dir
-from ..config import LockSpinConfig, SystemConfig
+from ..config import (
+    PRIMITIVES,
+    LockSpinConfig,
+    SystemConfig,
+    canonical_primitive,
+)
 from ..exec import Executor, RunSpec
-from ..locks.factory import PRIMITIVES, canonical_primitive
 from .plan import FaultPlan
 
 #: campaign swept when ``--faults`` is not given: one plan per fault

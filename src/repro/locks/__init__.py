@@ -1,13 +1,22 @@
-"""The five locking primitives evaluated in the paper (Section 2.1)."""
+"""The five locking primitives evaluated in the paper (Section 2.1).
 
-from .abql import AbqlLock
-from .barrier import SenseBarrier
+The primitive names come from :mod:`repro.config`; the lock classes,
+and :func:`make_lock` with them, load on first access.
+"""
+
+from .. import _lazy
+from ..config import PRIMITIVES, canonical_primitive
 from .base import AddressSpace, LockPrimitive
-from .factory import PRIMITIVES, canonical_primitive, make_lock
-from .mcs import McsLock
-from .qsl import QueueSpinLock
-from .tas import TasLock
-from .ticket import TicketLock
+
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "AbqlLock": ".abql",
+    "McsLock": ".mcs",
+    "QueueSpinLock": ".qsl",
+    "SenseBarrier": ".barrier",
+    "TasLock": ".tas",
+    "TicketLock": ".ticket",
+    "make_lock": ".factory",
+})
 
 __all__ = [
     "AbqlLock",

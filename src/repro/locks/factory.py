@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..config import SystemConfig
+from ..config import PRIMITIVES, SystemConfig, canonical_primitive
 from ..sim import Simulator
 from .abql import AbqlLock
 from .base import AddressSpace, LockPrimitive
@@ -17,26 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..coherence.memsystem import MemorySystem
     from ..cpu.os_model import OsModel
 
-#: primitive names as used throughout the paper's figures
-PRIMITIVES = ("tas", "ticket", "abql", "mcs", "qsl")
-
-#: paper aliases
-_ALIASES = {
-    "tas": "tas",
-    "ttl": "ticket",
-    "ticket": "ticket",
-    "abql": "abql",
-    "mcs": "mcs",
-    "qsl": "qsl",
-}
-
-
-def canonical_primitive(name: str) -> str:
-    """Resolve a primitive name or paper alias (e.g. TTL) to canonical form."""
-    key = name.lower()
-    if key not in _ALIASES:
-        raise ValueError(f"unknown lock primitive {name!r}; use one of {PRIMITIVES}")
-    return _ALIASES[key]
+__all__ = ["PRIMITIVES", "canonical_primitive", "make_lock"]
 
 
 def make_lock(

@@ -20,10 +20,9 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from ..config import MECHANISMS
+from ..config import MECHANISMS, PRIMITIVES, canonical_primitive
 from ..exec import RunSpec
 from ..exec.executor import execute_spec
-from ..locks.factory import PRIMITIVES, canonical_primitive
 from . import DEFAULT_CAPACITY, Observation
 from .export import write_chrome_trace
 

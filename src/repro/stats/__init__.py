@@ -1,14 +1,12 @@
-"""Measurement and accounting: coherence stats, timelines, run metrics."""
+"""Measurement and accounting: coherence stats, timelines, run metrics.
 
+Results and their serialization load with the package; the export
+helpers and :class:`Histogram`, which a cache replay never uses, load
+on first access.
+"""
+
+from .. import _lazy
 from .coherence_stats import CoherenceStats, InvRecord, LockTxnRecord
-from .export import (
-    render_gantt,
-    render_mesh_heat_map,
-    run_result_to_dict,
-    to_csv,
-    to_json,
-)
-from .histogram import Histogram
 from .metrics import RunResult, ThreadMetrics
 from .serialize import (
     RESULT_SCHEMA_VERSION,
@@ -16,6 +14,15 @@ from .serialize import (
     serialize_run_result,
 )
 from .timeline import PHASES, PhaseInterval, Timeline
+
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "Histogram": ".histogram",
+    "render_gantt": ".export",
+    "render_mesh_heat_map": ".export",
+    "run_result_to_dict": ".export",
+    "to_csv": ".export",
+    "to_json": ".export",
+})
 
 __all__ = [
     "CoherenceStats",

@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from typing import Dict, List
+from itertools import starmap
+from typing import Dict
 
 from .coherence_stats import CoherenceStats, InvRecord, LockTxnRecord
 from .metrics import RunResult, ThreadMetrics
@@ -78,19 +79,18 @@ def coherence_stats_to_dict(stats: CoherenceStats) -> Dict:
     }
 
 
+# A row decodes into its record by position, one call per row: a
+# replay decodes thousands of them.  A row of the wrong length raises
+# ``TypeError`` or ``ValueError`` here, so a cache entry holding one is
+# a miss when it is loaded.
 def coherence_stats_from_dict(payload: Dict) -> CoherenceStats:
     stats = CoherenceStats()
     stats.msg_counts = Counter(payload["msg_counts"])
     stats.inv_records = [
-        InvRecord(target_core=r[0], created=r[1], consumed=r[2],
-                  early=bool(r[3]))
-        for r in payload["inv_records"]
+        InvRecord(core, created, consumed, bool(early))
+        for core, created, consumed, early in payload["inv_records"]
     ]
-    stats.lock_txns = [
-        LockTxnRecord(addr=t[0], winner=t[1], start=t[2], commit=t[3],
-                      invs_sent=t[4], early_acks_used=t[5])
-        for t in payload["lock_txns"]
-    ]
+    stats.lock_txns = list(starmap(LockTxnRecord, payload["lock_txns"]))
     stats.early_invs_generated = payload["early_invs_generated"]
     stats.getx_stopped = payload["getx_stopped"]
     stats.barrier_table_overflows = payload["barrier_table_overflows"]
@@ -114,10 +114,7 @@ def timeline_to_dict(timeline: Timeline) -> Dict:
 
 def timeline_from_dict(payload: Dict) -> Timeline:
     timeline = Timeline()
-    timeline.intervals = [
-        PhaseInterval(thread=iv[0], phase=iv[1], start=iv[2], end=iv[3])
-        for iv in payload["intervals"]
-    ]
+    timeline.intervals = list(starmap(PhaseInterval, payload["intervals"]))
     return timeline
 
 

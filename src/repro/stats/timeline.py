@@ -15,14 +15,14 @@ report phase percentages and completed-CS counts over (e.g.) the first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 PHASES = ("parallel", "coh", "cse")
 
 
-@dataclass(frozen=True)
-class PhaseInterval:
+class PhaseInterval(NamedTuple):
+    """One thread's stretch of one phase, ``[start, end)``."""
+
     thread: int
     phase: str
     start: int

@@ -32,7 +32,7 @@ from .noc.topology import make_topology
 from .sim import Simulator
 from .stats.metrics import RunResult, ThreadMetrics
 from .stats.timeline import Timeline
-from .workloads.generator import Workload
+from .workloads import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from .faults.plan import FaultPlan

@@ -1,6 +1,10 @@
-"""Synthetic PARSEC / SPEC OMP2012 workload profiles and generation."""
+"""Synthetic PARSEC / SPEC OMP2012 workload profiles and generation.
 
-from .generator import WorkItem, Workload, generate_workload, single_lock_workload
+The profiles load with the package; the generator, which a cache
+replay never runs, loads on first access.
+"""
+
+from .. import _lazy
 from .profiles import (
     ALL_PROFILES,
     OMP2012,
@@ -12,6 +16,13 @@ from .profiles import (
     group_of,
     grouped_profiles,
 )
+
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {
+    "WorkItem": ".generator",
+    "Workload": ".generator",
+    "generate_workload": ".generator",
+    "single_lock_workload": ".generator",
+})
 
 __all__ = [
     "ALL_PROFILES",

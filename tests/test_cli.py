@@ -54,6 +54,20 @@ class TestMain:
         assert rc == 0
         assert "roi_cycles" in capsys.readouterr().out
 
+    def test_trace_names_every_axis_that_ran(self, tmp_path, capsys):
+        """A traced run is labelled by its spec, so the trace records
+        the axes it ran with, not only benchmark/mechanism/primitive."""
+        out = tmp_path / "t.json"
+        rc = main(["microbench", "--threads", "8", "--home", "5",
+                   "--topology", "torus", "--trace-out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        names = [event["args"]["name"]
+                 for event in json.loads(out.read_text())["traceEvents"]
+                 if event.get("name") == "process_name"]
+        assert names
+        assert all("topology=torus" in name for name in names), names
+
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["vips", "--topology", "hypercube"])

@@ -7,7 +7,7 @@ import pytest
 from repro.config import NocConfig, SystemConfig
 from repro.exec import Executor, ResultCache, RunSpec
 from repro.exec.cache import NullCache
-from repro.stats.serialize import RESULT_SCHEMA_VERSION
+from repro.stats.serialize import RESULT_SCHEMA_VERSION, result_fingerprint
 
 
 def small_config(**kwargs) -> SystemConfig:
@@ -265,13 +265,34 @@ class TestDiskCacheInvalidation:
         assert entry["schema"] == RESULT_SCHEMA_VERSION
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        spec = small_spec()
-        Executor(jobs=1, cache_dir=tmp_path).run_one(spec)
+        """An entry that does not parse, or that holds a malformed
+        record or timeline row, is a miss when it is loaded: the spec
+        re-runs, and reading the result raises nothing later."""
+        # contended enough to record invalidations
+        spec = small_spec(benchmark="kdtree", primitive="tas")
+        fresh = Executor(jobs=1, cache_dir=tmp_path).run_one(spec)
         [entry_path] = tmp_path.glob("*.json")
-        entry_path.write_text("{not json")
-        ex = Executor(jobs=1, cache_dir=tmp_path)
-        ex.run_one(spec)
-        assert ex.stats.executed == 1
+        good = json.loads(entry_path.read_text())
+
+        def short_first_row(section: str, rows: str) -> str:
+            entry = json.loads(json.dumps(good))
+            table = entry["result"][section][rows]
+            assert table, f"the spec records no {rows}"
+            table[0] = table[0][:-1]
+            return json.dumps(entry)
+
+        corrupt = {
+            "not json": "{not json",
+            "invalidation row": short_first_row("coherence", "inv_records"),
+            "lock transaction row": short_first_row("coherence", "lock_txns"),
+            "timeline row": short_first_row("timeline", "intervals"),
+        }
+        for what, text in corrupt.items():
+            entry_path.write_text(text)
+            ex = Executor(jobs=1, cache_dir=tmp_path)
+            result = ex.run_one(spec)
+            assert ex.stats.executed == 1, what
+            assert result_fingerprint(result) == result_fingerprint(fresh), what
 
     def test_cache_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

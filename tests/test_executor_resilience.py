@@ -1,5 +1,8 @@
 """Executor resilience: timeouts, bounded retry, graceful degradation."""
 
+from concurrent.futures import BrokenExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 import repro.exec.executor as executor_mod
@@ -32,6 +35,8 @@ class TestTransientClassification:
         (SimulationError("bad"), False),      # RuntimeError subclass, still not
         (ValueError("nope"), False),
         (KeyboardInterrupt(), False),
+        (BrokenExecutor(), True),             # a pool lost a worker
+        (BrokenProcessPool(), True),
     ])
     def test_is_transient_error(self, error, transient):
         assert is_transient_error(error) is transient

@@ -19,7 +19,8 @@ from test_vecflit import vecflit_without_numpy
 TESTS = pathlib.Path(__file__).resolve().parent
 
 FACADES = ("repro", "repro.api", "repro.noc", "repro.serve",
-           "repro.experiments")
+           "repro.experiments", "repro.locks", "repro.stats",
+           "repro.workloads")
 
 #: the subpackages a plain ``import repro`` binds, all on first access
 ROOT_SUBPACKAGES = ("api", "config", "errors", "exec", "experiments", "obs",
@@ -28,17 +29,25 @@ ROOT_SUBPACKAGES = ("api", "config", "errors", "exec", "experiments", "obs",
 #: public values without a ``__module__`` -> the ``module:attr`` defining
 #: them
 DATA = {
+    "ALL_PROFILES": "repro.workloads.profiles:ALL_PROFILES",
     "ARBITERS": "repro.config:ARBITERS",
     "CONTINUE": "repro.noc.router:CONTINUE",
     "FLIT_ENGINES": "repro.config:FLIT_ENGINES",
     "HAS_NUMPY": "repro.noc.vecflit:HAS_NUMPY",
     "MECHANISMS": "repro.config:MECHANISMS",
+    "OMP2012": "repro.workloads.profiles:OMP2012",
+    "OMP2012_PROFILES": "repro.workloads.profiles:OMP2012_PROFILES",
+    "PARSEC": "repro.workloads.profiles:PARSEC",
+    "PARSEC_PROFILES": "repro.workloads.profiles:PARSEC_PROFILES",
     "PATTERNS": "repro.noc.traffic:PATTERNS",
+    "PHASES": "repro.stats.timeline:PHASES",
     "PLACEMENTS": "repro.config:PLACEMENTS",
+    "PRIMITIVES": "repro.config:PRIMITIVES",
     "PROTOCOLS": "repro.config:PROTOCOL_NAMES",
     "PROTOCOL_NAMES": "repro.config:PROTOCOL_NAMES",
     "PROTOCOL_SPECS": "repro.coherence.protocol:PROTOCOLS",
     "PROTO_SCHEMA_VERSION": "repro.serve.proto:PROTO_SCHEMA_VERSION",
+    "RESULT_SCHEMA_VERSION": "repro.stats.serialize:RESULT_SCHEMA_VERSION",
     "STOPPED": "repro.noc.router:STOPPED",
     "TOPOLOGIES": "repro.config:TOPOLOGIES",
     "TOPOLOGY_CLASSES": "repro.noc.topology:TOPOLOGY_CLASSES",
@@ -99,6 +108,22 @@ def test_fresh_root_import_resolves_every_name():
     assert out["eager"] == ["repro._lazy"]
     assert out["wrong"] == []
     assert out["unlisted"] == []
+
+
+def test_loading_a_module_binds_all_its_facade_names():
+    """The simulator reads ``Workload`` through the ``repro.workloads``
+    facade, which binds every generator name with it: tools that patch
+    a facade's attribute in place (the benchmark's tracer patches
+    ``repro.workloads.generate_workload``) find it once the simulator
+    is imported."""
+    out = fresh_process(
+        "import repro.system\n"
+        "import repro.workloads as workloads\n"
+        "out['bound'] = sorted(name for name in ('WorkItem', 'Workload',\n"
+        "    'generate_workload', 'single_lock_workload')\n"
+        "    if name in vars(workloads))")
+    assert out["bound"] == ["WorkItem", "Workload", "generate_workload",
+                            "single_lock_workload"]
 
 
 def test_factory_builds_the_vector_engine_loaded_now():

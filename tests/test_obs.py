@@ -12,7 +12,7 @@ import pytest
 from repro import api
 from repro.exec import Executor, RunSpec
 from repro.exec.executor import execute_spec
-from repro.obs import Observation
+from repro.obs import DEFAULT_CAPACITY, Observation
 from repro.obs.export import (
     PID_BIG_ROUTERS,
     PID_CORES,
@@ -309,6 +309,12 @@ class TestApiTraceContext:
         with api.trace(out=path):
             pass
         assert not path.exists()
+
+    def test_trace_ring_defaults_to_the_tracer_capacity(self):
+        with api.trace() as obs:
+            assert obs.trace_capacity == DEFAULT_CAPACITY == 262_144
+        with api.trace(capacity=16) as obs:
+            assert obs.trace_capacity == 16
 
 
 class TestExecutorObserved:
