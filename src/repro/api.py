@@ -42,6 +42,11 @@ import json
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
+# annotations name the lazily loaded ``Workload`` and ``Observation``
+# through the root facade, so ``typing.get_type_hints`` resolves them
+# on demand while importing this module loads neither
+import repro
+
 from . import _lazy, errors
 from .config import (
     ARBITERS,
@@ -148,10 +153,10 @@ __all__ = [
 # ----------------------------------------------------------------------
 def simulate(
     config: SystemConfig,
-    workload: Workload,
+    workload: repro.Workload,
     primitive: str = "qsl",
     *,
-    observe: Optional[Observation] = None,
+    observe: Optional[repro.Observation] = None,
     max_cycles: int = 50_000_000,
     options: Optional[ExperimentOptions] = None,
 ) -> RunResult:
@@ -194,7 +199,7 @@ def trace(
     capacity: Optional[int] = None,
     label: str = "run",
     metadata: Optional[Dict] = None,
-) -> Iterator[Observation]:
+) -> Iterator[repro.Observation]:
     """Context manager around an :class:`Observation` for one run.
 
     Yields an unattached observation to pass to :func:`simulate` (or any
@@ -247,7 +252,7 @@ def run_plan(
     failed spec's slot holds ``None`` instead of a result.
     """
     opts = options if options is not None else ExperimentOptions()
-    effective = [opts.apply_to_spec(spec) for spec in specs]
+    effective = opts.apply_to_plan(specs)
     if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
         executor = Executor(jobs=jobs, cache_dir=cache,
                             observe_factory=observe_factory)

@@ -17,6 +17,8 @@ Module                  Paper content
 ``ablation_lco``        LCO ablation (beyond-paper knobs)
 ``ablation_protocol``   protocol family ablation (beyond-paper)
 ``ablation_topology``   topology/placement ablation (beyond-paper)
+``claims``              the paper's claims about Figures 2-15 and
+                        Table 1, checked against the harnesses above
 ======================  ==============================================
 """
 
@@ -44,6 +46,7 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
         "ablation_lco",
         "ablation_protocol",
         "ablation_topology",
+        "claims",
         "fig02_lco",
         "fig07_synthesis",
         "fig08_cs_chars",
@@ -65,6 +68,7 @@ __all__ = [
     "ablation_topology",
     "benchmarks_for",
     "cached_run",
+    "claims",
     "execute",
     "resolve_options",
     "get_executor",

@@ -15,9 +15,10 @@ across invocations.
 
 Scaling: the ``scale`` knob multiplies per-thread CS counts; ``quick``
 restricts benchmark sweeps to a representative subset (two programs per
-Figure 8 group) so the pytest-benchmark suite stays fast.  Set the
-environment variable ``REPRO_FULL=1`` (or pass ``quick=False``) to sweep
-all 24 programs as the paper does.
+Figure 8 group), so checking every claim of the paper
+(:mod:`repro.experiments.claims`) takes seconds, not hours.  Pass
+``quick=False`` (``--full``, or ``REPRO_FULL=1`` for the EXPERIMENTS.md
+report) to sweep all 24 programs as the paper does.
 """
 
 from __future__ import annotations
@@ -133,18 +134,37 @@ class ExperimentOptions:
         can pin per-run scenarios while the campaign sets the sweep-wide
         default.
         """
-        updates = {}
-        if self.fault_plan is not None and spec.fault_plan is None:
-            updates["fault_plan"] = self.fault_plan
-        if self.watchdog_cycles is not None and spec.watchdog_cycles is None:
-            updates["watchdog_cycles"] = self.watchdog_cycles
-        if self.check_protocol and not spec.check_protocol:
-            updates["check_protocol"] = True
-        base = spec.config or SystemConfig()
-        config = self.apply_to_config(base)
-        if config != base:
-            updates["config"] = config
-        return replace(spec, **updates) if updates else spec
+        return self.apply_to_plan([spec])[0]
+
+    def apply_to_plan(self, specs: Iterable[RunSpec]) -> List[RunSpec]:
+        """:meth:`apply_to_spec` over a plan, overlaying each distinct
+        config object once: specs that share a config (or have none)
+        share the overlaid one, so :mod:`repro.exec` encodes it once.
+        Keyed by identity, not equality, as that encoding is: equal
+        configs can encode differently (``2 == 2.0``)."""
+        #: id(base config) -> (that config, its overlay or None if equal)
+        overlaid: Dict[int, Tuple[Optional[SystemConfig],
+                                  Optional[SystemConfig]]] = {}
+        out = []
+        for spec in specs:
+            updates = {}
+            if self.fault_plan is not None and spec.fault_plan is None:
+                updates["fault_plan"] = self.fault_plan
+            if (self.watchdog_cycles is not None
+                    and spec.watchdog_cycles is None):
+                updates["watchdog_cycles"] = self.watchdog_cycles
+            if self.check_protocol and not spec.check_protocol:
+                updates["check_protocol"] = True
+            entry = overlaid.get(id(spec.config))
+            if entry is None:
+                base = spec.config or SystemConfig()
+                config = self.apply_to_config(base)
+                entry = overlaid[id(spec.config)] = (
+                    spec.config, config if config != base else None)
+            if entry[1] is not None:
+                updates["config"] = entry[1]
+            out.append(replace(spec, **updates) if updates else spec)
+        return out
 
     def executor_policy(self) -> Dict[str, object]:
         """The per-call :meth:`repro.exec.Executor.run` policy kwargs."""
@@ -201,7 +221,7 @@ def execute(
     """
     opts = options if options is not None else ExperimentOptions()
     specs = list(plan)
-    effective = [opts.apply_to_spec(spec) for spec in specs]
+    effective = opts.apply_to_plan(specs)
     results = get_executor().run(effective, **opts.executor_policy())
     return {orig: results[eff] for orig, eff in zip(specs, effective)}
 

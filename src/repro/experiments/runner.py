@@ -8,6 +8,7 @@ Usage::
     inpg-experiments all --quick
     inpg-experiments fig12 --full --jobs 8   # sweep all 24 programs, parallel
     inpg-experiments fig11 --no-cache        # force re-simulation
+    inpg-experiments claims --jobs 2         # check the paper's claims
 
 Every simulation goes through the shared :mod:`repro.exec` executor:
 ``--jobs`` (or ``REPRO_JOBS``) controls how many worker processes fan
@@ -40,6 +41,7 @@ EXPERIMENTS = {
     "ablation": "ablation_lco",
     "protocols": "ablation_protocol",
     "topologies": "ablation_topology",
+    "claims": "claims",
     "table1": "table1_config",
     "fig2": "fig02_lco",
     "fig7": "fig07_synthesis",

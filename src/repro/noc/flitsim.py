@@ -5,7 +5,9 @@ latency + per-port serialization + queueing).  This module implements the
 paper's baseline router in full detail — the 2-stage speculative pipeline
 of Peh & Dally [29] with per-input virtual-channel buffers and
 credit-based flow control — so the packet model's latency behaviour can
-be validated against it (``benchmarks/bench_noc_validation.py``).
+be validated against it (``TestFlitPacketParity`` in
+``tests/test_golden_determinism.py``: zero-load latencies within 2x,
+hotspot congestion of the same order).
 
 Model summary
 =============

@@ -10,7 +10,7 @@ two more things from the same directory:
   A campaign client can then ask *why* a fingerprint has no result —
   previously that provenance died with the executor process.
 * **queries** — cache entries carry the spec's canonical payload, so the
-  store can answer "which benchmarks/fingerprints do you hold?" without
+  store can answer "which benchmarks and fingerprints do you hold?" without
   a separate index.
 
 When the executor runs uncached (``NullCache``), the store degrades to

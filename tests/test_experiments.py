@@ -6,17 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.exec import Executor
 from repro.experiments import (
-    clear_cache,
+    claims,
     common,
-    fig02_lco,
     fig07_synthesis,
-    fig09_timing_profile,
-    fig10_rtt,
-    fig11_cs_expedition,
-    fig12_roi,
-    fig13_primitives,
-    fig14_deployment,
     table1_config,
 )
 from repro.experiments.common import (
@@ -28,6 +22,24 @@ from repro.experiments.common import (
     geometric_mean,
 )
 from repro.experiments.runner import EXPERIMENTS, main as runner_main
+
+#: the scale the paper's claims are checked at
+CLAIMS_OPTIONS = ExperimentOptions(scale=0.5)
+
+
+@pytest.fixture(scope="module")
+def claims_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("claims-cache")
+
+
+@pytest.fixture(scope="module")
+def paper_claims(claims_cache):
+    """Every figure the paper's claims read, simulated once for the
+    module through a two-worker executor with its own cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(common, "_EXECUTOR",
+                      Executor(jobs=2, cache_dir=claims_cache))
+        return claims.run(CLAIMS_OPTIONS)
 
 
 class TestCommon:
@@ -73,6 +85,15 @@ class TestAxisOverlay:
         assert (kept.protocol, kept.noc.topology) == ("mesi", "ring")
         assert ExperimentOptions().apply_to_config(pinned) is pinned
 
+    def test_a_plan_shares_one_overlaid_config(self, monkeypatch):
+        """Specs sharing a config (here: none) share its overlay, so the
+        fingerprint memo encodes one config for the whole plan."""
+        specs = TestSeedReachesEverySpec._plan(monkeypatch, "fig12_roi",
+                                               topology="torus")
+        assert len(specs) == 24
+        assert len({id(spec.config) for spec in specs}) == 1
+        assert specs[0].config.noc.topology == "torus"
+
     def test_simulate_applies_the_axis_overlay(self):
         from repro import api
         from repro.config import NocConfig, SystemConfig
@@ -95,6 +116,7 @@ class TestStaticExperiments:
         out = table1_config.run().render()
         assert "8x8 mesh" in out
         assert "MOESI" in out
+        assert "128 retries" in out
 
     def test_fig7_renders_synthesis(self):
         result = fig07_synthesis.run()
@@ -104,52 +126,45 @@ class TestStaticExperiments:
 
 
 class TestSimulationExperiments:
-    """Tiny-scale runs to keep the suite quick."""
+    """The figures, read from the runs the paper's claims share."""
 
-    def test_fig2_lco_ordering(self):
-        result = fig02_lco.run(ExperimentOptions(scale=0.4),
-                               benchmarks=("kdtree",))
+    def test_fig2_lco_ordering(self, paper_claims):
+        result = paper_claims.figures["fig2"]
         per = result.lco["kdtree"]
         assert set(per) == {"tas", "ticket", "abql", "mcs", "qsl"}
         assert per["tas"] > 0
         assert "LCO" in result.render()
 
-    def test_fig9_profile_structure(self):
-        result = fig09_timing_profile.run(ExperimentOptions(scale=0.4))
-        rows = result.by_mechanism()
+    def test_fig9_profile_structure(self, paper_claims):
+        rows = paper_claims.figures["fig9"].by_mechanism()
         assert set(rows) == {"original", "ocor", "inpg", "inpg+ocor"}
         for row in rows.values():
             total = row.parallel_share + row.coh_share + row.cse_share
             assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_fig10_microbench(self):
-        result = fig10_rtt.run(cs_per_thread=1, parallel_cycles=100)
+    def test_fig10_microbench(self, paper_claims):
+        result = paper_claims.figures["fig10"]
         assert set(result.results) == {"original", "inpg"}
         inpg = result.results["inpg"]
         assert inpg.early_share > 0
         heat = result.heat_map("original")
         assert len(heat) == 8
 
-    def test_fig11_and_fig12_share_runs(self):
-        clear_cache()
-        small = ExperimentOptions(scale=0.4, quick=True)
-        f11 = fig11_cs_expedition.run(small)
-        f12 = fig12_roi.run(small)
+    def test_fig11_and_fig12_share_runs(self, paper_claims):
+        f11 = paper_claims.figures["fig11"]
+        f12 = paper_claims.figures["fig12"]
         assert set(f11.expedition) == set(f12.relative_roi)
         for bench in f12.relative_roi:
             assert f12.relative_roi[bench]["original"] == 1.0
             assert f11.expedition[bench]["original"] == 1.0
 
-    def test_fig13_covers_all_primitives(self):
-        result = fig13_primitives.run(
-            ExperimentOptions(scale=0.3, quick=True))
+    def test_fig13_covers_all_primitives(self, paper_claims):
+        result = paper_claims.figures["fig13"]
         first = next(iter(result.reduction.values()))
         assert set(first) == {"tas", "ticket", "abql", "mcs", "qsl"}
 
-    def test_fig14_includes_zero_deployment(self):
-        result = fig14_deployment.run(
-            ExperimentOptions(scale=0.3, quick=True), deployments=(0, 32)
-        )
+    def test_fig14_includes_zero_deployment(self, paper_claims):
+        result = paper_claims.figures["fig14"]
         for bench, per in result.expedition.items():
             assert per[0] == 1.0
 
@@ -180,15 +195,70 @@ class TestSimulationExperiments:
         assert result.topologies == ("torus",)
         assert all(key[0] == "torus" for key in result.roi_cycles)
 
-    def test_fig15_small_meshes(self):
-        from repro.experiments import fig15_sensitivity
-        result = fig15_sensitivity.run(
-            ExperimentOptions(scale=0.3, quick=True),
-            dims=(2, 4), table_sizes=(16,)
-        )
+    def test_fig15_small_meshes(self, paper_claims):
+        result = paper_claims.figures["fig15"]
         assert (2, 16) in result.reduction
         assert (4, 16) in result.reduction
         assert "2x2" in result.render()
+
+
+class TestPaperClaims:
+    """Every row of ``repro.experiments.claims.CLAIMS`` holds at the
+    claims' scale; a failure names the figure, the claim, the measured
+    value and the envelope."""
+
+    def test_every_claim_holds(self, paper_claims):
+        failures = paper_claims.failures()
+        assert not failures, "\n".join(["claims outside their envelope:"]
+                                        + failures)
+
+    def test_a_claim_outside_its_envelope_is_named(self, monkeypatch,
+                                                   paper_claims):
+        [claim] = [c for c in claims.CLAIMS if c.figure == "fig12"
+                   and c.name == "inpg average ROI reduction"]
+        bound = claim.metric(paper_claims.figures["fig12"]) + 0.05
+        monkeypatch.setattr(claims, "CLAIMS", (replace(claim, bound=bound),))
+        [failure] = paper_claims.failures()
+        assert failure.startswith(
+            "fig12: inpg average ROI reduction: measured ")
+        assert failure.endswith(f", envelope > {bound:.4g}")
+
+    def test_the_papers_own_values_meet_their_envelopes(self):
+        """An envelope the paper's own value falls outside misstates
+        the paper's claim."""
+        for claim in claims.CLAIMS:
+            if claim.paper is not None:
+                assert claim.holds(claim.paper), (claim.figure, claim.name)
+
+    def test_every_row_reads_a_figure_the_table_regenerates(self):
+        assert {c.figure for c in claims.CLAIMS} == set(claims.FIGURES)
+        assert set(claims.FIGURES) <= set(EXPERIMENTS)
+
+    def test_report_renders_without_simulating(self, monkeypatch,
+                                               paper_claims):
+        class NoRuns:
+            def run(self, specs, **policy):
+                raise AssertionError("the report simulated")
+
+        monkeypatch.setattr(common, "_EXECUTOR", NoRuns())
+        table = paper_claims.render()
+        report = paper_claims.report()
+        for claim in claims.CLAIMS:
+            assert claim.name in table and claim.name in report
+        assert table.count("PASS") == len(claims.CLAIMS)
+        for heading in ("## Table 1", "## Figure 2", "## Figure 15"):
+            assert heading in report
+
+    def test_cli_replays_the_claims_from_their_cache(self, capsys,
+                                                     claims_cache,
+                                                     paper_claims):
+        assert runner_main([
+            "claims", "--quick", "--scale", str(CLAIMS_OPTIONS.scale),
+            "--jobs", "2", "--cache-dir", str(claims_cache),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert paper_claims.render() in out
+        assert "executed: 0" in out
 
 
 class TestRunnerCli:

@@ -7,6 +7,7 @@ import pathlib
 import re
 import sys
 import types
+import typing
 
 import pytest
 
@@ -140,3 +141,17 @@ def test_factory_builds_the_vector_engine_loaded_now():
         assert reloaded.VectorFlitNetwork is not VectorFlitNetwork
     net = make_flit_network(Simulator(), cfg, "vector")
     assert type(net) is VectorFlitNetwork
+
+
+def test_api_annotations_resolve():
+    """``typing.get_type_hints`` resolves the names ``repro.api``
+    annotates with but loads only on first access."""
+    from repro import api
+    from repro.obs import Observation
+    from repro.workloads.generator import Workload
+
+    hints = typing.get_type_hints(api.simulate)
+    assert hints["workload"] is Workload
+    assert hints["observe"] == typing.Optional[Observation]
+    assert typing.get_type_hints(api.trace)["return"] == \
+        typing.Iterator[Observation]

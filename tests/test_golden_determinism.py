@@ -96,6 +96,12 @@ GOLDEN_PROTOCOL_STORM = {
 # shape) -> (md5 over (src, dst, length, injected, delivered), events)
 GOLDEN_FLIT = ("49e0dffdc473d86980de9a26886aa321", 63963, 1200)
 
+# the perf workloads pinned by their work alone: events simulated
+GOLDEN_PERF_EVENTS = {
+    "kernel_chain": 400_063,
+    "packet_uniform": 541_377,
+}
+
 # coherence-stress perf workloads (repro.perf.workloads) -> delivered-
 # packet md5 (same scheme as GOLDEN_RUNS), final cycle, sim events.
 # Captured when the workloads were introduced, alongside the bitmask/
@@ -206,13 +212,20 @@ def fingerprint_perf_workload(name, **workload_kwargs):
 
 
 class TestGoldenPerfWorkloads:
-    """The tracked coherence-stress workloads are pinned work: their
-    packet streams must stay bit-exact or events/sec comparisons lie."""
+    """The tracked perf workloads are pinned work: the coherence-stress
+    ones by their packet streams, the kernel and packet-NoC ones by
+    their event counts, or events/sec comparisons lie."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PERF_WORKLOADS))
     def test_pinned_fingerprint(self, name):
         assert fingerprint_perf_workload(name) == \
             GOLDEN_PERF_WORKLOADS[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PERF_EVENTS))
+    def test_pinned_event_count(self, name):
+        from repro.perf.workloads import WORKLOADS
+
+        assert WORKLOADS[name]().events == GOLDEN_PERF_EVENTS[name]
 
     def test_back_to_back_storms_identical(self):
         """Per-run transaction ids: a second in-process run replays the
@@ -326,10 +339,11 @@ class TestGoldenFlit:
 
 class TestFlitPacketParity:
     """The packet model's latency must stay within 2x of the detailed
-    flit model (same shapes as ``benchmarks/bench_noc_validation.py``)."""
+    flit model at zero load, and show congestion of the same order
+    under contention."""
 
     @pytest.mark.parametrize(
-        "src,dst,length", [(0, 63, 1), (0, 63, 8), (27, 36, 1)]
+        "src,dst,length", [(0, 63, 1), (0, 63, 8), (0, 7, 8), (27, 36, 1)]
     )
     def test_zero_load_latency_agreement(self, src, dst, length):
         fsim = Simulator()
@@ -348,3 +362,24 @@ class TestFlitPacketParity:
         ratio = ppkt.latency / fpkt.latency
         assert 0.5 <= ratio <= 2.0, (src, dst, length, fpkt.latency,
                                      ppkt.latency)
+
+    def test_hotspot_contention_agreement(self):
+        """Fifteen 8-flit packets into node 5 of a 4x4 mesh: both models
+        serialize them, far beyond the ~20-cycle zero-load latency."""
+        fsim = Simulator()
+        fnet = FlitNetwork(fsim, NocConfig(width=4, height=4))
+        fpkts = [fnet.send(src, 5, 8) for src in range(16) if src != 5]
+        fsim.run(until=500_000)
+
+        psim = Simulator()
+        pnet = Network(psim, NocConfig(width=4, height=4))
+        for n in range(16):
+            pnet.register_endpoint(n, lambda p: None)
+        ppkts = [pnet.send(src, 5, "x", size_flits=8)
+                 for src in range(16) if src != 5]
+        psim.run()
+
+        fmax = max(p.latency for p in fpkts)
+        pmax = max(p.latency for p in ppkts)
+        assert fmax > 40 and pmax > 40
+        assert 0.3 <= pmax / fmax <= 3.0, (fmax, pmax)

@@ -5,20 +5,24 @@ shorten, acks get pruned/relayed, correctness holds) rather than
 end-to-end speedups, which depend on workload regime (see DESIGN.md §5).
 """
 
-import pytest
+import functools
+from dataclasses import replace
 
 from repro import ManyCoreSystem, SystemConfig, single_lock_workload
+from repro.config import LockSpinConfig, NocConfig
 
 
-def contended(mechanism, primitive="tas", threads=64):
-    cfg = SystemConfig().with_mechanism(mechanism)
+@functools.lru_cache(maxsize=None)
+def contended(mechanism, config=SystemConfig()):
+    """64 TAS threads on one lock homed at node 53 (runs are
+    deterministic, so each distinct one is simulated once)."""
     wl = single_lock_workload(
-        threads, home_node=53, cs_per_thread=2,
+        64, home_node=53, cs_per_thread=2,
         cs_cycles=100, parallel_cycles=300,
     )
-    return ManyCoreSystem(cfg, wl, primitive=primitive).run(
-        max_cycles=60_000_000
-    )
+    return ManyCoreSystem(
+        config.with_mechanism(mechanism), wl, primitive="tas"
+    ).run(max_cycles=60_000_000)
 
 
 class TestMechanisms:
@@ -67,17 +71,47 @@ class TestBaselineRegime:
         assert r.lco_fraction > 0.25
 
     def test_ttas_ablation_reduces_lco(self):
-        from dataclasses import replace
-        from repro.config import LockSpinConfig
-        cfg_raw = SystemConfig()
-        cfg_ttas = replace(cfg_raw, spin=LockSpinConfig(raw_spin=False))
-        wl = single_lock_workload(64, home_node=53, cs_per_thread=2,
-                                  cs_cycles=100, parallel_cycles=300)
-        raw = ManyCoreSystem(cfg_raw, wl, primitive="tas").run(
-            max_cycles=60_000_000
-        )
-        ttas = ManyCoreSystem(cfg_ttas, wl, primitive="tas").run(
-            max_cycles=60_000_000
-        )
+        raw = contended("original")
+        ttas = contended("original", SystemConfig(
+            spin=LockSpinConfig(raw_spin=False)))
         # the software fix removes a large share of lock txn traffic
         assert len(ttas.coherence.lock_txns) < len(raw.coherence.lock_txns)
+
+
+class TestSubstrateAblations:
+    """How the substrate's modelling choices (DESIGN.md §6) move the
+    contended baseline."""
+
+    def test_roi_rises_with_router_pipeline_depth(self):
+        rois = {
+            depth: contended("original", SystemConfig(
+                noc=NocConfig(router_pipeline_cycles=depth))).roi_cycles
+            for depth in (1, 2, 4)
+        }
+        assert rois[1] < rois[2] < rois[4]
+
+    def test_virtual_networks_shorten_inv_ack_round_trips(self):
+        """Without them, control queues behind data."""
+        shared = contended("original", SystemConfig(
+            noc=NocConfig(virtual_networks=False)))
+        assert shared.coherence.mean_inv_rtt > \
+            contended("original").coherence.mean_inv_rtt
+
+    def test_spin_interval_paces_without_changing_the_work(self):
+        """The retry interval paces raw spinning; its ROI effect is
+        nonmonotonic (fewer retries also mean less contention), but the
+        lock-transaction counts stay comparable."""
+        counts = [
+            len(contended("original", SystemConfig(
+                spin=LockSpinConfig(spin_interval=interval)
+            )).coherence.lock_txns)
+            for interval in (10, 40, 160)
+        ]
+        assert all(c > 0 for c in counts)
+        assert max(counts) < 2 * min(counts)
+
+    def test_inpg_without_big_routers_is_the_baseline(self):
+        base = SystemConfig()
+        zero = replace(base, inpg=replace(base.inpg, num_big_routers=0))
+        assert contended("inpg", zero).roi_cycles == \
+            contended("original").roi_cycles

@@ -53,19 +53,26 @@ class TestHarness:
         assert result.mean_latency > 0
 
     def test_latency_grows_with_load(self):
-        curve = latency_load_curve(
-            NocConfig(width=4, height=4), "uniform",
-            rates=(0.01, 0.15), duration=800, size_flits=4,
-        )
-        assert curve[1].mean_latency > curve[0].mean_latency
+        for side, rates, duration in ((4, (0.01, 0.15), 800),
+                                      (8, (0.01, 0.05, 0.10), 1_000)):
+            curve = latency_load_curve(
+                NocConfig(width=side, height=side), "uniform",
+                rates=rates, duration=duration, size_flits=4,
+            )
+            latencies = [p.mean_latency for p in curve]
+            assert latencies == sorted(latencies), side
+            assert latencies[-1] > latencies[0], side
+            assert all(p.accepted_fraction == 1.0 for p in curve), side
 
     def test_hotspot_saturates_harder_than_uniform(self):
-        cfg = NocConfig(width=4, height=4)
-        uni = run_packet_traffic(cfg, "uniform", 0.08, duration=600,
-                                 size_flits=4)
-        hot = run_packet_traffic(cfg, "hotspot:5", 0.08, duration=600,
-                                 size_flits=4)
-        assert hot.mean_latency > uni.mean_latency
+        for side, hotspot_node, rate, duration in ((4, 5, 0.08, 600),
+                                                   (8, 53, 0.03, 800)):
+            cfg = NocConfig(width=side, height=side)
+            uni = run_packet_traffic(cfg, "uniform", rate,
+                                     duration=duration, size_flits=4)
+            hot = run_packet_traffic(cfg, f"hotspot:{hotspot_node}", rate,
+                                     duration=duration, size_flits=4)
+            assert hot.mean_latency > uni.mean_latency, side
 
     def test_invalid_inputs(self):
         cfg = NocConfig(width=4, height=4)
