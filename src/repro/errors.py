@@ -41,6 +41,7 @@ __all__ = [
     "SimulationError",
     "UnsupportedFaultSite",
     "UnsupportedTopology",
+    "UnsupportedTrace",
 ]
 
 
@@ -177,6 +178,29 @@ class UnsupportedTopology(ReproError, ValueError):
         self.topology = topology
         #: topologies this model can run
         self.supported = tuple(supported)
+
+
+class UnsupportedTrace(ReproError, ValueError):
+    """The selected network model cannot be traced.
+
+    The vector flit engine advances the whole mesh one cycle per step,
+    so it has no per-event site to emit trace records from.  A traced
+    run on it is refused up front — with the model named — rather than
+    switched to another engine, whose schedule differs (DESIGN.md §13).
+    Counters-only observation (``Observation(trace=False)``) runs on
+    every model.  (``ValueError`` stays a base so generic
+    config-validation handlers keep catching it.)
+    """
+
+    def __init__(
+        self,
+        message: str = "this network model cannot be traced",
+        *,
+        model: Optional[str] = None,
+    ):
+        super().__init__(message)
+        #: the refusing network model (e.g. ``"flit/vector"``)
+        self.model = model
 
 
 class RunTimeout(ReproError):

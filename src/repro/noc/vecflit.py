@@ -67,8 +67,8 @@ Fallback
 NumPy is optional: it only accelerates candidate discovery, so when it
 is absent (or ``force_python=True``) the same step function scans the
 ticking routers' slots in a plain loop.  The fallback is for
-correctness/portability, not speed — the perf gate
-(``flit_vector_uniform``) always measures the NumPy path.
+correctness/portability, not speed — the benchmark's ``flit_mesh32``
+drive and CI's rate floor on it measure the NumPy path.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class _Bucket:
 class VectorFlitNetwork:
     """Cycle-batched flit fabric, API-compatible with ``FlitNetwork``.
 
-    Standalone use (the perf workloads / golden tests) drives it with
+    Standalone use (the flit goldens and parity tests) drives it with
     :meth:`send_at` + :meth:`run`.  Co-simulation with the event kernel
     (full-system runs) passes ``sim`` — the engine registers itself as
     the kernel's stepper and is batch-advanced between event buckets

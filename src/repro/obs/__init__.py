@@ -21,8 +21,8 @@ wiring) to the tracer's ``emit``; the per-event call sites are guarded
 (``if self._trace is not None: ...``) so a disabled run pays one
 attribute load and ``None`` test per traced edge — nothing else.  The
 golden determinism tests pin that a traced run is bit-exact with an
-untraced one, and the perf-smoke gate pins the observability-off
-overhead.
+untraced one, and CI's perf-smoke floors on the benchmark's unobserved
+runs bound what those guards cost.
 
 Usage::
 
@@ -49,26 +49,6 @@ from .tracer import DEFAULT_CAPACITY, TraceRecord, Tracer
 
 #: bump when the Observation payload encoding changes shape
 OBS_SCHEMA_VERSION = 1
-
-#: module-level master switch: when False, :meth:`Observation.attach`
-#: is a no-op and every component keeps its no-cost ``_trace = None``
-#: binding.  This is the "compiled out" default for code paths that
-#: never construct an Observation; flipping it off globally also lets
-#: perf harnesses guarantee untouched hot paths.
-_ENABLED = True
-
-
-def enabled() -> bool:
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Globally enable/disable observability wiring; returns old value."""
-    global _ENABLED
-    old = _ENABLED
-    _ENABLED = bool(flag)
-    return old
-
 
 class Observation:
     """One run's observability context: a registry plus (optionally) a tracer.
@@ -103,8 +83,6 @@ class Observation:
         emitters.  Attaching is the only moment observability touches
         the components — the simulation itself runs unmodified.
         """
-        if not _ENABLED:
-            return self
         if self.system is not None:
             raise ValueError("Observation is already attached to a system")
         self.system = system
@@ -293,8 +271,6 @@ __all__ = [
     "chrome_trace_events",
     "contention_report",
     "counters_report",
-    "enabled",
-    "set_enabled",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

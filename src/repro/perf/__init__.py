@@ -1,58 +1,7 @@
-"""Performance benchmarking and profiling of the simulation core.
+"""The pinned flit stream (:mod:`repro.perf.workloads`).
 
-The perf-bench subsystem measures the simulator's own speed (events/sec
-and wall time) on six canonical workloads — the bare event kernel, the
-packet-level NoC datapath, the flit-level validation model, a cold
-end-to-end ``fig12 --quick`` run, and two coherence-stress shapes
-(directory invalidation storms, a single-lock handoff chain) — and
-records the results in a schema-versioned ``BENCH_core.json``
-(``bench-core/v2``) at the repository root.  That file seeds the repo's
-performance trajectory: CI re-measures a pinned subset and fails on a
->30% events/sec regression against the committed numbers
-(``scripts/perf_report.py --quick --check``).
-
-``inpg-perf --profile`` additionally runs the selected workloads under
-cProfile and writes a per-layer (kernel / noc / coherence / cpu / obs)
-attribution plus top-N hotspot report — ``BENCH_profile.json``, schema
-``perf-profile/v1`` (:mod:`repro.perf.profiling`).
+The simulator's speed is measured by the repository benchmark
+(``perfbench/``, declared by ``BENCHMARK.json``).  This package stays
+only because its one generator, ``_uniform_flit_plan``, is imported
+from here by the benchmark's own tests and by the flit pins.
 """
-
-from .profiling import (
-    LAYERS,
-    PROFILE_SCHEMA,
-    format_layer_table,
-    layer_of,
-    profile_workload,
-    profile_workloads,
-    write_profile_report,
-)
-from .report import (
-    BENCH_SCHEMA,
-    DEFAULT_OUTPUT,
-    REGRESSION_TOLERANCE,
-    check_against,
-    load_report,
-    run_workloads,
-    write_report,
-)
-from .workloads import QUICK_WORKLOADS, WORKLOADS, WorkloadResult
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "DEFAULT_OUTPUT",
-    "LAYERS",
-    "PROFILE_SCHEMA",
-    "QUICK_WORKLOADS",
-    "REGRESSION_TOLERANCE",
-    "WORKLOADS",
-    "WorkloadResult",
-    "check_against",
-    "format_layer_table",
-    "layer_of",
-    "load_report",
-    "profile_workload",
-    "profile_workloads",
-    "run_workloads",
-    "write_profile_report",
-    "write_report",
-]

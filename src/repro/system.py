@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .config import SystemConfig
-from .errors import DeadlockError
+from .errors import DeadlockError, UnsupportedTrace
 from .coherence.memsystem import MemorySystem
 from .cpu.os_model import OsModel
 from .cpu.thread import WorkerThread
@@ -97,10 +97,17 @@ class ManyCoreSystem:
                     "iNPG requires the packet-level network model; "
                     "disable noc.flit_level or inpg"
                 )
-            # the vector engine batches whole cycles, so there is no
-            # per-event site to emit trace records from: observed runs
-            # fall back to the (bit-exact) event engine reference.
-            if config.noc.flit_engine == "vector" and observe is None:
+            if config.noc.flit_engine == "vector":
+                # the vector engine batches whole cycles, so there is no
+                # per-event site to emit trace records from; counters
+                # attach as on any fabric
+                if observe is not None and observe.trace_enabled:
+                    raise UnsupportedTrace(
+                        "the vector flit engine cannot be traced; trace "
+                        "the event engine or observe counters only "
+                        "(Observation(trace=False))",
+                        model="flit/vector",
+                    )
                 from .noc.vecflit import VectorFlitFabric
 
                 self.network = VectorFlitFabric(self.sim, config.noc)

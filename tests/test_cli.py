@@ -132,7 +132,6 @@ class TestSharedFlagVocabulary:
                     assert "-j" in action.option_strings, name
 
     def test_flit_engine_spelled_identically(self):
-        from repro.perf.report import main as perf_main  # parser inline
         base = self._flag_help(self._parsers()["inpg-sim"], "--flit-engine")
         assert base is not None and base.startswith(
             "run the NoC at flit granularity")

@@ -180,7 +180,7 @@ class TestMessagePool:
         assert system.memsys._recycle is False
 
     def test_pool_active_in_invalidation_storm(self):
-        from repro.perf.workloads import run_dir_invalidation_storm
+        from test_golden_determinism import run_dir_invalidation_storm
 
         sim, net = run_dir_invalidation_storm(rounds=3)
         pool = net.memsys.msg_pool

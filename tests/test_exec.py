@@ -306,9 +306,14 @@ class TestDiskCacheInvalidation:
 class TestCommonIntegration:
     def test_cached_run_includes_lock_homes(self, tmp_path):
         # lock placement threads all the way through the generator call
-        from repro.experiments.common import cached_run, set_executor
+        from repro.experiments.common import (
+            cached_run,
+            get_executor,
+            set_executor,
+        )
 
-        set_executor(Executor(jobs=1, cache_dir=tmp_path))
+        previous = get_executor()
+        executor = set_executor(Executor(jobs=1, cache_dir=tmp_path))
         try:
             pinned = cached_run("vips", "original", primitive="mcs",
                                 scale=0.3, config=small_config(),
@@ -316,9 +321,7 @@ class TestCommonIntegration:
             default = cached_run("vips", "original", primitive="mcs",
                                  scale=0.3, config=small_config())
             # both simulated: different placements are different runs
-            from repro.experiments.common import get_executor
-
-            assert get_executor().stats.executed == 2
+            assert executor.stats.executed == 2
             assert pinned is not default
         finally:
-            set_executor(Executor())
+            set_executor(previous)

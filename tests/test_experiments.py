@@ -158,6 +158,21 @@ class TestSimulationExperiments:
             assert f12.relative_roi[bench]["original"] == 1.0
             assert f11.expedition[bench]["original"] == 1.0
 
+    def test_fig12_quick_plan_keeps_its_pinned_work(self, monkeypatch,
+                                                    claims_cache,
+                                                    paper_claims):
+        """The Figure 12 quick plan's 24 runs at the claims' scale,
+        replayed from the claims' cache with nothing executed, sum to
+        the events and ROI cycles pinned when the plan was first timed
+        end to end."""
+        executor = Executor(jobs=1, cache_dir=claims_cache)
+        monkeypatch.setattr(common, "_EXECUTOR", executor)
+        runs = common.run_mechanism_matrix(options=CLAIMS_OPTIONS).values()
+        assert executor.stats.executed == 0
+        assert len(runs) == 24
+        assert sum(int(r.extra["sim_events"]) for r in runs) == 6_528_413
+        assert sum(r.roi_cycles for r in runs) == 413_318
+
     def test_fig13_covers_all_primitives(self, paper_claims):
         result = paper_claims.figures["fig13"]
         first = next(iter(result.reduction.values()))

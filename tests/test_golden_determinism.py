@@ -18,10 +18,12 @@ import hashlib
 
 import pytest
 
-from repro.config import NocConfig
+from repro.config import NocConfig, SystemConfig
+from repro.noc.engines import make_flit_network
 from repro.noc.flitsim import FlitNetwork
 from repro.noc.network import Network
-from repro.sim import Simulator, make_rng
+from repro.perf.workloads import _uniform_flit_plan
+from repro.sim import Simulator
 from repro.system import run_benchmark
 
 # (benchmark, mechanism) -> (md5, roi_cycles, packets_delivered, sim_events)
@@ -92,20 +94,23 @@ GOLDEN_PROTOCOL_STORM = {
     "mesi": ("4f5ddcda675cfb4c76f011da55ca0522", 28803, 316489),
 }
 
-# flit-level model: uniform-random traffic, seed 11 (the perf workload
-# shape) -> (md5 over (src, dst, length, injected, delivered), events)
+# flit-level model: the uniform seed-11 stream on 8x8
+# (_uniform_flit_plan(1200, 64, 2, 11)) -> (md5 over (src, dst, length,
+# injected, delivered), events, packets delivered)
 GOLDEN_FLIT = ("49e0dffdc473d86980de9a26886aa321", 63963, 1200)
 
-# the perf workloads pinned by their work alone: events simulated
+# the stress drives below pinned by their work alone: events simulated
 GOLDEN_PERF_EVENTS = {
     "kernel_chain": 400_063,
     "packet_uniform": 541_377,
+    "flit_vector_uniform": 319_591,
+    "flit_big_mesh": 424_472,
 }
 
-# coherence-stress perf workloads (repro.perf.workloads) -> delivered-
-# packet md5 (same scheme as GOLDEN_RUNS), final cycle, sim events.
-# Captured when the workloads were introduced, alongside the bitmask/
-# pool/dispatch fast path they exercise.
+# coherence-stress drives (defined below) -> delivered-packet md5 (same
+# scheme as GOLDEN_RUNS), final cycle, sim events.  Captured when the
+# drives were introduced, alongside the bitmask/pool/dispatch fast path
+# they exercise.
 GOLDEN_PERF_WORKLOADS = {
     "dir_invalidation_storm":
         ("713d4a11a63a27a4f2a38f8618fb46f7", 25328, 358137),
@@ -177,17 +182,179 @@ class TestGoldenFig12:
         assert observe.records(), "tracer captured no events"
 
 
-def fingerprint_perf_workload(name, **workload_kwargs):
-    """Run one coherence-stress perf workload, hashing every delivery.
+# ----------------------------------------------------------------------
+# Stress drives, each pinned by the work it simulates
+# ----------------------------------------------------------------------
+def run_kernel_chain():
+    """64 self-rescheduling callback chains on the bare event kernel, no
+    model code at all, until 400,000 callbacks fired; returns the
+    events simulated."""
+    sim = Simulator()
+    fired = [0]
 
-    ``workload_kwargs`` pass through to the workload builder (the
-    protocol-family tests use ``protocol=``).
+    def make(delay):
+        def tick():
+            fired[0] += 1
+            if fired[0] < 400_000:
+                sim.schedule(delay, tick)
+
+        return tick
+
+    for i in range(64):
+        sim.schedule(i % 7, make(1 + (i % 5)))
+    sim.run()
+    return sim.events_processed
+
+
+def run_packet_uniform():
+    """Uniform-random single-flit traffic on the 8x8 packet-level mesh;
+    returns the events simulated."""
+    from repro.noc.traffic import run_packet_traffic
+
+    return run_packet_traffic(
+        NocConfig(width=8, height=8), "uniform", injection_rate=0.08,
+        duration=4_000, size_flits=1, seed=7,
+    ).sim_events
+
+
+def run_flit_plan(width, plan, drive):
+    """Drive a ``width`` x ``width`` flit mesh through ``plan``; returns
+    the events simulated.  ``drive`` is ``"event"`` or ``"vector"`` for
+    that engine under the kernel, or a shard count for the sharded
+    worker drive."""
+    config = NocConfig(width=width, height=width)
+    if isinstance(drive, int):
+        from repro.noc.shardflit import ShardedFlitNetwork
+
+        net = ShardedFlitNetwork(config, drive)
+        for cycle, src, dst, length in plan:
+            net.send_at(cycle, src, dst, length)
+        net.run(until=2_000_000)
+        return net.events_processed
+    sim = Simulator()
+    net = make_flit_network(sim, config, drive)
+    for cycle, src, dst, length in plan:
+        sim.schedule_at(cycle, net.send, src, dst, length)
+    sim.run(until=2_000_000)
+    return sim.events_processed
+
+
+#: pinned stress drive -> its run on one drive (see run_flit_plan; the
+#: kernel and packet drives take none)
+PERF_DRIVES = {
+    "kernel_chain": lambda _drive: run_kernel_chain(),
+    "packet_uniform": lambda _drive: run_packet_uniform(),
+    # every packet an 8-flit burst on 16x16: the most hop work a stepped
+    # cycle of the vector engine carries
+    "flit_vector_uniform": lambda drive: run_flit_plan(
+        16, [(c, s, d, 8) for c, s, d, _ in
+             _uniform_flit_plan(1200, 256, 2, 11)], drive),
+    # the mixed-size stream at 8 injections a cycle on 16x16
+    "flit_big_mesh": lambda drive: run_flit_plan(
+        16, _uniform_flit_plan(4800, 256, 8, 11), drive),
+}
+
+#: (drive name, engine or shard count): each flit count on both engines,
+#: and the big mesh on the sharded worker drive as well
+PINNED_EVENT_CASES = [
+    pytest.param("kernel_chain", None, id="kernel_chain"),
+    pytest.param("packet_uniform", None, id="packet_uniform"),
+    *(pytest.param("flit_vector_uniform", drive,
+                   id=f"flit_vector_uniform-{drive}")
+      for drive in ("event", "vector")),
+    *(pytest.param("flit_big_mesh", drive, id=f"flit_big_mesh-{drive}")
+      for drive in ("event", "vector")),
+    *(pytest.param("flit_big_mesh", shards,
+                   id=f"flit_big_mesh-shards{shards}")
+      for shards in (2, 4)),
+]
+
+
+def run_dir_invalidation_storm(rounds=40, protocol="moesi"):
+    """Build and run the invalidation-storm system; returns ``(sim, net)``.
+
+    Every round, all 64 cores load one block (becoming sharers), then a
+    rotating winner RMWs it — the home fans out 63 Invs, collects 63
+    InvAcks plus the AckCount, and the next round begins on commit.
+    Exercised: directory transaction fan-out, sharer/ack bitmask
+    bookkeeping, the message pool, and the L1 ack ledger.  Fully
+    deterministic (no RNG at all).
+
+    ``protocol`` selects the coherence variant (the first load of each
+    round is a clean GetS miss, so MESI's Exclusive grant fires here).
     """
-    from repro.perf.workloads import (
-        run_dir_invalidation_storm,
-        run_lock_handoff_chain,
-    )
+    from dataclasses import replace
 
+    from repro.coherence.memsystem import MemorySystem
+
+    sim = Simulator()
+    cfg = replace(SystemConfig(), protocol=protocol)
+    net = Network(sim, cfg.noc)
+    memsys = MemorySystem(sim, cfg, net, model_dram=False)
+    net.memsys = memsys
+    num_cores = net.mesh.num_nodes
+    addr = memsys.addr_for_home(0)
+    state = {"round": 0, "outstanding": 0}
+
+    def committed(_returned):
+        state["round"] += 1
+        if state["round"] < rounds:
+            begin_round()
+
+    def loaded(_value):
+        state["outstanding"] -= 1
+        if state["outstanding"] == 0:
+            winner = state["round"] % num_cores
+            memsys.rmw(winner, addr, lambda old: (old + 1, old), committed)
+
+    def begin_round():
+        state["outstanding"] = num_cores
+        for core in range(num_cores):
+            memsys.load(core, addr, loaded)
+
+    begin_round()
+    sim.run()
+    return sim, net
+
+
+def run_lock_handoff_chain(num_threads=32, handoffs=8):
+    """Build and run the handoff-chain system; returns ``(system, result)``.
+
+    One lock, ``num_threads`` threads, tiny parallel sections: the lock
+    is handed around continuously, so the run is dominated by the
+    coherence transactions and queue spin-lock sleep/wake traffic of
+    lock transfer — the critical path the paper targets.  Deterministic
+    (fixed item shapes; thread index only varies the parallel stagger).
+    """
+    from repro.system import ManyCoreSystem
+    from repro.workloads.generator import WorkItem, Workload
+
+    items = [
+        [
+            WorkItem(parallel_cycles=20 + 3 * (t % 7), lock_index=0,
+                     cs_cycles=30)
+            for _ in range(handoffs)
+        ]
+        for t in range(num_threads)
+    ]
+    workload = Workload(
+        benchmark="lock_handoff_chain",
+        num_threads=num_threads,
+        num_locks=1,
+        lock_homes=[27],
+        items=items,
+    )
+    system = ManyCoreSystem(SystemConfig(), workload, primitive="qsl")
+    result = system.run(max_cycles=50_000_000)
+    return system, result
+
+
+def fingerprint_perf_workload(name, **workload_kwargs):
+    """Run one coherence-stress drive, hashing every delivery.
+
+    ``workload_kwargs`` pass through to the drive (the protocol-family
+    tests use ``protocol=``).
+    """
     builders = {
         "dir_invalidation_storm": run_dir_invalidation_storm,
         "lock_handoff_chain": run_lock_handoff_chain,
@@ -212,20 +379,19 @@ def fingerprint_perf_workload(name, **workload_kwargs):
 
 
 class TestGoldenPerfWorkloads:
-    """The tracked perf workloads are pinned work: the coherence-stress
-    ones by their packet streams, the kernel and packet-NoC ones by
-    their event counts, or events/sec comparisons lie."""
+    """The stress drives are pinned work: the coherence-stress ones by
+    their packet streams, the kernel, packet-NoC and flit ones by their
+    event counts — each flit count on both engines, the big mesh on the
+    sharded worker drive too."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PERF_WORKLOADS))
     def test_pinned_fingerprint(self, name):
         assert fingerprint_perf_workload(name) == \
             GOLDEN_PERF_WORKLOADS[name]
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_PERF_EVENTS))
-    def test_pinned_event_count(self, name):
-        from repro.perf.workloads import WORKLOADS
-
-        assert WORKLOADS[name]().events == GOLDEN_PERF_EVENTS[name]
+    @pytest.mark.parametrize("name,drive", PINNED_EVENT_CASES)
+    def test_pinned_event_count(self, name, drive):
+        assert PERF_DRIVES[name](drive) == GOLDEN_PERF_EVENTS[name]
 
     def test_back_to_back_storms_identical(self):
         """Per-run transaction ids: a second in-process run replays the
@@ -245,8 +411,6 @@ class TestGoldenProtocolFamily:
     )
     def test_pinned_fingerprint(self, protocol, bench, mechanism):
         from dataclasses import replace
-
-        from repro.config import SystemConfig
 
         config = replace(SystemConfig(), protocol=protocol)
         assert fingerprint_run(bench, mechanism, config=config) == \
@@ -273,8 +437,6 @@ class TestGoldenTopologyFamily:
 
     @staticmethod
     def _config(**noc):
-        from repro.config import SystemConfig
-
         return SystemConfig().with_overrides(noc=noc)
 
     @pytest.mark.parametrize(
@@ -316,15 +478,8 @@ class TestGoldenFlit:
     def test_pinned_flit_fingerprint(self):
         sim = Simulator()
         net = FlitNetwork(sim, NocConfig(width=8, height=8))
-        rng = make_rng(11, "perf/flit")
-        nodes = net.mesh.num_nodes
-        for i in range(1200):
-            src = rng.randrange(nodes)
-            dst = rng.randrange(nodes)
-            while dst == src:
-                dst = rng.randrange(nodes)
-            length = 8 if i % 4 == 0 else 1
-            sim.schedule_at(i // 2, net.send, src, dst, length)
+        for cycle, src, dst, length in _uniform_flit_plan(1200, 64, 2, 11):
+            sim.schedule_at(cycle, net.send, src, dst, length)
         sim.run(until=2_000_000)
         digest = hashlib.md5()
         for p in net.delivered:

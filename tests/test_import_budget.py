@@ -21,7 +21,11 @@ from repro import api
 from repro.config import NocConfig
 from repro.exec import Executor
 from repro.experiments import fig12_roi
-from repro.experiments.common import ExperimentOptions, set_executor
+from repro.experiments.common import (
+    ExperimentOptions,
+    get_executor,
+    set_executor,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -120,7 +124,8 @@ def test_fig12_replay_loads_only_what_it_reads(tmp_path):
     """The Figure 12 quick harness (small scale), filled by this
     process, then replayed and rendered in a fresh one."""
     options = ExperimentOptions(scale=0.05)
-    previous = set_executor(Executor(jobs=1, cache_dir=tmp_path))
+    previous = get_executor()
+    set_executor(Executor(jobs=1, cache_dir=tmp_path))
     try:
         filled = fig12_roi.run(options).render()
     finally:

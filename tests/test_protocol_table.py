@@ -359,7 +359,7 @@ class TestProtocolFamilyRuns:
         """Every variant keeps the integer sharer masks and recycles
         messages through the pool (the PR-5 fast paths are
         protocol-independent)."""
-        from repro.perf.workloads import run_dir_invalidation_storm
+        from test_golden_determinism import run_dir_invalidation_storm
 
         _sim, net = run_dir_invalidation_storm(rounds=3, protocol=protocol)
         mem = net.memsys

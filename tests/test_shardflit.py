@@ -13,6 +13,7 @@ config axes: it is a standalone drive, never a full-system engine.
 
 import dataclasses
 import os
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.errors import ExecutorError, ShardWorkerError, UnsupportedTopology
 from repro.exec import RunSpec
 from repro.noc.engines import make_flit_network
 from repro.noc.shardflit import ShardedFlitNetwork
+from repro.perf.workloads import _uniform_flit_plan
 from repro.sim import Simulator
 
 from test_golden_determinism import GOLDEN_FLIT
@@ -207,43 +209,24 @@ class TestShardAddressing:
 
 
 # ----------------------------------------------------------------------
-# Perf harness integration
+# The big-mesh drive: the sharded workers do the vector engine's work
 # ----------------------------------------------------------------------
+def _big_mesh_plan(packets=4_800):
+    """The pinned 16x16 big-mesh stream (``flit_big_mesh`` in
+    ``test_golden_determinism.GOLDEN_PERF_EVENTS``)."""
+    return _uniform_flit_plan(packets, 256, 8, 11)
+
+
 class TestPerfIntegration:
-    def test_layer_map_attributes_shardflit(self):
-        from repro.perf.profiling import LAYERS, layer_of
-
-        assert "noc-shard" in LAYERS
-        assert layer_of("src/repro/noc/shardflit.py") == "noc-shard"
-        # the wider noc mappings are untouched
-        assert layer_of("src/repro/noc/vecflit.py") == "noc-flit"
-        assert layer_of("src/repro/noc/router.py") == "noc"
-
-    def test_sharded_workloads_registered(self):
-        from repro.perf.workloads import QUICK_WORKLOADS, WORKLOADS
-
-        assert "flit_sharded_big_mesh" in WORKLOADS
-        assert "flit_sharded_mesh32" in WORKLOADS
-        assert "flit_sharded_big_mesh" in QUICK_WORKLOADS
-
-    def test_unknown_workload_names_rejected_up_front(self, capsys):
-        from repro.perf.report import main
-
-        assert main(["--workloads", "flit_uniform", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "bogus" in err and "known:" in err
-
     def test_sharded_workload_pins_the_big_mesh_event_count(self):
-        """The sharded big-mesh leg simulates flit_big_mesh's exact
-        stream (small plan here; the pinned full counts live in
-        BENCH_core.json)."""
-        from repro.perf.workloads import flit_big_mesh, flit_sharded_big_mesh
-
-        vector = flit_big_mesh(packets=400)
-        sharded = flit_sharded_big_mesh(packets=400, shards=2)
-        assert sharded.name == "flit_sharded_big_mesh[shards=2]"
-        assert (sharded.events, sharded.cycles) == \
-            (vector.events, vector.cycles)
+        """Two worker shards simulate the kernel-driven vector engine's
+        exact big-mesh stream: same events, same final cycle (a short
+        plan here; the full count is pinned in
+        ``test_golden_determinism``)."""
+        plan = _big_mesh_plan(packets=400)
+        _stream, cycles, events = _run_cosim("vector", (16, 16), plan)
+        _net, (_stream, sharded_cycles, sharded_events) = _run(16, plan, 2)
+        assert (sharded_events, sharded_cycles) == (events, cycles)
 
 
 # ----------------------------------------------------------------------
@@ -255,10 +238,12 @@ class TestPerfIntegration:
            "barrier overhead",
 )
 def test_four_shards_beat_single_process_vector():
-    """The acceptance scaling bar: >=1.8x on the big-mesh workload."""
-    from repro.perf.workloads import flit_big_mesh, flit_sharded_big_mesh
-
-    vector = flit_big_mesh()
-    sharded = flit_sharded_big_mesh(shards=4)
-    assert (sharded.events, sharded.cycles) == (vector.events, vector.cycles)
-    assert sharded.wall_s < vector.wall_s / 1.8
+    """The acceptance scaling bar: >=1.8x on the big-mesh drive."""
+    plan = _big_mesh_plan()
+    t0 = time.perf_counter()
+    _stream, cycles, events = _run_cosim("vector", (16, 16), plan)
+    t1 = time.perf_counter()
+    _net, (_stream, sharded_cycles, sharded_events) = _run(16, plan, 4)
+    t2 = time.perf_counter()
+    assert (sharded_events, sharded_cycles) == (events, cycles)
+    assert t2 - t1 < (t1 - t0) / 1.8

@@ -6,7 +6,7 @@ under every drive — standalone ``send_at``/``run``, kernel co-simulation
 via ``schedule_at``, NumPy and pure-Python paths.  These tests pin that
 claim against the committed flit golden, property-check it on randomized
 traffic, and cover the engine's refusals (multi-cycle links, router/link
-fault sites) and the system-level selection/fallback rules.
+fault sites) and the system-level selection and tracing rules.
 """
 
 import contextlib
@@ -17,28 +17,21 @@ import pytest
 
 from repro import ManyCoreSystem, SystemConfig, single_lock_workload
 from repro.config import FLIT_ENGINES, NocConfig
-from repro.errors import UnsupportedFaultSite
+from repro.errors import ReproError, UnsupportedFaultSite, UnsupportedTrace
 from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.noc import make_flit_network
 from repro.noc.flitsim import FlitNetwork
 from repro.noc.vecflit import VectorFlitFabric, VectorFlitNetwork
+from repro.perf.workloads import _uniform_flit_plan
 from repro.sim import Simulator, make_rng
 
 from test_golden_determinism import GOLDEN_FLIT
 
 
-def _golden_plan(num_nodes=64, packets=1200, seed=11):
+def _golden_plan(packets=1200):
     """The committed flit-golden drive: (cycle, src, dst, length) rows."""
-    rng = make_rng(seed, "perf/flit")
-    plan = []
-    for i in range(packets):
-        src = rng.randrange(num_nodes)
-        dst = rng.randrange(num_nodes)
-        while dst == src:
-            dst = rng.randrange(num_nodes)
-        plan.append((i // 2, src, dst, 8 if i % 4 == 0 else 1))
-    return plan
+    return _uniform_flit_plan(packets, 64, 2, 11)
 
 
 def _fingerprint(delivered):
@@ -271,17 +264,39 @@ class TestVectorFullSystem:
         )
         assert isinstance(system.network, VectorFlitFabric)
 
-    def test_observed_runs_fall_back_to_event_engine(self):
-        """Tracing has no per-event site inside a batched cycle, so an
-        observed run silently uses the bit-exact event reference."""
-        from repro.noc.flit_fabric import FlitFabric
+    def test_counters_only_observation_keeps_the_vector_engine(self):
+        """Observing counters runs the vector engine, and the run is the
+        unobserved vector run."""
         from repro.obs import Observation
 
+        observe = Observation(trace=False)
         system = ManyCoreSystem(
             _flit_system_config("vector"), _lock_workload(),
-            primitive="mcs", observe=Observation(label="t"),
+            primitive="mcs", observe=observe,
         )
-        assert isinstance(system.network, FlitFabric)
+        assert isinstance(system.network, VectorFlitFabric)
+        observed = system.run(max_cycles=20_000_000)
+        plain = ManyCoreSystem(
+            _flit_system_config("vector"), _lock_workload(), primitive="mcs"
+        ).run(max_cycles=20_000_000)
+        assert (observed.roi_cycles, observed.extra["sim_events"]) == \
+            (plain.roi_cycles, plain.extra["sim_events"])
+        counters = observe.counters()
+        assert counters["noc/packets_delivered"] == plain.network_packets
+
+    def test_traced_run_is_refused_not_switched(self):
+        """Tracing has no per-event site inside a batched cycle, so a
+        traced vector run raises a structured error naming the engine
+        instead of running another engine's schedule."""
+        from repro.obs import Observation
+
+        with pytest.raises(UnsupportedTrace) as excinfo:
+            ManyCoreSystem(
+                _flit_system_config("vector"), _lock_workload(),
+                primitive="mcs", observe=Observation(label="t"),
+            )
+        assert excinfo.value.model == "flit/vector"
+        assert isinstance(excinfo.value, ReproError)
 
     def test_full_system_is_deterministic(self):
         """Vector full-system runs are a pure function of their config:
