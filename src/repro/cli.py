@@ -35,6 +35,7 @@ from .config import (
     canonical_primitive,
     describe_axes,
 )
+from .errors import ReproError
 from .exec import Executor, RunSpec
 from .experiments.common import ExperimentOptions
 from .workloads.profiles import ALL_PROFILES
@@ -216,47 +217,53 @@ def main(argv=None) -> int:
         print("error: --trace needs inline execution and cannot be "
               "combined with --remote", file=sys.stderr)
         return 2
-    executor = executor_from_args(args)
-    fault_plan = None
-    if args.faults:
-        from .faults import FaultPlan
+    try:
+        executor = executor_from_args(args)
+        fault_plan = None
+        if args.faults:
+            from .faults import FaultPlan
 
-        fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-    options = ExperimentOptions(
-        fault_plan=fault_plan,
-        watchdog_cycles=args.watchdog,
-        check_protocol=args.check_protocol,
-        **{name: getattr(args, name) for name in describe_axes()},
-    )
-    if args.benchmark == "microbench":
-        spec = RunSpec.microbench(
-            home_node=args.home,
-            mechanism=args.mechanism,
-            primitive=primitive,
-            seed=args.seed,
-            config=SystemConfig(num_threads=args.threads),
+            fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
+        options = ExperimentOptions(
+            fault_plan=fault_plan,
+            watchdog_cycles=args.watchdog,
+            check_protocol=args.check_protocol,
+            **{name: getattr(args, name) for name in describe_axes()},
         )
-    else:
-        spec = RunSpec(
-            benchmark=args.benchmark,
-            mechanism=args.mechanism,
-            primitive=primitive,
-            scale=args.scale,
-            seed=args.seed,
-        )
-    spec = options.apply_to_spec(spec)
-    observe = None
-    if traced:
-        from .exec.executor import execute_spec
-        from .obs import Observation
+        if args.benchmark == "microbench":
+            spec = RunSpec.microbench(
+                home_node=args.home,
+                mechanism=args.mechanism,
+                primitive=primitive,
+                seed=args.seed,
+                config=SystemConfig(num_threads=args.threads),
+            )
+        else:
+            spec = RunSpec(
+                benchmark=args.benchmark,
+                mechanism=args.mechanism,
+                primitive=primitive,
+                scale=args.scale,
+                seed=args.seed,
+            )
+        spec = options.apply_to_spec(spec)
+        observe = None
+        if traced:
+            from .exec.executor import execute_spec
+            from .obs import Observation
 
-        observe = Observation(label=spec.label())
-        # observed runs execute inline and never touch the cache: cached
-        # results carry no trace ring, and traced payloads must not leak
-        # into unobserved plans.
-        result = execute_spec(spec, observe=observe, timeout_s=args.timeout)
-    else:
-        result = executor.run_one(spec)
+            observe = Observation(label=spec.label())
+            # observed runs execute inline and never touch the cache:
+            # cached results carry no trace ring, and traced payloads
+            # must not leak into unobserved plans.
+            result = execute_spec(spec, observe=observe,
+                                  timeout_s=args.timeout)
+        else:
+            result = executor.run_one(spec)
+    except ReproError as err:
+        # a refused or failed run is a one-line diagnosis, not a traceback
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(run_result_to_dict(result), indent=2))
     else:

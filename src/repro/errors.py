@@ -37,7 +37,6 @@ __all__ = [
     "ProtocolViolation",
     "ReproError",
     "RunTimeout",
-    "ShardWorkerError",
     "SimulationError",
     "UnsupportedFaultSite",
     "UnsupportedTopology",
@@ -245,34 +244,3 @@ class ExecutorError(ReproError):
         self.fingerprint = fingerprint
         self.spec_label = spec_label
         self.worker_traceback = worker_traceback
-
-
-class ShardWorkerError(ExecutorError):
-    """A sharded-fabric worker process died or raised mid-run.
-
-    The sharded flit engine (:mod:`repro.noc.shardflit`) advances each
-    mesh band in its own process under a conservative-lookahead barrier;
-    a worker that crashes would otherwise leave its siblings spinning
-    forever.  The parent detects the death, aborts the remaining
-    workers through the shared-memory abort flag, and raises this —
-    an :class:`ExecutorError` so executor-level fencing catches it —
-    with the failing shard identified and the worker's formatted
-    traceback attached when one crossed the pipe.
-    """
-
-    def __init__(
-        self,
-        message: str = "shard worker failed",
-        *,
-        shard: Optional[int] = None,
-        shards: Optional[int] = None,
-        exitcode: Optional[int] = None,
-        worker_traceback: Optional[str] = None,
-    ):
-        super().__init__(message, worker_traceback=worker_traceback)
-        #: index of the failing shard (0 = topmost row band)
-        self.shard = shard
-        #: total shard count of the run
-        self.shards = shards
-        #: the worker process exit code, when it died without reporting
-        self.exitcode = exitcode

@@ -7,12 +7,10 @@ flit-level validation model — itself available as two bit-exact
 mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`)
 and the cycle-batched vector engine (:mod:`repro.noc.vecflit`), which
 :func:`make_flit_network` (:mod:`repro.noc.engines`) selects by name.
-A third, the row-band sharded engine (:mod:`repro.noc.shardflit`),
-runs the vector engine's schedule on one worker process per band for
-standalone network drives.  Output-port arbitration is selectable per
-the ``NocConfig.arbiter`` axis (:class:`OutputPort` round-robin or
-:mod:`repro.noc.arbiter` weighted round-robin).  Synthetic traffic
-patterns and load sweeps live in :mod:`repro.noc.traffic`.
+Output-port arbitration is selectable per the ``NocConfig.arbiter`` axis
+(:class:`OutputPort` round-robin or :mod:`repro.noc.arbiter` weighted
+round-robin).  Synthetic traffic patterns and load sweeps live in
+:mod:`repro.noc.traffic`.
 
 Importing the package loads the packet-level fabric only; the flit
 engines (and NumPy, which the vector engine uses) load on first access
@@ -45,7 +43,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "FlitPacket": ".flitsim",
     "FlitRouter": ".flitsim",
     "HAS_NUMPY": ".vecflit",
-    "ShardedFlitNetwork": ".shardflit",
     "VectorFlitFabric": ".vecflit",
     "VectorFlitNetwork": ".vecflit",
     "make_flit_network": ".engines",
@@ -65,7 +62,6 @@ __all__ = [
     "Ring",
     "Router",
     "STOPPED",
-    "ShardedFlitNetwork",
     "TOPOLOGY_CLASSES",
     "Topology",
     "Torus",

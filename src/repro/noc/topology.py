@@ -26,8 +26,8 @@ with no arithmetic on the router hot path.  Caches are **per topology
 class** — a torus row can never leak into a mesh of the same shape.
 
 The flit-level engines' 5-port mesh router numbering lives here too,
-with the XY output-port rows (:meth:`Mesh.port_rows`) that the event,
-vector and sharded engines all index, cached beside the next-hop rows.
+with the XY output-port rows (:meth:`Mesh.port_rows`) that both flit
+engines index, cached beside the next-hop rows.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ buffer, credit counter and in-flight flit lives in flat parallel integer
 columns (one slot per router input VC), and the per-cycle candidate
 discovery (which VCs route-compute, which VCs compete for the switch)
 is a handful of masked NumPy operations over boolean occupancy columns
-(DESIGN.md §13).  The sparse per-flit work — buffer pushes and pops,
-claims, credit bumps — runs over the plain Python columns directly:
-at mesh-sized populations NumPy call dispatch costs more than the loop.
+(DESIGN.md §13).  The per-flit work — buffer pushes and pops, claims,
+credit bumps, key ranks — has two equivalent forms.  A step with few
+ticking routers (every step of an 8x8 co-simulation) loops over plain
+Python columns, where NumPy call dispatch would cost more than the loop.
+A step with at least ``_ARRAY_TICKS`` ticking routers runs the same
+phases as array operations (:meth:`VectorFlitNetwork._array_step`); the
+engine's first such step moves its columns into NumPy arrays for good.
 
 Bit-exactness contract
 ======================
@@ -64,11 +68,11 @@ golden fingerprints and covered by the engine-parity property tests
 
 Fallback
 ========
-NumPy is optional: it only accelerates candidate discovery, so when it
-is absent (or ``force_python=True``) the same step function scans the
-ticking routers' slots in a plain loop.  The fallback is for
-correctness/portability, not speed — the benchmark's ``flit_mesh32``
-drive and CI's rate floor on it measure the NumPy path.
+NumPy is optional: when it is absent (or ``force_python=True``) every
+step scans the ticking routers' slots and runs the phases in plain
+loops.  The fallback is for correctness/portability, not speed — the
+benchmark's ``flit_mesh32`` drive and CI's rate floor on it measure the
+array path.
 """
 
 from __future__ import annotations
@@ -100,6 +104,15 @@ _LATE_OFF = 1 << 23
 _SETUP_BASE = -(1 << 40)
 #: "no tick this cycle" sentinel (above every real key)
 _NO_TICK = 1 << 62
+#: a step with at least this many ticking routers runs the array phases
+#: (:meth:`VectorFlitNetwork._array_step`); smaller steps run the
+#: per-flit loops.  Set at the measured crossover (DESIGN.md §13).
+_ARRAY_TICKS = 120
+#: the mutable columns the array phases read and write: Python lists
+#: until an engine's first array step, NumPy arrays from then on
+_ARRAY_COLUMNS = ("_buf_pid", "_buf_fi", "_head", "_cnt", "_active",
+                  "_out_port", "_out_slot", "_claimed", "_credits", "_rr",
+                  "_buffered", "_tick_key_by_r", "_thr_next")
 
 #: (width, height, vcs) -> the slot tables of :func:`_slot_tables`
 _SLOT_TABLES: Dict[Tuple[int, int, int],
@@ -146,6 +159,15 @@ def _slot_tables(width: int, height: int, vcs: int):
             tuple(router_of), tuple(range(SPR)) * R, tuple(link)
         )
     return tables
+
+
+def _run_starts(a):
+    """Boolean mask of the first element of each run of equal values
+    in the 1-D array ``a`` (empty for an empty ``a``)."""
+    starts = _np.empty(a.size, dtype=bool)
+    starts[:1] = True
+    _np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +229,24 @@ class _Bucket:
         #: ("lcred", key, node) — local credit returns re-entering the
         #: injection path
         self.inj: List[Tuple] = []
+
+    def listed(self) -> None:
+        """Turn the fields an array step left as arrays (``post_acc`` an
+        (n, 3) array, ``post_cred`` an array, ``wake_min`` a (routers,
+        keys) pair) back into the loop phases' Python containers."""
+        if type(self.post_acc) is not list:
+            self.post_acc = self.post_acc.tolist()
+        if type(self.post_cred) is not list:
+            self.post_cred = self.post_cred.tolist()
+        if type(self.wake_min) is not dict:
+            routers, keys = self.wake_min
+            self.wake_min = dict(zip(routers.tolist(), keys.tolist()))
+
+
+class _Arrays:
+    """An engine's columns as NumPy arrays (named as the attribute less
+    its underscore) and the static tables the array phases gather
+    through; built once, at the engine's first array step."""
 
 
 class VectorFlitNetwork:
@@ -331,6 +371,11 @@ class VectorFlitNetwork:
         self.events_processed = 0
         self.delivered: List[VectorFlitPacket] = []
         self.injected = 0
+
+        #: the columns as NumPy arrays, from the first array step on; an
+        #: engine whose steps stay small keeps the lists, which the loops
+        #: index fastest
+        self._arrays: Optional[_Arrays] = None
 
         if sim is not None:
             sim.attach_stepper(self)
@@ -538,12 +583,24 @@ class VectorFlitNetwork:
 
     # ------------------------------------------------------------------
     def _step(self, tau: int) -> None:  # noqa: C901 - the one hot path
-        """Advance the whole mesh through cycle ``tau`` (DESIGN.md §13)."""
-        SPR, V, cap = self.SPR, self.V, self.cap
+        """Advance the whole mesh through cycle ``tau`` (DESIGN.md §13).
+
+        A step with at least ``_ARRAY_TICKS`` ticking routers runs the
+        same phases as array operations (:meth:`_array_step`); the rest
+        run the loops below, which touch only the routers that tick.
+        """
         bucket = self._buckets.pop(tau)
         self.cycle = tau
         self._stepped_cycle = tau
         self._in_step = True
+        if self._numpy and len(bucket.ticks) >= _ARRAY_TICKS:
+            if self._arrays is None:
+                self._promote()
+            self._array_step(tau, bucket)
+            return
+        if self._arrays is not None:
+            bucket.listed()
+        SPR, V, cap = self.SPR, self.V, self.cap
         base_key = tau << _CYC_SHIFT
 
         thr = self._tick_key_by_r
@@ -895,6 +952,317 @@ class VectorFlitNetwork:
             thr[r] = _NO_TICK
             subtot[r] = 0
             gmask_of[r] = 0
+
+    # ------------------------------------------------------------------
+    def _promote(self) -> None:
+        """Move the mutable columns into NumPy arrays, once, before the
+        engine's first array step.  The scalar code (injections, the
+        loop phases of later small steps) indexes them through
+        memoryviews, so both paths share one truth."""
+        np = _np
+        A = _Arrays()
+        for name in _ARRAY_COLUMNS:
+            column = np.array(getattr(self, name), dtype=np.int64)
+            setattr(A, name[1:], column)
+            setattr(self, name, memoryview(column))
+        slots = np.arange(self.N, dtype=np.int64)
+        A.router_of = slots // self.SPR
+        A.sidx = slots % self.SPR
+        A.link = np.array(self._link, dtype=np.int64)
+        #: XY output port by (sign(dx) + 1, sign(dy) + 1): the ports of
+        #: Mesh.port_rows, computed instead of gathered
+        A.xy_port = np.array(((WEST,) * 3, (NORTH, LOCAL, SOUTH),
+                              (EAST,) * 3), dtype=np.int64)
+        #: per-router scratch, zero between steps
+        A.tick_base = np.zeros(self.R, dtype=np.int64)
+        A.subtot = np.zeros(self.R, dtype=np.int64)
+        #: packet lengths and destinations, grown as packets are made
+        A.plen = np.zeros(1024, dtype=np.int64)
+        A.pdst = np.zeros(1024, dtype=np.int64)
+        A.npk = 0
+        self._arrays = A
+
+    def _packet_arrays(self, A: _Arrays):
+        """``(plen, pdst)`` arrays covering every packet made so far."""
+        n, m = len(self._plen), A.npk
+        if n > m:
+            if n > len(A.plen):
+                size = max(n, 2 * len(A.plen))
+                for name in ("plen", "pdst"):
+                    grown = _np.zeros(size, dtype=_np.int64)
+                    grown[:m] = getattr(A, name)[:m]
+                    setattr(A, name, grown)
+            A.plen[m:n] = self._plen[m:n]
+            A.pdst[m:n] = self._pdst[m:n]
+            A.npk = n
+        return A.plen, A.pdst
+
+    def _array_step(self, tau: int, bucket: _Bucket) -> None:  # noqa: C901
+        """:meth:`_step`'s phases as NumPy array operations (a big step).
+
+        The phases and their order are the loop path's; so are every
+        key and every tie-break (DESIGN.md §13, "The array path").
+        Injections, local deliveries and ``"lcred"`` returns stay
+        Python.  Every wake, whatever its source, is a (router, key)
+        candidate; a router's winning wake is its least effective one.
+        """
+        np = _np
+        A = self._arrays
+        SPR, V, cap, R = self.SPR, self.V, self.cap, self.R
+        NO = _NO_TICK
+        base_key = tau << _CYC_SHIFT
+        rof, link = A.router_of, A.link
+        thr_a, thrn_a = A.tick_key_by_r, A.thr_next
+        head_a, cnt_a = A.head, A.cnt
+        bpid_a, bfi_a = A.buf_pid, A.buf_fi
+        active_a, claimed_a, credits_a = A.active, A.claimed, A.credits
+        buffered_a = A.buffered
+        ci_np, ca_np = self._ci_np, self._ca_np
+
+        ticks = bucket.ticks
+        nT = len(ticks)
+        T_r = np.fromiter(ticks, np.int64, nT)
+        T_k = np.fromiter(ticks.values(), np.int64, nT)
+        thr_a[T_r] = T_k
+        thrn_a[T_r] = NO  # consume this tick's pre-late entry
+
+        # ---- 1. pending events: fused wakes, pre-tick injections -----
+        wm = bucket.wake_min
+        if type(wm) is dict:
+            wr = np.fromiter(wm, np.int64, len(wm))
+            wk = np.fromiter(wm.values(), np.int64, len(wm))
+        else:
+            wr, wk = wm
+        thr = self._tick_key_by_r
+        injects = bucket.inj
+        if len(injects) > 1:
+            injects.sort(key=lambda e: e[1])
+        #: (router, key) wakes from the Python injection paths
+        wakes: List[Tuple[int, int]] = []
+        post_inj: List[Tuple] = []
+        for event in injects:
+            if event[1] < thr[event[2]]:
+                self._run_inject(event, tau, wakes)
+            else:
+                post_inj.append(event)
+        self.events_processed += nT + bucket.nev + len(injects)
+        plen_a, pdst_a = self._packet_arrays(A)
+
+        # ---- 2. candidate discovery (before stage 1 mutates) ---------
+        s3 = np.flatnonzero(ci_np)
+        sa = np.flatnonzero(ca_np)
+
+        # ---- 3. stage 1: the j-th head flit of a (router, port) group
+        # in slot order takes the j-th VC of that port free at step start
+        s3 = s3[thr_a[rof[s3]] != NO]
+        pos = s3 * cap + head_a[s3]
+        head_flit = bfi_a[pos] == 0
+        s3, pos = s3[head_flit], pos[head_flit]
+        if s3.size:
+            r3 = rof[s3]
+            dst = pdst_a[bpid_a[pos]]
+            W = self.mesh.width
+            op = A.xy_port[np.sign(dst % W - r3 % W) + 1,
+                           np.sign(dst // W - r3 // W) + 1]
+            ob = r3 * SPR + op * V
+            order = np.argsort(ob, kind="stable")
+            grouped = ob[order]
+            n = grouped.size
+            starts = np.flatnonzero(_run_starts(grouped))
+            j = np.empty(n, dtype=np.int64)
+            j[order] = np.arange(n) - np.repeat(
+                starts, np.diff(np.append(starts, n)))
+            free = claimed_a[ob[:, None] + np.arange(V)] == 0
+            hit = free & (np.cumsum(free, axis=1) == (j + 1)[:, None])
+            got = hit.any(axis=1)
+            s3 = s3[got]
+            ov = ob[got] + hit[got].argmax(axis=1)
+            claimed_a[ov] = 1
+            active_a[s3] = 1
+            ci_np[s3] = False
+            ca_np[s3] = True
+            A.out_port[s3] = op[got]
+            A.out_slot[s3] = ov
+
+        # ---- 4. switch allocation + traversal ------------------------
+        sa = sa[thr_a[rof[sa]] != NO]
+        op = A.out_port[sa]
+        osl = A.out_slot[sa]
+        # eligibility reads the credits as they were before any grant
+        ok = (op == LOCAL) | (credits_a[osl] > 0)
+        sa, op, osl = sa[ok], op[ok], osl[ok]
+        ra = rof[sa]
+        # winners in (router, prio) order: per output port, the least
+        # (sidx - rr) % SPR
+        order = np.argsort(ra * SPR + (A.sidx[sa] - A.rr[ra]) % SPR)
+        port = (ra * 5 + op)[order]
+        by_port = np.argsort(port, kind="stable")
+        grouped = port[by_port]
+        won = by_port[_run_starts(grouped)]
+        won.sort()
+        won = order[won]
+        sw, rw, opw, oslw = sa[won], ra[won], op[won], osl[won]
+        # the per-router schedule() counter: a non-LOCAL grant takes c
+        # (its accept) and c + 1 (its credit return), a LOCAL one c
+        nonlocal_ = opw != LOCAL
+        inc = nonlocal_ + 1
+        end = np.cumsum(inc)
+        first = np.flatnonzero(_run_starts(rw))
+        grants = np.diff(np.append(first, rw.size))
+        c = end - inc - np.repeat(end[first] - inc[first], grants)
+        granted = rw[first]
+        A.subtot[granted] = c[first + grants - 1] + inc[first + grants - 1]
+        # pops: a slot pops at most once a step, a router many times
+        h = head_a[sw]
+        pos = sw * cap + h
+        pid = bpid_a[pos]
+        fi = bfi_a[pos]
+        head_a[sw] = (h + 1) % cap
+        left = cnt_a[sw] - 1
+        cnt_a[sw] = left
+        buffered_a[granted] -= grants
+        tail = fi == plen_a[pid] - 1  # tail flit frees the VC
+        ci_np[sw] = tail & (left > 0)
+        ca_np[sw] = ~tail & (left > 0)
+        active_a[sw[tail]] = 0
+        claimed_a[oslw[tail]] = 0
+        credits_a[oslw[nonlocal_]] -= 1
+        acc_s = link[oslw[nonlocal_]]
+        acc_p, acc_f = pid[nonlocal_], fi[nonlocal_]
+        acc_r, acc_c = rw[nonlocal_], c[nonlocal_]
+        ret_c = c + nonlocal_
+
+        # deliveries fire inside the ticks, in tick-key order
+        ejected = tail & ~nonlocal_
+        if ejected.any():
+            keys = thr_a[rw[ejected]]
+            for p in pid[ejected][np.argsort(keys)].tolist():
+                self._deliver(p, tau)
+
+        # ---- 5. end-of-tick: rr bump, self-wakes ---------------------
+        A.rr[T_r] = (A.rr[T_r] + 1) % SPR
+        busy = buffered_a[T_r] > 0
+        multi = granted[grants >= 2]
+
+        # ---- 6. post-tick arrivals, credits and injections -----------
+        post = bucket.post_acc
+        if len(post):
+            post = np.asarray(post, dtype=np.int64).reshape(-1, 3)
+            self._push(A, post[:, 0], post[:, 1], post[:, 2])
+        if len(bucket.post_cred):
+            credits_a[np.asarray(bucket.post_cred, dtype=np.int64)] += 1
+        for event in post_inj:
+            self._run_inject(event, tau, wakes)
+        self._in_step = False
+        # handler-synchronous sends observed mid-step (co-sim only)
+        if self._deferred_sends:
+            pending = self._deferred_sends
+            self._deferred_sends = []
+            for packet in pending:
+                self._iqueue[packet.src].append(packet)
+                own = base_key + _LATE_OFF + self._late_seq
+                self._late_seq += 1
+                self._try_inject(packet.src, own, wakes)
+
+        # ---- wake resolution -----------------------------------------
+        # a wake is effective iff its router has no tick this cycle or
+        # its key is >= the tick key, and no tick is pending next cycle
+        # already; the self-wake (the tick's own key) always is
+        cand_r = [wr, T_r[busy], multi]
+        cand_k = [wk, T_k[busy], thr_a[multi]]
+        if wakes:
+            py = np.array(wakes, dtype=np.int64)
+            cand_r.append(py[:, 0])
+            cand_k.append(py[:, 1])
+        cand_r = np.concatenate(cand_r)
+        cand_k = np.concatenate(cand_k)
+        t = thr_a[cand_r]
+        eff = ((t == NO) | (cand_k >= t)) & (thrn_a[cand_r] == NO)
+        best = np.full(R, NO, dtype=np.int64)
+        np.minimum.at(best, cand_r[eff], cand_k[eff])
+        win = np.flatnonzero(best != NO)
+        own = best[win]
+
+        # ---- 7. rank this cycle's appenders; materialize keys --------
+        tick_base = A.tick_base
+        if nT or win.size:
+            t = thr_a[win]
+            ext = (own < base_key) & (own != t)
+            keys = np.concatenate((T_k, own[ext]))
+            rank = np.empty(keys.size, dtype=np.int64)
+            rank[np.argsort(keys)] = np.arange(keys.size)
+            child_base = base_key + (rank << _SUB_BITS)
+            tick_base[T_r] = child_base[:nT]
+            if win.size:
+                # late/deferred injections keep their key; a self-wake
+                # is the tick's last schedule(); an external arrival's
+                # wake is its own appender
+                child = own.copy()
+                self_wake = own == t
+                ws = win[self_wake]
+                child[self_wake] = tick_base[ws] + A.subtot[ws]
+                child[ext] = child_base[nT:]
+                self._bucket(tau + 1).ticks.update(
+                    zip(win.tolist(), child.tolist()))
+                thrn_a[win] = child
+
+            if sw.size:
+                nb = self._bucket(tau + 1)
+                # accepts: before the receiver's tick apply now, the
+                # rest arrive post-tick
+                k = tick_base[acc_r] + acc_c
+                dr = rof[acc_s]
+                t = thrn_a[dr]
+                pre = k < t
+                self._push(A, acc_s[pre], acc_p[pre], acc_f[pre])
+                late = ~pre
+                nb.post_acc = np.stack(
+                    (acc_s[late], acc_p[late], acc_f[late]), axis=1)
+                wake = late | (t == NO)
+                wake_r, wake_k = [dr[wake]], [k[wake]]
+                # freed input slots credit upstream next cycle; LOCAL
+                # input ports re-enter the injection path instead
+                k = tick_base[rw] + ret_c
+                lcred = A.sidx[sw] < V  # LOCAL is port 0
+                if lcred.any():
+                    inj = nb.inj
+                    for key, node in zip(k[lcred].tolist(),
+                                         rw[lcred].tolist()):
+                        inj.append(("lcred", key, node))
+                cs = link[sw[~lcred]]
+                k = k[~lcred]
+                dr = rof[cs]
+                t = thrn_a[dr]
+                pre = k < t
+                credits_a[cs[pre]] += 1
+                nb.post_cred = cs[~pre]
+                wake = ~pre | (t == NO)
+                wake_r.append(dr[wake])
+                wake_k.append(k[wake])
+                wake_r = np.concatenate(wake_r)
+                best = np.full(R, NO, dtype=np.int64)
+                np.minimum.at(best, wake_r, np.concatenate(wake_k))
+                routers = np.flatnonzero(best != NO)
+                nb.wake_min = (routers, best[routers])
+                nb.nev += acc_s.size + cs.size
+
+            thrn_a[win] = NO
+
+        # reset threshold + scratch columns (all-zero-between-steps)
+        thr_a[T_r] = NO
+        A.subtot[granted] = 0
+
+    def _push(self, A: _Arrays, s, pid, fi) -> None:
+        """Append one flit to each of the distinct input slots ``s``."""
+        cnt_a = A.cnt
+        pos = s * self.cap + (A.head[s] + cnt_a[s]) % self.cap
+        A.buf_pid[pos] = pid
+        A.buf_fi[pos] = fi
+        cnt_a[s] += 1
+        _np.add.at(A.buffered, A.router_of[s], 1)
+        routed = A.active[s] != 0
+        self._ci_np[s] = ~routed
+        self._ca_np[s] = routed
 
 
 class VectorFlitFabric(Component):

@@ -109,8 +109,13 @@ class Observation:
         )
         if emit is not None:
             network._trace = emit
-        routers = getattr(network, "routers", None)
-        if routers is not None:
+        from ..noc.network import Network
+
+        # the flit fabrics keep an empty ``routers`` for interface parity
+        # and count no hops or port queues: these gauges are the packet
+        # network's only
+        if isinstance(network, Network):
+            routers = network.routers
             reg.gauges(
                 "noc",
                 packets_consumed=lambda: network.packets_consumed,

@@ -1,11 +1,10 @@
 """The pinned uniform flit stream.
 
 Every pinned flit drive draws its packets from this one generator: the
-flit goldens (``tests/test_golden_determinism.py``), the engine and
-shard parity tests, the sharded-drive speed check
-(``scripts/sharded_speedup.py``) and the benchmark's 32x32
-``flit_mesh32`` drive (``perfbench/test_perfbench.py`` checks its plan
-against this one).
+flit goldens and the 16x16 event counts
+(``tests/test_golden_determinism.py``), the vector engine's tests and
+the benchmark's 32x32 ``flit_mesh32`` drive
+(``perfbench/test_perfbench.py`` checks its plan against this one).
 """
 
 from __future__ import annotations

@@ -68,6 +68,19 @@ class TestMain:
         assert names
         assert all("topology=torus" in name for name in names), names
 
+    def test_refused_run_is_one_error_line(self, tmp_path, capsys):
+        """A ReproError raised while the run is built or run (here the
+        vector engine's UnsupportedTrace) ends in one ``error:`` line on
+        stderr and a nonzero exit, not a traceback."""
+        rc = main(["kdtree", "--scale", "0.25", "--flit-engine", "vector",
+                   "--trace-out", str(tmp_path / "t.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "vector flit engine cannot be traced" in captured.err
+        assert not (tmp_path / "t.json").exists()
+
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["vips", "--topology", "hypercube"])

@@ -19,6 +19,7 @@ import hashlib
 import pytest
 
 from repro.config import NocConfig, SystemConfig
+from repro.noc import vecflit
 from repro.noc.engines import make_flit_network
 from repro.noc.flitsim import FlitNetwork
 from repro.noc.network import Network
@@ -218,21 +219,11 @@ def run_packet_uniform():
 
 
 def run_flit_plan(width, plan, drive):
-    """Drive a ``width`` x ``width`` flit mesh through ``plan``; returns
-    the events simulated.  ``drive`` is ``"event"`` or ``"vector"`` for
-    that engine under the kernel, or a shard count for the sharded
-    worker drive."""
-    config = NocConfig(width=width, height=width)
-    if isinstance(drive, int):
-        from repro.noc.shardflit import ShardedFlitNetwork
-
-        net = ShardedFlitNetwork(config, drive)
-        for cycle, src, dst, length in plan:
-            net.send_at(cycle, src, dst, length)
-        net.run(until=2_000_000)
-        return net.events_processed
+    """Drive a ``width`` x ``width`` flit mesh through ``plan`` on the
+    ``drive`` engine (``"event"`` or ``"vector"``) under the kernel;
+    returns the events simulated."""
     sim = Simulator()
-    net = make_flit_network(sim, config, drive)
+    net = make_flit_network(sim, NocConfig(width=width, height=width), drive)
     for cycle, src, dst, length in plan:
         sim.schedule_at(cycle, net.send, src, dst, length)
     sim.run(until=2_000_000)
@@ -254,8 +245,7 @@ PERF_DRIVES = {
         16, _uniform_flit_plan(4800, 256, 8, 11), drive),
 }
 
-#: (drive name, engine or shard count): each flit count on both engines,
-#: and the big mesh on the sharded worker drive as well
+#: (drive name, engine): each flit count on both engines
 PINNED_EVENT_CASES = [
     pytest.param("kernel_chain", None, id="kernel_chain"),
     pytest.param("packet_uniform", None, id="packet_uniform"),
@@ -264,9 +254,6 @@ PINNED_EVENT_CASES = [
       for drive in ("event", "vector")),
     *(pytest.param("flit_big_mesh", drive, id=f"flit_big_mesh-{drive}")
       for drive in ("event", "vector")),
-    *(pytest.param("flit_big_mesh", shards,
-                   id=f"flit_big_mesh-shards{shards}")
-      for shards in (2, 4)),
 ]
 
 
@@ -381,8 +368,8 @@ def fingerprint_perf_workload(name, **workload_kwargs):
 class TestGoldenPerfWorkloads:
     """The stress drives are pinned work: the coherence-stress ones by
     their packet streams, the kernel, packet-NoC and flit ones by their
-    event counts — each flit count on both engines, the big mesh on the
-    sharded worker drive too."""
+    event counts — each flit count on both engines, and on the vector
+    engine with every step on its array phases or on its loops."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PERF_WORKLOADS))
     def test_pinned_fingerprint(self, name):
@@ -392,6 +379,16 @@ class TestGoldenPerfWorkloads:
     @pytest.mark.parametrize("name,drive", PINNED_EVENT_CASES)
     def test_pinned_event_count(self, name, drive):
         assert PERF_DRIVES[name](drive) == GOLDEN_PERF_EVENTS[name]
+
+    @pytest.mark.parametrize("ticks", [0, 1 << 62], ids=["array", "loop"])
+    @pytest.mark.parametrize("name", ["flit_vector_uniform",
+                                      "flit_big_mesh"])
+    def test_pinned_event_count_on_each_step_path(self, name, ticks,
+                                                  monkeypatch):
+        """The 16x16 vector counts hold with every step forced onto the
+        array phases (threshold 0) and with none reaching them."""
+        monkeypatch.setattr(vecflit, "_ARRAY_TICKS", ticks)
+        assert PERF_DRIVES[name]("vector") == GOLDEN_PERF_EVENTS[name]
 
     def test_back_to_back_storms_identical(self):
         """Per-run transaction ids: a second in-process run replays the

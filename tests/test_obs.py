@@ -290,6 +290,33 @@ class TestObservedRun:
         assert plain.extra["sim_events"] == result.extra["sim_events"]
 
 
+class TestObservedFlitRun:
+    @pytest.mark.parametrize("engine", ["event", "vector"])
+    def test_every_registered_noc_gauge_reads(self, engine):
+        """A counters-only flit run snapshots every ``noc/*`` path it
+        registered: the flit fabrics get no packet-router gauges (hops,
+        port queues) they cannot answer."""
+        from repro import ManyCoreSystem, SystemConfig, single_lock_workload
+        from repro.config import NocConfig
+
+        observe = Observation(trace=False)
+        ManyCoreSystem(
+            SystemConfig(
+                noc=NocConfig(width=4, height=4, flit_level=True,
+                              flit_engine=engine),
+                num_threads=16,
+            ),
+            single_lock_workload(8, home_node=5, cs_per_thread=2,
+                                 cs_cycles=50, parallel_cycles=150),
+            primitive="mcs", observe=observe,
+        ).run(max_cycles=20_000_000)
+        registered = {p for p in observe.registry if p.startswith("noc/")}
+        assert "noc/packets_delivered" in registered
+        assert registered == {
+            p for p in observe.counters() if p.startswith("noc/")
+        }
+
+
 class TestApiTraceContext:
     def test_trace_writes_on_exit(self, tmp_path):
         path = tmp_path / "t.json"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.config import NocConfig
 from repro.noc.flitsim import FlitNetwork
-from repro.noc.shardflit import _ShardCore
 from repro.noc.topology import (
     EAST,
     LOCAL,
@@ -126,16 +125,13 @@ class TestXYPortRows:
         cfg = NocConfig(width=width, height=height)
         event = FlitNetwork(Simulator(), cfg)
         vector = VectorFlitNetwork(cfg)
-        cores = [
-            _ShardCore(cfg, band) for band in ((0, 1), (1, 2), (2, height))
-        ]
         for node, row in enumerate(rows):
             assert event.routers[node]._route_row is row
         assert vector._route is rows
-        for core in cores:
-            assert core._route is rows
-            assert core._link is vector._link
-            assert core._router_of is vector._router_of
+        # the slot tables are shared per shape too
+        again = VectorFlitNetwork(cfg)
+        assert again._link is vector._link
+        assert again._router_of is vector._router_of
 
 
 @st.composite

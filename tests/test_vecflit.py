@@ -22,11 +22,17 @@ from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.noc import make_flit_network
 from repro.noc.flitsim import FlitNetwork
-from repro.noc.vecflit import VectorFlitFabric, VectorFlitNetwork
+from repro.noc import vecflit
+from repro.noc.vecflit import HAS_NUMPY, VectorFlitFabric, VectorFlitNetwork
 from repro.perf.workloads import _uniform_flit_plan
 from repro.sim import Simulator, make_rng
 
 from test_golden_determinism import GOLDEN_FLIT
+
+
+#: ``_ARRAY_TICKS`` values that put every step on one path: the array
+#: phases (any step qualifies) or the loops (no step does)
+STEP_PATHS = {"array": 0, "loop": 1 << 62}
 
 
 def _golden_plan(packets=1200):
@@ -139,6 +145,32 @@ class TestVectorGolden:
             len(net.delivered),
         ) == GOLDEN_FLIT
 
+    @pytest.mark.parametrize("path", sorted(STEP_PATHS))
+    @pytest.mark.parametrize("drive", ["cosim", "standalone"])
+    def test_each_step_path_matches_pinned_golden(self, drive, path,
+                                                  monkeypatch):
+        """Both sides of the array threshold replay the golden: every
+        step on the array phases, and every step on the loops."""
+        monkeypatch.setattr(vecflit, "_ARRAY_TICKS", STEP_PATHS[path])
+        cfg = NocConfig(width=8, height=8)
+        if drive == "cosim":
+            sim = Simulator()
+            net = VectorFlitNetwork(cfg, sim=sim)
+            for cycle, src, dst, length in _golden_plan():
+                sim.schedule_at(cycle, net.send, src, dst, length)
+            sim.run(until=2_000_000)
+            events = sim.events_processed
+        else:
+            net = VectorFlitNetwork(cfg)
+            for cycle, src, dst, length in _golden_plan():
+                net.send_at(cycle, src, dst, length)
+            net.run(until=2_000_000)
+            events = net.events_processed
+        assert (_fingerprint(net.delivered), events,
+                len(net.delivered)) == GOLDEN_FLIT
+        # the array phases ran, on NumPy's columns, iff they were forced
+        assert (net._arrays is not None) == (path == "array" and HAS_NUMPY)
+
 
 class TestEngineParity:
     """Property test: event and vector engines are indistinguishable
@@ -146,6 +178,16 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
     def test_random_traffic_parity(self, seed, shape):
+        shape, plan = _random_plan(seed, shape)
+        assert _run_cosim("event", shape, plan) == \
+            _run_cosim("vector", shape, plan)
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="the array phases need NumPy")
+    @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
+    def test_array_path_parity(self, seed, shape, monkeypatch):
+        """The same sweep with every vector step on the array phases
+        (the meshes above are too small to reach the threshold)."""
+        monkeypatch.setattr(vecflit, "_ARRAY_TICKS", STEP_PATHS["array"])
         shape, plan = _random_plan(seed, shape)
         assert _run_cosim("event", shape, plan) == \
             _run_cosim("vector", shape, plan)
@@ -312,6 +354,22 @@ class TestVectorFullSystem:
         assert first.roi_cycles == second.roi_cycles
         assert first.network_packets == second.network_packets
         assert first.extra["sim_events"] == second.extra["sim_events"]
+
+    def test_full_system_is_the_same_on_both_step_paths(self, monkeypatch):
+        """Co-simulation (handler sends deferred to the end of a step,
+        kernel sends between steps) schedules the same on the array
+        phases as on the loops."""
+
+        def run(path):
+            monkeypatch.setattr(vecflit, "_ARRAY_TICKS", STEP_PATHS[path])
+            result = ManyCoreSystem(
+                _flit_system_config("vector"), _lock_workload(),
+                primitive="mcs",
+            ).run(max_cycles=20_000_000)
+            return (result.roi_cycles, result.extra["sim_events"],
+                    result.network_packets, result.cs_completed)
+
+        assert run("array") == run("loop")
 
     def test_full_system_agrees_with_event_engine(self):
         """Full-system runs complete the same work on both engines.
