@@ -4,14 +4,16 @@
 The repository carries two NoC models: the fast packet-granularity model
 the experiments use, and a detailed flit-level model (2-stage speculative
 pipeline, per-VC buffers, credit flow control).  This script compares
-them on zero-load latency, a latency-load curve, and a small full-system
-run, quantifying what the packet model's simplifications cost.
+them on zero-load latency, a latency-load curve, a small full-system
+run and the six quick programs at scale 0.25 (DESIGN.md §2), quantifying
+what the packet model's simplifications cost.
 
 Run:  python examples/noc_fidelity_study.py
 """
 
 from repro.api import Executor, RunSpec, SystemConfig
 from repro.config import NocConfig
+from repro.experiments.common import benchmarks_for
 from repro.noc import Network, latency_load_curve
 from repro.noc.flitsim import FlitNetwork
 from repro.sim import Simulator
@@ -69,10 +71,32 @@ def full_system() -> None:
               f"mean msg latency {result.network_mean_latency:.1f}")
 
 
+def quick_programs() -> None:
+    print("\nFull-system ROI, six quick programs (Original, QSL, "
+          "scale 0.25):")
+    print(f"  {'program':<14} {'packet':>8} {'flit':>8} {'flit/packet':>12}")
+    flit = SystemConfig(noc=NocConfig(flit_level=True))
+    specs = {
+        (name, flit_level): RunSpec(
+            benchmark=name, scale=0.25,
+            config=flit if flit_level else None,
+        )
+        for name in benchmarks_for(quick=True)
+        for flit_level in (False, True)
+    }
+    results = Executor().run(list(specs.values()))
+    for name in benchmarks_for(quick=True):
+        packet, flit_roi = (results[specs[name, level]].roi_cycles
+                            for level in (False, True))
+        print(f"  {name:<14} {packet:>8,} {flit_roi:>8,} "
+              f"{flit_roi / packet:>12.3f}")
+
+
 def main() -> None:
     zero_load_table()
     load_curve()
     full_system()
+    quick_programs()
     print(
         "\nThe packet model tracks the flit model within ~2x on latency\n"
         "while running an order of magnitude faster — adequate for the\n"

@@ -50,7 +50,6 @@ import repro
 from . import _lazy, errors
 from .config import (
     ARBITERS,
-    FLIT_ENGINES,
     MECHANISMS,
     PLACEMENTS,
     PROTOCOL_NAMES,
@@ -108,7 +107,6 @@ __all__ = [
     "ExecutorError",
     "Executor",
     "ExperimentOptions",
-    "FLIT_ENGINES",
     "FaultPlan",
     "FaultSite",
     "LivelockDetected",

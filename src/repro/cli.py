@@ -96,11 +96,10 @@ def axes_parent() -> argparse.ArgumentParser:
     """The argparse parent carrying the shared simulation-axis flags.
 
     One flag per axis of :data:`repro.config.AXES` that has help text —
-    ``--protocol`` / ``--flit-engine`` / ``--topology`` / ``--arbiter``
-    — spelled, typed and documented identically on ``inpg-sim`` and
-    ``inpg-experiments``.  Every flag defaults to ``None``, meaning
-    "keep the config's value" (the paper's MOESI / packet-level / mesh /
-    round-robin defaults).
+    ``--protocol`` / ``--topology`` / ``--arbiter`` — spelled, typed and
+    documented identically on ``inpg-sim`` and ``inpg-experiments``.
+    Every flag defaults to ``None``, meaning "keep the config's value"
+    (the paper's MOESI / mesh / round-robin defaults).
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("simulation axes")
@@ -217,13 +216,16 @@ def main(argv=None) -> int:
         print("error: --trace needs inline execution and cannot be "
               "combined with --remote", file=sys.stderr)
         return 2
+    fault_plan = None
+    if args.faults:
+        from .faults import FaultPlan
+
+        try:
+            fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
+        except ValueError as err:
+            parser.error(f"argument --faults: {err}")
     try:
         executor = executor_from_args(args)
-        fault_plan = None
-        if args.faults:
-            from .faults import FaultPlan
-
-            fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
         options = ExperimentOptions(
             fault_plan=fault_plan,
             watchdog_cycles=args.watchdog,

@@ -344,7 +344,13 @@ class DirectoryController(Component):
     def _on_getx(self, msg: CoherenceMessage) -> None:
         ent = self.entry(msg.addr)
         if ent.busy:
-            if msg.fails_fast and ent.txn is not None:
+            txn = ent.txn
+            # the winner's own next GetX can overtake the Unblock that
+            # closes its transaction (the fabric keeps no per-pair
+            # order, DESIGN.md §12); it waits its turn instead of being
+            # forwarded to itself as a loser
+            if (msg.fails_fast and txn is not None
+                    and msg.requester != txn.winner):
                 self._forward_loser(ent, msg)
             else:
                 self._enqueue(ent, msg)

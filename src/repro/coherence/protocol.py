@@ -553,7 +553,8 @@ def _common_dir_rows() -> Dict:
     table[(B_, _GETX)] = _t(
         B_, "enqueue",
         note="fail-fast losers are forwarded to the in-flight winner "
-             "instead (the paper's Step 3)",
+             "instead (the paper's Step 3); the winner's own GetX, "
+             "overtaking its Unblock, is enqueued",
     )
     table[(B_, _UNBLOCK)] = _t(
         O_, "close_txn", B_, S_, U_,

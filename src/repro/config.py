@@ -78,12 +78,9 @@ class NocConfig:
     #: an ablation knob for the port arbitration model.
     virtual_networks: bool = True
     #: run on the detailed flit-level router model instead of the
-    #: packet-level one (validation mode; ~10x slower, no iNPG support).
+    #: packet-level one (validation mode; ~10x slower, no iNPG or OCOR
+    #: support): the event engine's ``repro.noc.flit_fabric.FlitFabric``
     flit_level: bool = False
-    #: flit-level engine: ``event`` is the per-event reference router,
-    #: ``vector`` the cycle-batched array fabric (``repro.noc.vecflit``,
-    #: bit-exact against the event engine; requires single-cycle links).
-    flit_engine: str = "event"
     #: fabric topology (``repro.noc.topology``): the paper's ``mesh`` by
     #: default; ``torus`` (wraparound XY, dateline VCs) and ``ring``
     #: (bidirectional, shortest direction) for the placement sweeps.
@@ -393,10 +390,6 @@ AXES = (
     Axis("protocol", "protocol", ("moesi", "msi", "mesi"),
          "coherence protocol variant (default: the paper's directory "
          "MOESI)"),
-    # repro.noc.flitsim and repro.noc.vecflit, behind one API
-    Axis("flit_engine", "noc.flit_engine", ("event", "vector"),
-         "run the NoC at flit granularity with this engine ('event' = "
-         "reference, 'vector' = cycle-batched arrays, bit-exact)"),
     # classes in repro.noc.topology
     Axis("topology", "noc.topology", ("mesh", "torus", "ring"),
          "NoC fabric topology (default: the paper's 8x8 mesh; torus/ring "
@@ -411,7 +404,7 @@ AXES = (
          None),
 )
 
-PROTOCOL_NAMES, FLIT_ENGINES, TOPOLOGIES, ARBITERS, PLACEMENTS = (
+PROTOCOL_NAMES, TOPOLOGIES, ARBITERS, PLACEMENTS = (
     axis.choices for axis in AXES
 )
 

@@ -39,8 +39,8 @@ __all__ = [
     "RunTimeout",
     "SimulationError",
     "UnsupportedFaultSite",
+    "UnsupportedMechanism",
     "UnsupportedTopology",
-    "UnsupportedTrace",
 ]
 
 
@@ -128,13 +128,15 @@ class ProtocolViolation(ReproError, AssertionError):
 
 
 class UnsupportedFaultSite(ReproError, ValueError):
-    """A fault plan names sites the active network model cannot honor.
+    """A fault plan names sites the active network cannot honor.
 
-    The flit-level fabrics expose no per-router/per-link hooks, so only
-    ``inject`` sites are installable there; a plan carrying router or
-    link sites is refused up front — with the offending site kinds and
-    the network model named — rather than silently dropped.
-    (``ValueError`` stays a base so legacy handlers keep catching it.)
+    The flit-level fabric exposes no per-router/per-link hooks, so only
+    ``inject`` sites are installable there; on the packet-level network
+    a router or link site must name a router or link of the built
+    topology.  A plan that breaks either rule is refused at install time
+    — with the offending site kinds and the network model named —
+    rather than silently dropped.  (``ValueError`` stays a base so
+    legacy handlers keep catching it.)
     """
 
     def __init__(
@@ -145,7 +147,7 @@ class UnsupportedFaultSite(ReproError, ValueError):
         site_kinds: Tuple[str, ...] = (),
     ):
         super().__init__(message)
-        #: the refusing network model (e.g. ``"flit/vector"``)
+        #: the refusing network model (e.g. ``"flit/event"``)
         self.model = model
         #: the unsupported site kinds in the plan (e.g. ``("router",)``)
         self.site_kinds = tuple(site_kinds)
@@ -179,27 +181,30 @@ class UnsupportedTopology(ReproError, ValueError):
         self.supported = tuple(supported)
 
 
-class UnsupportedTrace(ReproError, ValueError):
-    """The selected network model cannot be traced.
+class UnsupportedMechanism(ReproError, ValueError):
+    """The selected network model cannot run the configured mechanism.
 
-    The vector flit engine advances the whole mesh one cycle per step,
-    so it has no per-event site to emit trace records from.  A traced
-    run on it is refused up front — with the model named — rather than
-    switched to another engine, whose schedule differs (DESIGN.md §13).
-    Counters-only observation (``Observation(trace=False)``) runs on
-    every model.  (``ValueError`` stays a base so generic
-    config-validation handlers keep catching it.)
+    iNPG's big routers inspect and generate packets inside the
+    packet-level routers, and OCOR's lock-request priorities are read by
+    the packet-level port arbiters; the flit-level fabric has neither
+    hook.  A run asking for either there is refused up front — with the
+    model and the mechanism named — rather than run without it.
+    (``ValueError`` stays a base so generic config-validation handlers
+    keep catching it.)
     """
 
     def __init__(
         self,
-        message: str = "this network model cannot be traced",
+        message: str = "mechanism unsupported by this network model",
         *,
         model: Optional[str] = None,
+        mechanism: Optional[str] = None,
     ):
         super().__init__(message)
-        #: the refusing network model (e.g. ``"flit/vector"``)
+        #: the refusing network model (e.g. ``"flit/event"``)
         self.model = model
+        #: the refused mechanism (``"inpg"`` or ``"ocor"``)
+        self.mechanism = mechanism
 
 
 class RunTimeout(ReproError):

@@ -92,7 +92,6 @@ class ExperimentOptions:
     protocol: Optional[str] = None
     topology: Optional[str] = None
     arbiter: Optional[str] = None
-    flit_engine: Optional[str] = None
     #: per-run wall-clock budget (seconds); a timed-out run raises
     #: :class:`~repro.errors.RunTimeout` and is never cached
     timeout_s: Optional[float] = None
@@ -108,10 +107,6 @@ class ExperimentOptions:
     def apply_to_config(self, config: SystemConfig) -> SystemConfig:
         """``config`` with each axis these options set filled in wherever
         ``config`` keeps that axis's default.
-
-        A ``flit_engine`` also turns on ``noc.flit_level``: choosing an
-        engine means running at flit granularity, so mechanisms needing
-        the packet model (iNPG) raise their usual structured errors.
         """
         overrides: Dict = {}
         for axis in AXES:
@@ -121,8 +116,6 @@ class ExperimentOptions:
                 holder = (overrides.setdefault(axis.section, {})
                           if axis.section else overrides)
                 holder[axis.key] = value
-        if "flit_engine" in overrides.get("noc", {}):
-            overrides["noc"]["flit_level"] = True
         return config.with_overrides(**overrides)
 
     def apply_to_spec(self, spec: RunSpec) -> RunSpec:

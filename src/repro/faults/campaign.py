@@ -20,6 +20,9 @@ classified against the fault-free baseline:
 * **no-faults-fired** — the plan never matched a packet (wrong window,
   wrong message type); the campaign flags it so a typo'd plan does not
   masquerade as benign.
+* **refused** — the plan names a router or link the network does not
+  have (``UnsupportedFaultSite`` at install): it never ran, so no
+  detector is credited with it.
 
 Examples::
 
@@ -79,10 +82,12 @@ def classify(
         "plan_fingerprint": plan.fingerprint,
     }
     if failure is not None:
-        row["outcome"] = "detected"
+        refused = failure.error_type == "UnsupportedFaultSite"
+        row["outcome"] = "refused" if refused else "detected"
         row["error"] = failure.error_type
-        row["detector"] = DETECTORS.get(failure.error_type,
-                                        "run failure")
+        if not refused:
+            row["detector"] = DETECTORS.get(failure.error_type,
+                                            "run failure")
         row["message"] = failure.message.splitlines()[0]
         return row
     fired = sum(
@@ -215,6 +220,8 @@ def render_report(report: Dict[str, object]) -> str:
         detail = ""
         if outcome == "detected":
             detail = f"{row['error']} via {row['detector']}"
+        elif outcome == "refused":
+            detail = row["message"]
         elif outcome == "silent-divergence":
             detail = (f"{row['faults_fired']:,} faults fired, "
                       f"roi {row['delta_roi_cycles']:+,} cycles")
@@ -271,11 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     plans = None
     if args.faults:
-        plans = [FaultPlan.parse(text, seed=args.fault_seed)
-                 for text in args.faults]
+        try:
+            plans = [FaultPlan.parse(text, seed=args.fault_seed)
+                     for text in args.faults]
+        except ValueError as err:
+            parser.error(f"argument --faults: {err}")
     report = run_campaign(
         args.benchmark,
         plans,

@@ -68,7 +68,8 @@ class FaultInjector:
         """Wire this plan's sites into ``network`` (packet- or flit-level).
 
         The flit-level fabric models no per-router hooks, so it accepts
-        only ``inject`` sites; router/link sites there raise.
+        only ``inject`` sites; router/link sites there raise, as do
+        router/link sites naming no router or link of the network.
         """
         if self.installed:
             raise ValueError("fault injector is already installed")
@@ -76,8 +77,25 @@ class FaultInjector:
         self._sim = network.sim
         self._network = network
         self._num_nodes = network.mesh.num_nodes
+        model = getattr(network, "fault_model_name", "packet")
         routers = getattr(network, "routers", None) or {}
         if routers:
+            # refuse the whole plan before wrapping anything
+            for node in per_router:
+                if node not in routers:
+                    raise UnsupportedFaultSite(
+                        f"fault site 'router:{node}': no router {node} in "
+                        f"this {len(routers)}-router network",
+                        model=model, site_kinds=("router",),
+                    )
+            for src, dst in per_link:
+                router = routers.get(src)
+                if router is None or dst not in router._grant_handlers:
+                    raise UnsupportedFaultSite(
+                        f"fault site 'link:{src}->{dst}': no link "
+                        f"{src}->{dst} in this network",
+                        model=model, site_kinds=("link",),
+                    )
             faulted = False
             for node, router in routers.items():
                 sites = tuple(wildcard) + tuple(per_router.get(node, ()))
@@ -90,17 +108,13 @@ class FaultInjector:
                 for router in routers.values():
                     router.wire()
             for (src, dst), sites in per_link.items():
-                router = routers.get(src)
-                if router is None or dst not in router._grant_handlers:
-                    raise ValueError(f"no link {src}->{dst} in this mesh")
-                self._wrap_link(router, dst, tuple(sites))
+                self._wrap_link(routers[src], dst, tuple(sites))
         elif wildcard or per_router or per_link:
             kinds = []
             if wildcard or per_router:
                 kinds.append("router")
             if per_link:
                 kinds.append("link")
-            model = getattr(network, "fault_model_name", "flit")
             raise UnsupportedFaultSite(
                 f"the {model} fabric supports only 'inject' fault sites "
                 f"(plan names {'/'.join(kinds)} sites)",

@@ -7,6 +7,9 @@ flit-level validation model — itself available as two bit-exact
 mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`)
 and the cycle-batched vector engine (:mod:`repro.noc.vecflit`), which
 :func:`make_flit_network` (:mod:`repro.noc.engines`) selects by name.
+A full system at flit granularity (``NocConfig(flit_level=True)``) runs
+on the event engine, through :mod:`repro.noc.flit_fabric`; the vector
+engine drives network-only traffic.
 Output-port arbitration is selectable per the ``NocConfig.arbiter`` axis
 (:class:`OutputPort` round-robin or :mod:`repro.noc.arbiter` weighted
 round-robin).  Synthetic traffic patterns and load sweeps live in
@@ -43,7 +46,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "FlitPacket": ".flitsim",
     "FlitRouter": ".flitsim",
     "HAS_NUMPY": ".vecflit",
-    "VectorFlitFabric": ".vecflit",
     "VectorFlitNetwork": ".vecflit",
     "make_flit_network": ".engines",
 })
@@ -66,7 +68,6 @@ __all__ = [
     "Topology",
     "Torus",
     "TrafficResult",
-    "VectorFlitFabric",
     "VectorFlitNetwork",
     "WeightedRoundRobinArbiter",
     "WrrOutputPort",

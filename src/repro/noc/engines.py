@@ -1,4 +1,4 @@
-"""The flit-engine axis: one factory for the standalone flit networks.
+"""The flit engines: one factory for the standalone flit networks.
 
 :func:`make_flit_network` imports only the engine it is asked for, so
 building the event-driven reference loads neither NumPy nor the vector

@@ -7,13 +7,17 @@ on it for high-fidelity validation runs::
 
     cfg = SystemConfig(noc=NocConfig(flit_level=True))
 
-Limitations (by design — this is a validation mode):
+This is the one full-system flit fabric.  Its virtual channels keep no
+per-pair packet order, as GARNET's do not (DESIGN.md §12).
+
+Limitations (by design — this is a validation mode); a system asking
+for either mechanism raises :class:`~repro.errors.UnsupportedMechanism`:
 
 * **No iNPG.**  Big-router packet inspection hooks exist only in the
-  packet-level model; enabling iNPG with ``flit_level`` raises.
-* **No priority arbitration / virtual-network classes** — the flit model
-  arbitrates round-robin per physical router, so OCOR's packet
-  priorities are ignored (its home-queue ordering still applies).
+  packet-level model.
+* **No OCOR.**  The flit model arbitrates round-robin per physical
+  router, with no priority arbitration or virtual-network classes, so
+  OCOR's packet priorities would be ignored.
 """
 
 from __future__ import annotations
@@ -40,18 +44,15 @@ class FlitFabric(Component):
     #: names this model in structured fault-refusal errors
     fault_model_name = "flit/event"
 
-    def __init__(self, sim: Simulator, config: NocConfig,
-                 priority_arbitration: bool = False):
+    def __init__(self, sim: Simulator, config: NocConfig):
         super().__init__(sim, "flitfabric")
         self.config = config
         self.fabric = FlitNetwork(sim, config)
         self.mesh: Mesh = self.fabric.mesh
-        self.priority_arbitration = priority_arbitration
         self._endpoints: Dict[int, EndpointHandler] = {}
         self.fabric.on_delivery = self._on_delivery
         self.packets_injected = 0
         self.packets_delivered = 0
-        self.packets_consumed = 0
         #: packets consumed by fault injection (never entered the fabric)
         self.packets_dropped = 0
         self.total_latency = 0
@@ -106,20 +107,6 @@ class FlitFabric(Component):
         handler(shadow)
 
     # ------------------------------------------------------------------
-    # interface parity
-    # ------------------------------------------------------------------
-    def reinject(self, router_node: int, packet: Packet) -> None:
-        raise RuntimeError(
-            "iNPG (in-network packet generation) requires the packet-level "
-            "network model; disable flit_level or iNPG"
-        )
-
-    def consume(self, packet: Packet) -> None:  # pragma: no cover
-        self.packets_consumed += 1
-
-    def big_router_nodes(self) -> list:
-        return []
-
     @property
     def mean_latency(self) -> float:
         if self.packets_delivered == 0:

@@ -10,8 +10,8 @@ discovery (which VCs route-compute, which VCs compete for the switch)
 is a handful of masked NumPy operations over boolean occupancy columns
 (DESIGN.md §13).  The per-flit work — buffer pushes and pops, claims,
 credit bumps, key ranks — has two equivalent forms.  A step with few
-ticking routers (every step of an 8x8 co-simulation) loops over plain
-Python columns, where NumPy call dispatch would cost more than the loop.
+ticking routers (every step of an 8x8 drive) loops over plain Python
+columns, where NumPy call dispatch would cost more than the loop.
 A step with at least ``_ARRAY_TICKS`` ticking routers runs the same
 phases as array operations (:meth:`VectorFlitNetwork._array_step`); the
 engine's first such step moves its columns into NumPy arrays for good.
@@ -20,11 +20,14 @@ Bit-exactness contract
 ======================
 The event engine stays the reference oracle; this engine must replay it
 *event for event* — same delivered-packet stream, same delivery cycles,
-same emulated event count.  Equivalence hinges on reproducing the
-kernel's FIFO bucket order, which the event model's within-cycle
-semantics observably depend on (whether a flit or credit arriving at
-cycle t is visible to a router also ticking at t is decided purely by
-append order).  Every emulated event therefore carries a 64-bit *order
+same emulated event count — on every network drive.  It has no delivery
+callback: a drive injects packets and reads the delivered stream, and
+the full-system flit fabric is the event engine's
+(:class:`~repro.noc.flit_fabric.FlitFabric`).  Equivalence hinges on
+reproducing the kernel's FIFO bucket order, which the event model's
+within-cycle semantics observably depend on (whether a flit or credit
+arriving at cycle t is visible to a router also ticking at t is decided
+purely by append order).  Every emulated event therefore carries a 64-bit *order
 key*::
 
     key = (cycle_scheduled << 24) | (parent_rank << 6) | call_index
@@ -79,13 +82,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import NocConfig
 from ..errors import UnsupportedTopology
-from ..sim import Component, Simulator
+from ..sim import Simulator
 from .engines import make_flit_network  # noqa: F401  (also importable here)
-from .packet import Packet
 from .topology import EAST, LOCAL, NORTH, REVERSE, SOUTH, WEST, Mesh
 
 try:  # pragma: no cover - absence exercised via tests' import shim
@@ -98,7 +100,7 @@ HAS_NUMPY = _np is not None
 #: order-key layout: cycle << _CYC_SHIFT | rank << _SUB_BITS | call index
 _CYC_SHIFT = 24
 _SUB_BITS = 6
-#: offset for co-sim injections applied after their cycle was stepped
+#: offset for kernel-drive sends around their cycle's step
 _LATE_OFF = 1 << 23
 #: pre-run workload injections sort below every run-time key
 _SETUP_BASE = -(1 << 40)
@@ -200,8 +202,8 @@ class _Bucket:
     """One cycle's worth of emulated events, pre-sorted by kind.
 
     Link arrivals and credit returns are *fused*: because next cycle's
-    tick keys are final when a step ends (``link_cycles == 1``; late
-    co-sim sends only add strictly larger keys), the producing step
+    tick keys are final when a step ends (``link_cycles == 1``; a send
+    after the step only adds a strictly larger key), the producing step
     classifies each of them against the receiving tick right away.
     Pre-tick events are applied to the truth columns immediately (the
     columns are not read again until that cycle's step), post-tick
@@ -253,14 +255,15 @@ class VectorFlitNetwork:
     """Cycle-batched flit fabric, API-compatible with ``FlitNetwork``.
 
     Standalone use (the flit goldens and parity tests) drives it with
-    :meth:`send_at` + :meth:`run`.  Co-simulation with the event kernel
-    (full-system runs) passes ``sim`` — the engine registers itself as
+    :meth:`send_at` + :meth:`run`.  A kernel drive (``make_flit_network``,
+    perfbench's ``flit_mesh32``) passes ``sim`` and injects with
+    kernel-scheduled :meth:`send` calls; the engine registers itself as
     the kernel's stepper and is batch-advanced between event buckets
-    (:meth:`Simulator.attach_stepper`).
+    (:meth:`Simulator.attach_stepper`).  Either drive reads the result
+    from :attr:`delivered`.
     """
 
     def __init__(self, config: NocConfig, sim: Optional[Simulator] = None,
-                 on_delivery: Optional[Callable] = None,
                  force_python: bool = False):
         if config.topology != "mesh":
             # port-direction arrays below are indexed by the 5 fixed
@@ -275,7 +278,6 @@ class VectorFlitNetwork:
         self.config = config
         self.mesh = Mesh(config.width, config.height)
         self.sim = sim
-        self.on_delivery = on_delivery
         self._numpy = bool(HAS_NUMPY and not force_python)
 
         R = self.mesh.num_nodes
@@ -342,8 +344,9 @@ class VectorFlitNetwork:
         if config.link_cycles != 1:
             raise ValueError(
                 "the vector flit engine models single-cycle links only "
-                f"(link_cycles={config.link_cycles}); use "
-                "flit_engine='event' for multi-cycle links"
+                f"(link_cycles={config.link_cycles}); the event engine "
+                "(make_flit_network(..., 'event')) models multi-cycle "
+                "links"
             )
 
         # -- injection machinery (mirrors FlitNetwork) -----------------
@@ -363,9 +366,7 @@ class VectorFlitNetwork:
         self._tick_key_by_r = [_NO_TICK] * R
         self._setup_seq = 0
         self._late_seq = 0
-        self._in_step = False
         self._stepped_cycle = -1
-        self._deferred_sends: List[VectorFlitPacket] = []
 
         self.cycle = 0
         self.events_processed = 0
@@ -401,12 +402,6 @@ class VectorFlitNetwork:
              payload: object = None) -> VectorFlitPacket:
         """Inject now (event-engine ``FlitNetwork.send`` semantics)."""
         now = self.sim.cycle if self.sim is not None else self.cycle
-        if self._in_step:
-            # a delivery handler sent synchronously mid-step: apply
-            # after the phases, in arrival order
-            packet = self._new_packet(src, dst, length, payload, now)
-            self._deferred_sends.append(packet)
-            return packet
         return self._late_send(src, dst, length, payload, now)
 
     def run(self, until: Optional[int] = None) -> int:
@@ -447,7 +442,7 @@ class VectorFlitNetwork:
 
         Returns the number of emulated events processed, which the
         kernel folds into ``events_processed``.  ``sim.cycle`` is moved
-        along so delivery handlers observe the correct current cycle.
+        along with each step.
         """
         before = self.events_processed
         while True:
@@ -480,9 +475,9 @@ class VectorFlitNetwork:
         return packet
 
     def _late_send(self, src, dst, length, payload, now) -> VectorFlitPacket:
-        """Injection at an already-stepped cycle (co-sim): the event
-        engine's ``send`` pushes flits into the local VCs synchronously
-        and the woken router ticks next cycle."""
+        """Injection at the current cycle (a kernel-scheduled or direct
+        :meth:`send`): the event engine's ``send`` pushes flits into the
+        local VCs synchronously and the woken router ticks next cycle."""
         self.cycle = max(self.cycle, now)
         packet = self._new_packet(src, dst, length, payload, now)
         self._iqueue[src].append(packet)
@@ -490,7 +485,8 @@ class VectorFlitNetwork:
         # bucket before :meth:`_step` runs ``now``, so this send's wake
         # appends to bucket ``now + 1`` *before* anything the step
         # schedules — key it below ``base_key``.  A send arriving after
-        # the step (a zero-delay handler event) appends last instead.
+        # the step (a direct send after a paused ``run(until=...)``)
+        # appends last instead.
         pre = now > self._stepped_cycle
         if pre:
             key = (now << _CYC_SHIFT) - _LATE_OFF + self._late_seq
@@ -568,8 +564,6 @@ class VectorFlitNetwork:
         packet = self._packets[pid]
         packet.delivered_cycle = now
         self.delivered.append(packet)
-        if self.on_delivery is not None:
-            self.on_delivery(packet)
 
     def _run_inject(self, event, tau: int,
                     wakes: List[Tuple[int, int]]) -> None:
@@ -592,7 +586,6 @@ class VectorFlitNetwork:
         bucket = self._buckets.pop(tau)
         self.cycle = tau
         self._stepped_cycle = tau
-        self._in_step = True
         if self._numpy and len(bucket.ticks) >= _ARRAY_TICKS:
             if self._arrays is None:
                 self._promote()
@@ -629,7 +622,7 @@ class VectorFlitNetwork:
         # everything immediately.  A wake is effective iff the router
         # has no tick this cycle or the key is >= the tick key — the
         # producing step could not know about ticks inserted later by
-        # late co-sim sends, so effectiveness is re-checked here.  A
+        # late sends, so effectiveness is re-checked here.  A
         # tick already pending next cycle (a kernel send's pre-late
         # wake, recorded in thr_next) makes every wake a no-op.
         n_ev += bucket.nev
@@ -829,24 +822,6 @@ class VectorFlitNetwork:
                     bw = bwget(node)
                     if bw is None or own < bw:
                         best_wake[node] = own
-        self._in_step = False
-        # handler-synchronous sends observed mid-step (co-sim only)
-        if self._deferred_sends:
-            pending = self._deferred_sends
-            self._deferred_sends = []
-            wakes = []
-            for packet in pending:
-                self._iqueue[packet.src].append(packet)
-                own = base_key + _LATE_OFF + self._late_seq
-                self._late_seq += 1
-                self._try_inject(packet.src, own, wakes)
-            for node, own in wakes:
-                # late keys exceed every tick key: effective unless a
-                # tick is already pending next cycle (pre-late wake)
-                if thr_next[node] == _NO_TICK:
-                    bw = bwget(node)
-                    if bw is None or own < bw:
-                        best_wake[node] = own
 
         # ---- 7. rank this cycle's appenders; materialize keys --------
         # only ticks and winning wakes append events to future buckets,
@@ -858,7 +833,7 @@ class VectorFlitNetwork:
             # second element only disambiguates same-key impossibles)
             ranked = [(k, r) for r, k in T_items]
             for r, own in best_wake.items():
-                if own < base_key and own != thr[r]:
+                if own != thr[r]:
                     ranked.append((own, ~r))
             ranked.sort()
             tick_base = self._tick_base
@@ -873,14 +848,12 @@ class VectorFlitNetwork:
             # next cycle's ticks first: together with the pre-late
             # kernel-send ticks already recorded in thr_next, the wake
             # winners fully determine them, and the fused arrival
-            # classification below needs them final.  Post-late co-sim
-            # sends only add keys above _LATE_OFF afterwards.
+            # classification below needs them final.  A send after the
+            # step only adds a key above _LATE_OFF afterwards.
             if best_wake:
                 ticks_next = self._bucket(tau + 1).ticks
                 for r, own in best_wake.items():
-                    if own >= base_key:       # late/deferred injection
-                        child = own
-                    elif own == thr[r]:       # end-of-tick self-wake
+                    if own == thr[r]:         # end-of-tick self-wake
                         child = tick_base[r] + subtot[r]
                     else:                     # external arrival's wake
                         child = ext_base[r]
@@ -1153,16 +1126,6 @@ class VectorFlitNetwork:
             credits_a[np.asarray(bucket.post_cred, dtype=np.int64)] += 1
         for event in post_inj:
             self._run_inject(event, tau, wakes)
-        self._in_step = False
-        # handler-synchronous sends observed mid-step (co-sim only)
-        if self._deferred_sends:
-            pending = self._deferred_sends
-            self._deferred_sends = []
-            for packet in pending:
-                self._iqueue[packet.src].append(packet)
-                own = base_key + _LATE_OFF + self._late_seq
-                self._late_seq += 1
-                self._try_inject(packet.src, own, wakes)
 
         # ---- wake resolution -----------------------------------------
         # a wake is effective iff its router has no tick this cycle or
@@ -1186,19 +1149,17 @@ class VectorFlitNetwork:
         # ---- 7. rank this cycle's appenders; materialize keys --------
         tick_base = A.tick_base
         if nT or win.size:
-            t = thr_a[win]
-            ext = (own < base_key) & (own != t)
+            self_wake = own == thr_a[win]
+            ext = ~self_wake
             keys = np.concatenate((T_k, own[ext]))
             rank = np.empty(keys.size, dtype=np.int64)
             rank[np.argsort(keys)] = np.arange(keys.size)
             child_base = base_key + (rank << _SUB_BITS)
             tick_base[T_r] = child_base[:nT]
             if win.size:
-                # late/deferred injections keep their key; a self-wake
-                # is the tick's last schedule(); an external arrival's
-                # wake is its own appender
-                child = own.copy()
-                self_wake = own == t
+                # a self-wake is the tick's last schedule(); an external
+                # arrival's wake is its own appender
+                child = np.empty_like(own)
                 ws = win[self_wake]
                 child[self_wake] = tick_base[ws] + A.subtot[ws]
                 child[ext] = child_base[nT:]
@@ -1264,113 +1225,3 @@ class VectorFlitNetwork:
         self._ci_np[s] = ~routed
         self._ca_np[s] = routed
 
-
-class VectorFlitFabric(Component):
-    """Network-interface-compatible wrapper over ``VectorFlitNetwork``.
-
-    Mirrors :class:`~repro.noc.flit_fabric.FlitFabric` (same counters,
-    endpoint dispatch, fault-injection site, iNPG refusal) with the
-    vectorized engine co-simulated against the kernel.
-    """
-
-    #: injection-site fault filter ``(packet, forward) -> consumed``;
-    #: rebound by ``repro.faults.FaultInjector.install``.  Like the event
-    #: flit fabric, ``inject`` is the only supported site type.
-    _fault_inject = None
-    #: names this model in structured fault-refusal errors
-    fault_model_name = "flit/vector"
-
-    def __init__(self, sim: Simulator, config: NocConfig,
-                 priority_arbitration: bool = False,
-                 force_python: bool = False):
-        super().__init__(sim, "vecflitfabric")
-        self.config = config
-        self.fabric = VectorFlitNetwork(
-            config, sim=sim, on_delivery=self._on_delivery,
-            force_python=force_python,
-        )
-        self.mesh: Mesh = self.fabric.mesh
-        self.priority_arbitration = priority_arbitration
-        self._endpoints: Dict[int, Callable[[Packet], None]] = {}
-        self.packets_injected = 0
-        self.packets_delivered = 0
-        self.packets_consumed = 0
-        #: packets consumed by fault injection (never entered the fabric)
-        self.packets_dropped = 0
-        self.total_latency = 0
-        #: kept for interface parity with Network
-        self.memsys = None
-        self.routers: Dict[int, object] = {}
-
-    # ------------------------------------------------------------------
-    def register_endpoint(self, node: int,
-                          handler: Callable[[Packet], None]) -> None:
-        if node in self._endpoints:
-            raise ValueError(f"endpoint for node {node} already registered")
-        self._endpoints[node] = handler
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: object,
-        size_flits: int = 1,
-        priority: int = 0,
-        origin: Optional[int] = None,
-    ) -> Packet:
-        """Inject a coherence message as a flit-level packet."""
-        shadow = Packet(
-            src=src, dst=dst, payload=payload, size_flits=size_flits,
-            priority=priority, origin=origin if origin is not None else src,
-        )
-        shadow.injected_cycle = self.now
-        self.packets_injected += 1
-        fi = self._fault_inject
-        if fi is not None:
-            if not fi(shadow, self._inject):
-                self._inject(shadow)
-            return shadow
-        self.fabric.send(src, dst, size_flits, payload=shadow)
-        return shadow
-
-    def _inject(self, shadow: Packet) -> None:
-        """Enter the fabric (faulted continuation — ``dst`` may have been
-        corrupted, so re-read it from the shadow packet)."""
-        self.fabric.send(shadow.src, shadow.dst, shadow.size_flits,
-                         payload=shadow)
-
-    def _on_delivery(self, flit_packet: VectorFlitPacket) -> None:
-        shadow: Packet = flit_packet.payload
-        shadow.delivered_cycle = self.now
-        self.packets_delivered += 1
-        self.total_latency += shadow.latency
-        handler = self._endpoints.get(shadow.dst)
-        if handler is None:
-            raise RuntimeError(f"no endpoint registered at node {shadow.dst}")
-        handler(shadow)
-
-    # ------------------------------------------------------------------
-    # interface parity
-    # ------------------------------------------------------------------
-    def reinject(self, router_node: int, packet: Packet) -> None:
-        raise RuntimeError(
-            "iNPG (in-network packet generation) requires the packet-level "
-            "network model; disable flit_level or iNPG"
-        )
-
-    def consume(self, packet: Packet) -> None:  # pragma: no cover
-        self.packets_consumed += 1
-
-    def big_router_nodes(self) -> list:
-        return []
-
-    @property
-    def mean_latency(self) -> float:
-        if self.packets_delivered == 0:
-            return 0.0
-        return self.total_latency / self.packets_delivered
-
-    @property
-    def in_flight(self) -> int:
-        return (self.packets_injected - self.packets_delivered
-                - self.packets_dropped)

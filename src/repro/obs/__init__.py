@@ -111,8 +111,8 @@ class Observation:
             network._trace = emit
         from ..noc.network import Network
 
-        # the flit fabrics keep an empty ``routers`` for interface parity
-        # and count no hops or port queues: these gauges are the packet
+        # the flit fabric keeps an empty ``routers`` for interface parity
+        # and counts no hops or port queues: these gauges are the packet
         # network's only
         if isinstance(network, Network):
             routers = network.routers

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .config import SystemConfig
-from .errors import DeadlockError, UnsupportedTrace
+from .errors import DeadlockError, UnsupportedMechanism
 from .coherence.memsystem import MemorySystem
 from .cpu.os_model import OsModel
 from .cpu.thread import WorkerThread
@@ -92,29 +92,20 @@ class ManyCoreSystem:
         # separate virtual networks guarantee); OCOR only changes the
         # priorities lock request packets carry.
         if config.noc.flit_level:
-            if config.inpg.enabled:
-                raise ValueError(
-                    "iNPG requires the packet-level network model; "
-                    "disable noc.flit_level or inpg"
-                )
-            if config.noc.flit_engine == "vector":
-                # the vector engine batches whole cycles, so there is no
-                # per-event site to emit trace records from; counters
-                # attach as on any fabric
-                if observe is not None and observe.trace_enabled:
-                    raise UnsupportedTrace(
-                        "the vector flit engine cannot be traced; trace "
-                        "the event engine or observe counters only "
-                        "(Observation(trace=False))",
-                        model="flit/vector",
+            # iNPG's big routers and OCOR's request priorities live in
+            # the packet-level routers and ports; the flit routers have
+            # no hook for either
+            for mechanism, name in (("inpg", "iNPG"), ("ocor", "OCOR")):
+                if getattr(config, mechanism).enabled:
+                    raise UnsupportedMechanism(
+                        f"{name} needs the packet-level network; the "
+                        f"flit/event fabric cannot run it (disable "
+                        f"noc.flit_level or {name})",
+                        model="flit/event", mechanism=mechanism,
                     )
-                from .noc.vecflit import VectorFlitFabric
+            from .noc.flit_fabric import FlitFabric
 
-                self.network = VectorFlitFabric(self.sim, config.noc)
-            else:
-                from .noc.flit_fabric import FlitFabric
-
-                self.network = FlitFabric(self.sim, config.noc)
+            self.network = FlitFabric(self.sim, config.noc)
         else:
             self.network = Network(
                 self.sim,

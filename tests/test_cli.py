@@ -70,16 +70,47 @@ class TestMain:
 
     def test_refused_run_is_one_error_line(self, tmp_path, capsys):
         """A ReproError raised while the run is built or run (here the
-        vector engine's UnsupportedTrace) ends in one ``error:`` line on
+        wall-clock budget's RunTimeout) ends in one ``error:`` line on
         stderr and a nonzero exit, not a traceback."""
-        rc = main(["kdtree", "--scale", "0.25", "--flit-engine", "vector",
+        rc = main(["kdtree", "--scale", "0.25", "--timeout", "0.001",
                    "--trace-out", str(tmp_path / "t.json")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        assert "vector flit engine cannot be traced" in captured.err
+        assert "wall-clock budget exhausted" in captured.err
         assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("site,named", [
+        ("router:999", "no router 999"),
+        ("link:0->63", "no link 0->63"),
+    ])
+    def test_fault_site_outside_the_mesh_is_one_error_line(
+            self, site, named, capsys):
+        """A router or link fault site the mesh does not have is refused
+        (UnsupportedFaultSite), not ignored and not a traceback."""
+        rc = main(["kdtree", "--scale", "0.25", "--no-cache",
+                   "--faults", f"drop:1@{site}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: fault site '{site}'")
+        assert captured.err.count("\n") == 1
+        assert named in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tool", ["inpg-sim", "inpg-faults"])
+    def test_malformed_fault_plan_is_a_usage_error(self, tool, capsys):
+        from repro.faults.campaign import main as faults_main
+
+        run = {"inpg-sim": main, "inpg-faults": faults_main}[tool]
+        with pytest.raises(SystemExit) as excinfo:
+            run(["kdtree", "--faults", "bogus:1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"{tool}: error: argument --faults: unknown fault kind "
+            "'bogus' (one of ('drop', 'duplicate', 'corrupt', 'delay'))")
+        assert "Traceback" not in err
 
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):
@@ -144,17 +175,12 @@ class TestSharedFlagVocabulary:
                 if "--jobs" in action.option_strings:
                     assert "-j" in action.option_strings, name
 
-    def test_flit_engine_spelled_identically(self):
-        base = self._flag_help(self._parsers()["inpg-sim"], "--flit-engine")
-        assert base is not None and base.startswith(
-            "run the NoC at flit granularity")
-
     def test_trace_with_remote_rejected(self):
         rc = main(["vips", "--trace", "--remote", "http://127.0.0.1:1"])
         assert rc == 2
 
     def test_axis_flags_shared_between_sim_and_experiments(self):
-        """All four simulation axes (repro.api.describe_axes) are spelled
+        """All three simulation axes (repro.api.describe_axes) are spelled
         identically — same flag, same help, same choices — on inpg-sim
         and inpg-experiments."""
         from repro.api import describe_axes
@@ -186,7 +212,7 @@ class TestSharedFlagVocabulary:
             config=SystemConfig().with_overrides(
                 protocol="msi",
                 noc={"topology": "torus", "arbiter": "wrr",
-                     "flit_engine": "vector", "wrr_weights": (3, 1)},
+                     "wrr_weights": (3, 1)},
                 inpg={"placement": "center"},
             ),
         )
@@ -195,7 +221,6 @@ class TestSharedFlagVocabulary:
         assert decoded.fingerprint == spec.fingerprint
         resolved = decoded.resolved_config()
         assert resolved.protocol == "msi"
-        assert resolved.noc.flit_engine == "vector"
         assert resolved.noc.topology == "torus"
         assert resolved.noc.arbiter == "wrr"
         assert resolved.inpg.placement == "center"

@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import (
     ARBITERS,
-    FLIT_ENGINES,
     MECHANISMS,
     PLACEMENTS,
     PROTOCOL_NAMES,
@@ -120,13 +119,12 @@ class TestAxisVocabulary:
         assert cfg.noc.arbiter == ARBITERS[0]
         assert cfg.inpg.placement == PLACEMENTS[0]
         assert cfg.protocol == PROTOCOL_NAMES[0]
-        assert cfg.noc.flit_engine == FLIT_ENGINES[0]
 
     def test_describe_axes_is_consistent(self):
         axes = describe_axes()
-        # the four CLI-reachable axes; big-router placement is config-only
-        assert set(axes) == {"protocol", "flit_engine", "topology",
-                             "arbiter"}
+        # the three CLI-reachable axes; big-router placement is
+        # config-only
+        assert set(axes) == {"protocol", "topology", "arbiter"}
         for name, axis in axes.items():
             assert axis["default"] == axis["choices"][0], name
             section, _, field = axis["config_field"].partition(".")
@@ -158,8 +156,7 @@ class TestConfigFromDict:
     def test_every_axis_round_trips_through_json(self):
         config = SystemConfig().with_overrides(
             protocol="mesi",
-            noc={"flit_level": True, "flit_engine": "vector",
-                 "topology": "torus", "arbiter": "wrr",
+            noc={"flit_level": True, "topology": "torus", "arbiter": "wrr",
                  "wrr_weights": (3, 1)},
             inpg={"placement": "perimeter"},
         )

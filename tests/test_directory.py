@@ -114,3 +114,79 @@ class TestDirectoryBookkeeping:
         mem.dirs[home].handle(stale)
         sim.run()
         assert not ent.busy  # unchanged, no crash
+
+
+class TestWinnerGetXOvertakingItsUnblock:
+    def test_second_rmw_completes_without_a_self_fwd_fail(self):
+        """A fabric that keeps no per-pair order can deliver a winner's
+        next fail-fast GetX to the home before the Unblock that closes
+        the winner's transaction (DESIGN.md §12).  Hold that Unblock
+        back until the GetX has reached the home: the GetX must wait
+        for the transaction to close, not come back to its sender as a
+        FwdFail that parks the RMW for a commit that never comes."""
+        sim, mem = make_system()
+        home, winner, loser = 6, 1, 9
+        addr = mem.addr_for_home(home)
+        directory = mem.dirs[home]
+        # far sharers keep the first transaction open long enough for
+        # the loser's FwdFail to reach the winner before its commit
+        for core in (3, 12, 15):
+            mem.load(core, addr, lambda v: None)
+        sim.run()
+
+        fwd_fails = []
+        send = mem.send
+
+        def recording_send(src, dst, msg, data_packet=False):
+            if msg.mtype is MessageType.FWD_FAIL:
+                fwd_fails.append((dst, msg.requester))
+            send(src, dst, msg, data_packet)
+
+        mem.send = recording_send
+
+        held, released = [], []
+        on_unblock, on_getx = directory._on_unblock, directory._on_getx
+
+        def holding_unblock(msg):
+            if msg.requester == winner and not held:
+                held.append(msg)
+            else:
+                on_unblock(msg)
+
+        def releasing_getx(msg):
+            on_getx(msg)
+            if msg.requester == winner and held and not released:
+                released.append(held[0])
+                on_unblock(held[0])
+
+        directory._on_unblock = holding_unblock
+        directory._on_getx = releasing_getx
+
+        def occupied(value):
+            return value == 1
+
+        done = []
+
+        def first_done(value):
+            done.append(("first", value))
+            # sharing a copy with the loser demoted the winner's line,
+            # so this RMW misses and sends a GetX while the Unblock is
+            # still held back
+            mem.rmw(winner, addr, lambda old: (2, old),
+                    lambda v: done.append(("second", v)), fails_if=occupied)
+
+        mem.rmw(winner, addr, lambda old: (1, old), first_done,
+                fails_if=occupied)
+        sim.run(until=sim.cycle + 2)
+        mem.rmw(loser, addr, lambda old: (1, old),
+                lambda v: done.append(("loser", v)), fails_if=occupied)
+        sim.run()
+
+        assert (winner, loser) in fwd_fails  # a real loser was forwarded
+        assert released  # the GetX reached the home before the Unblock
+        assert [dst for dst, requester in fwd_fails if dst == requester] == []
+        assert ("loser", 1) in done
+        assert ("second", 1) in done
+        assert mem.read(addr) == 2
+        ent = directory.entry(addr)
+        assert not ent.busy and ent.owner == winner

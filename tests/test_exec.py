@@ -90,12 +90,11 @@ class TestAxisFingerprints:
         ("protocol", "moesi", ("msi", "mesi")),
         ("topology", "mesh", ("torus", "ring")),
         ("arbiter", "rr", ("wrr",)),
-        ("flit_engine", "event", ("vector",)),
         ("placement", "spread", ("center", "perimeter")),
     ]
     #: the config section holding each axis (None: top level)
     SECTIONS = {"protocol": None, "topology": "noc", "arbiter": "noc",
-                "flit_engine": "noc", "placement": "inpg"}
+                "placement": "inpg"}
 
     @classmethod
     def spec(cls, axis, value):
@@ -126,17 +125,18 @@ class TestAxisFingerprints:
             assert f"{field}={value}" in spec.label()
         assert len(prints) == 1 + len(values)
 
-    def test_flit_engine_axis_same_convention(self):
-        flit = SystemConfig(noc=NocConfig(flit_level=True))
-        base = RunSpec(benchmark="vips", mechanism="original", config=flit)
-        event = RunSpec(
-            benchmark="vips", mechanism="original",
-            config=flit.with_overrides(noc={"flit_engine": "event"}))
-        vector = RunSpec(
-            benchmark="vips", mechanism="original",
-            config=flit.with_overrides(noc={"flit_engine": "vector"}))
-        assert event.fingerprint == base.fingerprint
-        assert vector.fingerprint != base.fingerprint
+    def test_flit_level_spec_keeps_its_address(self):
+        """Flit-level specs keep the addresses they had while
+        ``NocConfig.shards`` and ``NocConfig.flit_engine`` existed and
+        their defaults were elided."""
+        spec = RunSpec(
+            benchmark="bwaves",
+            config=SystemConfig(noc=NocConfig(flit_level=True)),
+        )
+        assert spec.fingerprint == (
+            "bdd1e7eac225756b1179a0571a48e769ecde7859a151b5b4872bef1e8a999028"
+        )
+        assert "shards" not in spec.canonical_payload()["config"]["noc"]
 
     def test_placement_axis_same_convention(self):
         inpg = RunSpec(benchmark="vips", mechanism="inpg")

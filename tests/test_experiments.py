@@ -72,13 +72,10 @@ class TestAxisOverlay:
     def test_overlay_fills_default_axes_only(self):
         from repro.config import SystemConfig
 
-        opts = ExperimentOptions(protocol="msi", topology="torus",
-                                 flit_engine="vector")
+        opts = ExperimentOptions(protocol="msi", topology="torus")
         filled = opts.apply_to_config(SystemConfig())
         assert filled.protocol == "msi"
         assert filled.noc.topology == "torus"
-        # choosing an engine means running at flit granularity
-        assert filled.noc.flit_level and filled.noc.flit_engine == "vector"
         pinned = SystemConfig().with_overrides(protocol="mesi",
                                                noc={"topology": "ring"})
         kept = opts.apply_to_config(pinned)
@@ -439,8 +436,6 @@ class TestAxisOptionsKeepEveryAddress:
         ("protocol", "moesi"): ("176c87ab06a50868", 353),
         ("protocol", "msi"): ("c70fea74cab18524", 353),
         ("protocol", "mesi"): ("983d9c48865a08fc", 353),
-        ("flit_engine", "event"): ("7997e591919031c7", 377),
-        ("flit_engine", "vector"): ("be8016ebcf418caa", 377),
         ("topology", "mesh"): ("a9564eec30690a13", 329),
         ("topology", "torus"): ("d659aa374cf97027", 329),
         ("topology", "ring"): ("420976c7013a4b0a", 329),

@@ -33,7 +33,6 @@ DATA = {
     "ALL_PROFILES": "repro.workloads.profiles:ALL_PROFILES",
     "ARBITERS": "repro.config:ARBITERS",
     "CONTINUE": "repro.noc.router:CONTINUE",
-    "FLIT_ENGINES": "repro.config:FLIT_ENGINES",
     "HAS_NUMPY": "repro.noc.vecflit:HAS_NUMPY",
     "MECHANISMS": "repro.config:MECHANISMS",
     "OMP2012": "repro.workloads.profiles:OMP2012",

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import LockSpinConfig, NocConfig, SystemConfig
-from repro.errors import LivelockDetected
+from repro.errors import LivelockDetected, UnsupportedFaultSite
 from repro.exec import RunSpec, execute_spec
 from repro.faults import FaultInjector, FaultPlan, parse_site
 from repro.noc.network import Network
@@ -168,8 +168,25 @@ class TestInjectorMechanics:
 
     def test_unknown_link_raises_at_install(self):
         _, net, _ = self._network()
-        with pytest.raises(ValueError, match="no link"):
+        with pytest.raises(ValueError, match="no link") as excinfo:
             FaultInjector(FaultPlan.parse("drop:1@link:0->5")).install(net)
+        assert isinstance(excinfo.value, UnsupportedFaultSite)
+        assert excinfo.value.model == "packet"
+        assert excinfo.value.site_kinds == ("link",)
+        assert "'link:0->5'" in str(excinfo.value)
+
+    def test_router_outside_the_mesh_raises_at_install(self):
+        """A router site the mesh does not have is refused, not
+        ignored, and nothing of the plan is installed."""
+        sim, net, delivered = self._network()
+        plan = FaultPlan.parse("drop:1@router:15,drop:1@router:16")
+        with pytest.raises(UnsupportedFaultSite) as excinfo:
+            FaultInjector(plan).install(net)
+        assert excinfo.value.site_kinds == ("router",)
+        assert "'router:16'" in str(excinfo.value)
+        net.send(0, 15, "x")
+        sim.run()
+        assert len(delivered) == 1
 
     def test_double_install_rejected(self):
         _, net, _ = self._network()
@@ -418,3 +435,19 @@ class TestCampaign:
         assert report["outcomes"]["detected"] >= 1
         text = render_report(report)
         assert "detected" in text and "drop:1/Inv#500.." in text
+
+    def test_plan_naming_no_router_is_refused_not_detected(self):
+        """A site outside the mesh is refused at install; the campaign
+        reports the plan as refused instead of crediting a detector."""
+        from repro.faults.campaign import render_report, run_campaign
+
+        report = run_campaign(
+            plans=[FaultPlan.parse("drop:1@router:999")],
+            threads=8, home=5, use_cache=False,
+        )
+        [row] = report["rows"]
+        assert row["outcome"] == "refused"
+        assert row["error"] == "UnsupportedFaultSite"
+        assert "detector" not in row
+        assert report["outcomes"] == {"refused": 1}
+        assert "no router 999" in render_report(report)

@@ -291,19 +291,17 @@ class TestObservedRun:
 
 
 class TestObservedFlitRun:
-    @pytest.mark.parametrize("engine", ["event", "vector"])
-    def test_every_registered_noc_gauge_reads(self, engine):
+    def test_every_registered_noc_gauge_reads(self):
         """A counters-only flit run snapshots every ``noc/*`` path it
-        registered: the flit fabrics get no packet-router gauges (hops,
-        port queues) they cannot answer."""
+        registered: the flit fabric gets no packet-router gauges (hops,
+        port queues) it cannot answer."""
         from repro import ManyCoreSystem, SystemConfig, single_lock_workload
         from repro.config import NocConfig
 
         observe = Observation(trace=False)
         ManyCoreSystem(
             SystemConfig(
-                noc=NocConfig(width=4, height=4, flit_level=True,
-                              flit_engine=engine),
+                noc=NocConfig(width=4, height=4, flit_level=True),
                 num_threads=16,
             ),
             single_lock_workload(8, home_node=5, cs_per_thread=2,

@@ -2,11 +2,11 @@
 
 The vector engine's whole claim is *bit-exactness*: it must replay the
 event-driven reference (:mod:`repro.noc.flitsim`) delivery for delivery
-under every drive — standalone ``send_at``/``run``, kernel co-simulation
-via ``schedule_at``, NumPy and pure-Python paths.  These tests pin that
-claim against the committed flit golden, property-check it on randomized
-traffic, and cover the engine's refusals (multi-cycle links, router/link
-fault sites) and the system-level selection and tracing rules.
+under every drive — standalone ``send_at``/``run``, kernel-scheduled
+``send`` via ``schedule_at``, NumPy and pure-Python paths.  These tests
+pin that claim against the committed flit golden, property-check it on
+randomized traffic, and cover the engine's refusals (multi-cycle links,
+unknown engine names).
 """
 
 import contextlib
@@ -15,15 +15,11 @@ import sys
 
 import pytest
 
-from repro import ManyCoreSystem, SystemConfig, single_lock_workload
-from repro.config import FLIT_ENGINES, NocConfig
-from repro.errors import ReproError, UnsupportedFaultSite, UnsupportedTrace
-from repro.faults import FaultPlan
-from repro.faults.injector import FaultInjector
+from repro.config import NocConfig
 from repro.noc import make_flit_network
 from repro.noc.flitsim import FlitNetwork
 from repro.noc import vecflit
-from repro.noc.vecflit import HAS_NUMPY, VectorFlitFabric, VectorFlitNetwork
+from repro.noc.vecflit import HAS_NUMPY, VectorFlitNetwork
 from repro.perf.workloads import _uniform_flit_plan
 from repro.sim import Simulator, make_rng
 
@@ -67,6 +63,20 @@ def _run_cosim(engine, shape, plan, force_python=False):
         for p in net.delivered
     ]
     return stream, sim.cycle, sim.events_processed
+
+
+def _run_plan_drive(shape, plan):
+    """The plan drive (``send_at`` + one ``run``) on a ``(width,
+    height)`` mesh; returns its trace in :func:`_run_cosim`'s shape."""
+    net = VectorFlitNetwork(NocConfig(width=shape[0], height=shape[1]))
+    for cycle, src, dst, length in plan:
+        net.send_at(cycle, src, dst, length)
+    net.run(until=2_000_000)
+    stream = [
+        (p.src, p.dst, p.length, p.injected_cycle, p.delivered_cycle)
+        for p in net.delivered
+    ]
+    return stream, net.cycle, net.events_processed
 
 
 #: mesh shapes (width, height) the parity tests drive besides the
@@ -199,6 +209,19 @@ class TestEngineParity:
         assert _run_cosim("event", shape, plan) == \
             _run_cosim("vector", shape, plan, force_python=True)
 
+    @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
+    def test_plan_drive_parity(self, seed, shape, monkeypatch):
+        """Seed and shape sweep: the plan drive replays the
+        kernel-driven event reference exactly (same stream, same final
+        cycle, same event count) with every step on the array phases
+        and with every step on the loops."""
+        shape, plan = _random_plan(seed, shape)
+        reference = _run_cosim("event", shape, plan)
+        for path, ticks in sorted(STEP_PATHS.items()):
+            monkeypatch.setattr(vecflit, "_ARRAY_TICKS", ticks)
+            assert _run_plan_drive(shape, plan) == reference, \
+                f"seed={seed} {path}"
+
 
 @contextlib.contextmanager
 def vecflit_without_numpy():
@@ -263,156 +286,3 @@ class TestEngineGuards:
         )
         with pytest.raises(ValueError, match="unknown flit engine"):
             make_flit_network(sim, cfg, "bogus")
-
-    def test_config_validates_engine_axis(self):
-        assert NocConfig(flit_engine="vector").flit_engine == "vector"
-        with pytest.raises(ValueError, match="flit engine"):
-            NocConfig(flit_engine="simd")
-        assert set(FLIT_ENGINES) == {"event", "vector"}
-
-    def test_default_engine_keeps_spec_fingerprints(self):
-        """Spelling out flit_engine='event' must not re-address cached
-        results; 'vector' is a different run and must."""
-        from repro.exec import RunSpec
-
-        def spec(**noc_kw):
-            return RunSpec(
-                benchmark="bwaves",
-                config=SystemConfig(noc=NocConfig(flit_level=True, **noc_kw)),
-            )
-
-        assert spec().fingerprint == spec(flit_engine="event").fingerprint
-        assert spec().fingerprint != spec(flit_engine="vector").fingerprint
-
-
-def _lock_workload():
-    return single_lock_workload(
-        8, home_node=5, cs_per_thread=2, cs_cycles=50, parallel_cycles=150
-    )
-
-
-def _flit_system_config(engine):
-    return SystemConfig(
-        noc=NocConfig(width=4, height=4, flit_level=True,
-                      flit_engine=engine),
-        num_threads=16,
-    )
-
-
-class TestVectorFullSystem:
-    def test_vector_fabric_is_selected(self):
-        system = ManyCoreSystem(
-            _flit_system_config("vector"), _lock_workload(), primitive="mcs"
-        )
-        assert isinstance(system.network, VectorFlitFabric)
-
-    def test_counters_only_observation_keeps_the_vector_engine(self):
-        """Observing counters runs the vector engine, and the run is the
-        unobserved vector run."""
-        from repro.obs import Observation
-
-        observe = Observation(trace=False)
-        system = ManyCoreSystem(
-            _flit_system_config("vector"), _lock_workload(),
-            primitive="mcs", observe=observe,
-        )
-        assert isinstance(system.network, VectorFlitFabric)
-        observed = system.run(max_cycles=20_000_000)
-        plain = ManyCoreSystem(
-            _flit_system_config("vector"), _lock_workload(), primitive="mcs"
-        ).run(max_cycles=20_000_000)
-        assert (observed.roi_cycles, observed.extra["sim_events"]) == \
-            (plain.roi_cycles, plain.extra["sim_events"])
-        counters = observe.counters()
-        assert counters["noc/packets_delivered"] == plain.network_packets
-
-    def test_traced_run_is_refused_not_switched(self):
-        """Tracing has no per-event site inside a batched cycle, so a
-        traced vector run raises a structured error naming the engine
-        instead of running another engine's schedule."""
-        from repro.obs import Observation
-
-        with pytest.raises(UnsupportedTrace) as excinfo:
-            ManyCoreSystem(
-                _flit_system_config("vector"), _lock_workload(),
-                primitive="mcs", observe=Observation(label="t"),
-            )
-        assert excinfo.value.model == "flit/vector"
-        assert isinstance(excinfo.value, ReproError)
-
-    def test_full_system_is_deterministic(self):
-        """Vector full-system runs are a pure function of their config:
-        two fresh builds replay each other exactly."""
-
-        def run():
-            return ManyCoreSystem(
-                _flit_system_config("vector"), _lock_workload(),
-                primitive="mcs",
-            ).run(max_cycles=20_000_000)
-
-        first, second = run(), run()
-        assert first.roi_cycles == second.roi_cycles
-        assert first.network_packets == second.network_packets
-        assert first.extra["sim_events"] == second.extra["sim_events"]
-
-    def test_full_system_is_the_same_on_both_step_paths(self, monkeypatch):
-        """Co-simulation (handler sends deferred to the end of a step,
-        kernel sends between steps) schedules the same on the array
-        phases as on the loops."""
-
-        def run(path):
-            monkeypatch.setattr(vecflit, "_ARRAY_TICKS", STEP_PATHS[path])
-            result = ManyCoreSystem(
-                _flit_system_config("vector"), _lock_workload(),
-                primitive="mcs",
-            ).run(max_cycles=20_000_000)
-            return (result.roi_cycles, result.extra["sim_events"],
-                    result.network_packets, result.cs_completed)
-
-        assert run("array") == run("loop")
-
-    def test_full_system_agrees_with_event_engine(self):
-        """Full-system runs complete the same work on both engines.
-
-        Network-level drives are bit-exact (the golden tests above), but
-        a full system feeds deliveries back into injections *mid-cycle*:
-        the event engine interleaves those per tick while the batched
-        engine orders them per phase, so the two executions are distinct
-        valid schedules — close, not identical (see DESIGN.md §13)."""
-        event = ManyCoreSystem(
-            _flit_system_config("event"), _lock_workload(), primitive="mcs"
-        ).run(max_cycles=20_000_000)
-        vector = ManyCoreSystem(
-            _flit_system_config("vector"), _lock_workload(), primitive="mcs"
-        ).run(max_cycles=20_000_000)
-        assert vector.cs_completed == event.cs_completed == 16
-        assert abs(vector.roi_cycles - event.roi_cycles) \
-            <= 0.15 * event.roi_cycles
-        assert abs(vector.network_mean_latency - event.network_mean_latency) \
-            <= 0.25 * event.network_mean_latency
-
-
-class TestVectorFaults:
-    def test_router_sites_refused_structurally(self):
-        fabric = VectorFlitFabric(Simulator(), NocConfig(width=4, height=4))
-        plan = FaultPlan.parse("drop:1@router:3", seed=1)
-        with pytest.raises(UnsupportedFaultSite) as excinfo:
-            FaultInjector(plan).install(fabric)
-        assert excinfo.value.model == "flit/vector"
-        assert excinfo.value.site_kinds == ("router",)
-
-    def test_inject_sites_apply(self):
-        """Injection-site faults work as a filter in front of the fabric:
-        a drop-everything plan delivers nothing."""
-        sim = Simulator()
-        fabric = VectorFlitFabric(sim, NocConfig(width=4, height=4))
-        for n in range(16):
-            fabric.register_endpoint(n, lambda p: None)
-        FaultInjector(FaultPlan.parse("drop:1@inject", seed=1)).install(fabric)
-        for src in range(4):
-            fabric.send(src, 15, payload="x", size_flits=2)
-        sim.run(until=100_000)
-        assert fabric.packets_injected == 4
-        assert fabric.packets_dropped == 4
-        assert fabric.packets_delivered == 0
-        assert fabric.in_flight == 0
