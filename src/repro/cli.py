@@ -17,13 +17,17 @@ axis of :data:`repro.config.AXES`), so one flag is spelled, typed and
 documented identically everywhere, and :func:`executor_from_args` turns
 the parsed flags into the right executor — in-process by default, a
 :class:`~repro.serve.client.RemoteExecutor` when ``--remote`` names a
-running ``inpg-serve``.
+running ``inpg-serve``.  The workload flags of ``inpg-sim``,
+``inpg-trace`` and ``inpg-faults`` share the argparse types below
+(:func:`benchmark_name` ... :func:`home_node`), so a bad value is a
+usage error at parse time, never a traceback or a silent run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import (
@@ -31,14 +35,15 @@ from .config import (
     MECHANISMS,
     PRIMITIVES,
     Axis,
+    NocConfig,
     SystemConfig,
     canonical_primitive,
     describe_axes,
 )
 from .errors import ReproError
-from .exec import Executor, RunSpec
+from .exec import MICROBENCH, Executor, RunSpec
 from .experiments.common import ExperimentOptions
-from .workloads.profiles import ALL_PROFILES
+from .workloads.profiles import ALL_PROFILES, get_profile
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +146,62 @@ def executor_from_args(args, *, retries: int = 0, on_error: str = "raise",
     )
 
 
+# ----------------------------------------------------------------------
+# Shared workload-flag types (inpg-sim, inpg-trace, inpg-faults)
+# ----------------------------------------------------------------------
+#: the default mesh, which every tool builds
+MESH = NocConfig()
+
+
+def benchmark_name(text: str) -> str:
+    """A benchmark's full or short name (``inpg-sim --list``), or
+    ``microbench``; returned as given."""
+    if text != MICROBENCH:
+        try:
+            get_profile(text)
+        except KeyError:
+            raise argparse.ArgumentTypeError(
+                f"unknown benchmark {text!r} (see inpg-sim --list)") from None
+    return text
+
+
+def primitive_name(text: str) -> str:
+    """A lock primitive or paper alias, resolved (``TTL`` -> ``ticket``)."""
+    try:
+        return canonical_primitive(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def positive_scale(text: str) -> float:
+    """A finite workload scale above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
+    return value
+
+
+def thread_count(text: str) -> int:
+    """Competing threads, one per core: 1 up to the mesh's node count."""
+    value = int(text)
+    if not 1 <= value <= MESH.num_nodes:
+        raise argparse.ArgumentTypeError(
+            f"{value} threads on the {MESH.width}x{MESH.height} mesh; "
+            f"choose 1..{MESH.num_nodes}")
+    return value
+
+
+def home_node(text: str) -> int:
+    """A node of the mesh."""
+    value = int(text)
+    if not 0 <= value < MESH.num_nodes:
+        raise argparse.ArgumentTypeError(
+            f"no node {value} on the {MESH.width}x{MESH.height} mesh; "
+            f"choose 0..{MESH.num_nodes - 1}")
+    return value
+
+
 def footer_cache_dir(executor) -> str:
     """The ``cache_dir`` string the execution-summary footer prints."""
     directory = executor.cache.directory
@@ -157,20 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[execution_parent(), axes_parent()],
     )
     parser.add_argument(
-        "benchmark",
+        "benchmark", type=benchmark_name,
         help="benchmark name (see --list), or 'microbench' for the "
              "single-lock all-compete scenario",
     )
     parser.add_argument("--mechanism", default="original",
                         choices=list(MECHANISMS))
-    parser.add_argument("--primitive", default="qsl",
+    parser.add_argument("--primitive", default="qsl", type=primitive_name,
                         help=f"one of {PRIMITIVES} (or paper alias TTL)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=positive_scale, default=1.0,
                         help="workload scale factor")
     parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--threads", type=int, default=64,
+    parser.add_argument("--threads", type=thread_count, default=64,
                         help="microbench: competing threads")
-    parser.add_argument("--home", type=int, default=53,
+    parser.add_argument("--home", type=home_node, default=53,
                         help="microbench: lock home node")
     parser.add_argument("--faults", default=None, metavar="PLAN",
                         help="deterministic fault plan, e.g. "
@@ -210,7 +271,6 @@ def main(argv=None) -> int:
                   f"group-relevant short name: {profile.short_name})")
         return 0
     args = parser.parse_args(argv)
-    primitive = canonical_primitive(args.primitive)
     traced = args.trace or args.trace_out is not None
     if traced and args.remote:
         print("error: --trace needs inline execution and cannot be "
@@ -236,7 +296,7 @@ def main(argv=None) -> int:
             spec = RunSpec.microbench(
                 home_node=args.home,
                 mechanism=args.mechanism,
-                primitive=primitive,
+                primitive=args.primitive,
                 seed=args.seed,
                 config=SystemConfig(num_threads=args.threads),
             )
@@ -244,7 +304,7 @@ def main(argv=None) -> int:
             spec = RunSpec(
                 benchmark=args.benchmark,
                 mechanism=args.mechanism,
-                primitive=primitive,
+                primitive=args.primitive,
                 scale=args.scale,
                 seed=args.seed,
             )
@@ -270,7 +330,7 @@ def main(argv=None) -> int:
         print(json.dumps(run_result_to_dict(result), indent=2))
     else:
         summary = result.summary()
-        print(f"{args.benchmark} [{args.mechanism}/{primitive}]")
+        print(f"{args.benchmark} [{args.mechanism}/{args.primitive}]")
         for key, value in summary.items():
             print(f"  {key:<18} {value:,.2f}")
     if args.gantt:

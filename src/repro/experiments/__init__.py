@@ -31,7 +31,6 @@ from .common import (
     execute,
     format_table,
     get_executor,
-    resolve_options,
     run_mechanism_matrix,
     set_executor,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "cached_run",
     "claims",
     "execute",
-    "resolve_options",
     "get_executor",
     "run_mechanism_matrix",
     "set_executor",

@@ -18,7 +18,6 @@ from .common import (
     ExperimentOptions,
     execute,
     format_table,
-    resolve_options,
 )
 
 #: (label, raw_spin, directory_nacks)
@@ -71,7 +70,7 @@ def _spec(raw_spin: bool, nacks: bool, mechanism: str) -> RunSpec:
 
 
 def run(options: "ExperimentOptions" = None) -> AblationResult:
-    opts = resolve_options(options)
+    opts = options or ExperimentOptions()
     result = AblationResult()
     specs = {
         (label, mech): _spec(raw_spin, nacks, mech)

@@ -25,7 +25,6 @@ from .common import (
     arithmetic_mean,
     execute,
     format_table,
-    resolve_options,
 )
 
 #: the two-case comparison each protocol reruns (the full four-mechanism
@@ -107,9 +106,8 @@ class ProtocolAblationResult:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> ProtocolAblationResult:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> ProtocolAblationResult:
+    opts = options or ExperimentOptions()
     benches = opts.benchmarks()
     protocols = (
         (opts.protocol,) if opts.protocol is not None else PROTOCOL_NAMES

@@ -33,7 +33,6 @@ from .common import (
     arithmetic_mean,
     execute,
     format_table,
-    resolve_options,
 )
 
 #: the two-case comparison each (topology, placement) cell reruns
@@ -133,11 +132,10 @@ class TopologyAblationResult:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None,
+def run(options: "ExperimentOptions" = None, *,
         benchmarks: Optional[Tuple[str, ...]] = None,
         ) -> TopologyAblationResult:
-    opts = resolve_options(options, quick=quick, scale=scale)
+    opts = options or ExperimentOptions()
     benches = tuple(benchmarks) if benchmarks else opts.benchmarks()
     topologies = (
         (opts.topology,) if opts.topology is not None else TOPOLOGIES

@@ -60,12 +60,8 @@ def set_executor(executor: Executor) -> Executor:
 class ExperimentOptions:
     """The knobs every figure harness shares, in one keyword-only value.
 
-    Historically each ``run()`` grew its own ``quick=``/``scale=``
-    defaults; the unified signature is ``run(options=None, *, ...)``
-    with per-figure extras staying keyword-only.  The legacy ``quick=``
-    and ``scale=`` keywords completed their deprecation cycle and now
-    raise a :class:`TypeError` with migration instructions (see
-    :func:`resolve_options`).
+    Every harness's signature is ``run(options=None, *, ...)``, with
+    per-figure extras keyword-only.
 
     The robustness knobs ride here too, so fault campaigns and resilient
     sweeps configure ``simulate()`` / ``run_plan()`` / every ``fig*``
@@ -166,36 +162,6 @@ class ExperimentOptions:
             "retries": self.retries,
             "on_error": self.on_error,
         }
-
-
-def resolve_options(
-    options: Optional[ExperimentOptions] = None,
-    *,
-    quick: Optional[bool] = None,
-    scale: Optional[float] = None,
-) -> ExperimentOptions:
-    """Resolve the harness options, rejecting the removed legacy kwargs.
-
-    The ``quick=``/``scale=`` keywords went through a deprecation cycle
-    (accepted with a ``DeprecationWarning`` through the previous
-    releases); they now fail loudly with migration instructions.  The
-    parameters stay in every ``run()`` signature so old call sites get
-    this message instead of an opaque unexpected-keyword ``TypeError``.
-    """
-    opts = options if options is not None else ExperimentOptions()
-    if quick is not None or scale is not None:
-        passed = ", ".join(
-            f"{name}={value!r}"
-            for name, value in (("quick", quick), ("scale", scale))
-            if value is not None
-        )
-        raise TypeError(
-            f"the quick=/scale= keywords were removed after their "
-            f"deprecation cycle; replace run({passed}) with "
-            f"run(ExperimentOptions({passed})) "
-            f"(from repro.experiments.common import ExperimentOptions)"
-        )
-    return opts
 
 
 def execute(

@@ -17,7 +17,6 @@ from .common import (
     ExperimentOptions,
     execute,
     format_table,
-    resolve_options,
 )
 
 #: paper's motivational benchmark trio
@@ -72,9 +71,9 @@ class Fig2Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
+def run(options: "ExperimentOptions" = None, *,
         benchmarks=BENCHMARKS) -> Fig2Result:
-    opts = resolve_options(options, scale=scale)
+    opts = options or ExperimentOptions()
     specs = {
         (bench, prim): RunSpec(
             benchmark=bench, mechanism="original", primitive=prim,

@@ -17,7 +17,6 @@ from .common import (
     ExperimentOptions,
     execute,
     format_table,
-    resolve_options,
 )
 
 
@@ -69,9 +68,8 @@ class Fig8Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig8Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig8Result:
+    opts = options or ExperimentOptions()
     result = Fig8Result()
     specs = {
         bench: RunSpec(

@@ -18,7 +18,6 @@ from .common import (
     ExperimentOptions,
     execute,
     format_table,
-    resolve_options,
 )
 
 BENCHMARK = "freqmine"
@@ -84,11 +83,10 @@ class Fig9Result:
 def run(
     options: "ExperimentOptions" = None,
     *,
-    scale: float = None,
     window_cycles: int = WINDOW_CYCLES,
     threads=THREADS_SHOWN,
 ) -> Fig9Result:
-    opts = resolve_options(options, scale=scale)
+    opts = options or ExperimentOptions()
     result = Fig9Result(window=(0, window_cycles))
     specs = {
         mech: RunSpec(

@@ -22,7 +22,6 @@ from .common import (
     ExperimentOptions,
     execute,
     format_table,
-    resolve_options,
 )
 
 #: the paper's lock home: core (5,6) on the 8x8 mesh
@@ -96,7 +95,7 @@ def run(options: "ExperimentOptions" = None, *, cs_per_thread: int = 2,
 
     from ..config import LockSpinConfig
 
-    opts = resolve_options(options)
+    opts = options or ExperimentOptions()
     if seed is None:
         seed = opts.seed
     result = Fig10Result()

@@ -18,7 +18,6 @@ from .common import (
     arithmetic_mean,
     by_group,
     format_table,
-    resolve_options,
     run_mechanism_matrix,
 )
 
@@ -82,9 +81,8 @@ class Fig11Result:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig11Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig11Result:
+    opts = options or ExperimentOptions()
     result = Fig11Result()
     benches = opts.benchmarks()
     matrix = run_mechanism_matrix(benches, primitive="qsl", options=opts)

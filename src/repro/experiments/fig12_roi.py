@@ -17,7 +17,6 @@ from .common import (
     arithmetic_mean,
     by_group,
     format_table,
-    resolve_options,
     run_mechanism_matrix,
 )
 
@@ -89,9 +88,8 @@ class Fig12Result:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig12Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig12Result:
+    opts = options or ExperimentOptions()
     result = Fig12Result()
     benches = opts.benchmarks()
     matrix = run_mechanism_matrix(benches, primitive="qsl", options=opts)

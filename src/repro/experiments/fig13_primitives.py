@@ -18,7 +18,6 @@ from .common import (
     arithmetic_mean,
     execute,
     format_table,
-    resolve_options,
 )
 
 PAPER_REDUCTION = {
@@ -58,9 +57,8 @@ class Fig13Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig13Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig13Result:
+    opts = options or ExperimentOptions()
     result = Fig13Result()
     benches = opts.benchmarks()
     specs = {

@@ -18,7 +18,6 @@ from .common import (
     arithmetic_mean,
     execute,
     format_table,
-    resolve_options,
 )
 
 DEPLOYMENTS = (0, 4, 16, 32, 64)
@@ -52,10 +51,9 @@ class Fig14Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None,
+def run(options: "ExperimentOptions" = None, *,
         deployments: Sequence[int] = DEPLOYMENTS) -> Fig14Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+    opts = options or ExperimentOptions()
     scale = opts.scale
     result = Fig14Result(deployments=deployments)
     base_cfg = SystemConfig()

@@ -20,7 +20,6 @@ from .common import (
     arithmetic_mean,
     execute,
     format_table,
-    resolve_options,
 )
 
 MESH_DIMS = (2, 4, 8, 16)
@@ -57,12 +56,10 @@ class Fig15Result:
 def run(
     options: "ExperimentOptions" = None,
     *,
-    scale: float = None,
-    quick: bool = None,
     dims: Sequence[int] = MESH_DIMS,
     table_sizes: Sequence[int] = TABLE_SIZES,
 ) -> Fig15Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+    opts = options or ExperimentOptions()
     scale = opts.scale
     result = Fig15Result(dims=dims, table_sizes=table_sizes)
     benches = opts.benchmarks()

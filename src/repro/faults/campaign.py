@@ -40,13 +40,16 @@ import sys
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..cli import execution_parent, footer_cache_dir
-from ..config import (
-    PRIMITIVES,
-    LockSpinConfig,
-    SystemConfig,
-    canonical_primitive,
+from ..cli import (
+    benchmark_name,
+    execution_parent,
+    footer_cache_dir,
+    home_node,
+    positive_scale,
+    primitive_name,
+    thread_count,
 )
+from ..config import MECHANISMS, PRIMITIVES, LockSpinConfig, SystemConfig
 from ..exec import Executor, RunSpec
 from .plan import FaultPlan
 
@@ -246,20 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[execution_parent()],
     )
     parser.add_argument("benchmark", nargs="?", default="microbench",
+                        type=benchmark_name,
                         help="benchmark name or 'microbench' (default)")
     parser.add_argument("--faults", nargs="+", default=None, metavar="PLAN",
                         help="fault plan strings (each is one campaign "
                              "row), e.g. 'drop:1/Inv#2000..'; default: a "
                              "representative plan per fault kind")
     parser.add_argument("--fault-seed", type=int, default=0)
-    parser.add_argument("--primitive", default="qsl",
+    parser.add_argument("--primitive", default="qsl", type=primitive_name,
                         help=f"one of {PRIMITIVES} (or paper alias TTL)")
-    parser.add_argument("--mechanism", default="original")
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--mechanism", default="original",
+                        choices=list(MECHANISMS))
+    parser.add_argument("--scale", type=positive_scale, default=1.0)
     parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--threads", type=int, default=64,
+    parser.add_argument("--threads", type=thread_count, default=64,
                         help="microbench: competing threads")
-    parser.add_argument("--home", type=int, default=53,
+    parser.add_argument("--home", type=home_node, default=53,
                         help="microbench: lock home node")
     parser.add_argument("--watchdog", type=int, default=50_000,
                         metavar="CYCLES",
@@ -290,7 +295,7 @@ def main(argv=None) -> int:
     report = run_campaign(
         args.benchmark,
         plans,
-        primitive=canonical_primitive(args.primitive),
+        primitive=args.primitive,
         mechanism=args.mechanism,
         scale=args.scale,
         seed=args.seed,

@@ -20,7 +20,8 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from ..config import MECHANISMS, PRIMITIVES, canonical_primitive
+from ..cli import benchmark_name, positive_scale, primitive_name
+from ..config import MECHANISMS, PRIMITIVES
 from ..exec import RunSpec
 from ..exec.executor import execute_spec
 from . import DEFAULT_CAPACITY, Observation
@@ -35,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "benchmarks", nargs="+", metavar="BENCHMARK",
+        type=benchmark_name,
         help="benchmark name(s); each becomes one process group in the "
              "combined trace",
     )
@@ -44,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="mechanism(s) to run each benchmark under (repeatable; "
              "default: inpg)",
     )
-    parser.add_argument("--primitive", default="qsl",
+    parser.add_argument("--primitive", default="qsl", type=primitive_name,
                         help=f"one of {PRIMITIVES} (or paper alias TTL)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=positive_scale, default=1.0,
                         help="workload scale factor")
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument("-o", "--out", default="trace.json", metavar="PATH",
@@ -67,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    primitive = canonical_primitive(args.primitive)
     mechanisms = args.mechanisms or ["inpg"]
 
     runs = []
@@ -75,7 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for mechanism in mechanisms:
             spec = RunSpec(
                 benchmark=benchmark, mechanism=mechanism,
-                primitive=primitive, scale=args.scale, seed=args.seed,
+                primitive=args.primitive, scale=args.scale, seed=args.seed,
             )
             observe = Observation(
                 trace_capacity=args.capacity, label=spec.label()

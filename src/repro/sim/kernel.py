@@ -198,10 +198,11 @@ class Simulator:
         through every pending cycle <= ``limit``, returning how many
         emulated events were processed — folded into
         :attr:`events_processed`).  The run loop advances the stepper
-        *before* processing an event bucket at the same cycle, one
-        stepper cycle per iteration, so callbacks the stepper triggers
-        (delivery handlers scheduling kernel events) interleave exactly
-        as per-event scheduling would.
+        one stepper cycle per iteration, and only to a cycle strictly
+        before the next event bucket: at equal cycles the bucket runs
+        first, because sends scheduled at cycle c (``schedule_at(c,
+        net.send, ...)``) must run before that cycle's step, as the
+        event engine orders its bucket.
         """
         if self._stepper is not None and self._stepper is not stepper:
             raise SimulationError("a stepper is already attached")
@@ -253,11 +254,10 @@ class Simulator:
                 knext = cycles[0] if cycles else None
                 if stepper is not None:
                     # kernel-first at equal cycles: sends scheduled via
-                    # ``schedule_at(c, ...)`` land before cycle-c router
-                    # ticks, exactly as the event engine orders its
-                    # bucket.  One stepper cycle per iteration, so work
-                    # the stepper triggers (delivery handlers scheduling
-                    # events) is re-examined before it advances again.
+                    # ``schedule_at(c, ...)`` must run before the cycle-c
+                    # step, exactly as the event engine orders its
+                    # bucket.  One stepper cycle per iteration, then the
+                    # next bucket is re-examined.
                     snext = stepper.next_cycle()
                     if (
                         snext is not None

@@ -1,10 +1,45 @@
-"""Tests for the inpg-sim command-line interface."""
+"""Tests for the inpg-sim command line and what every inpg-* tool shares."""
 
+import importlib
 import json
+import pathlib
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import describe_axes
+from repro.faults.campaign import main as faults_main
+from repro.obs.cli import main as trace_main
+
+#: the entry point of each tool sharing the workload-flag types
+TOOLS = {"inpg-sim": main, "inpg-trace": trace_main,
+         "inpg-faults": faults_main}
+
+#: (tool, argv, the flag refused): a workload flag no run can honour
+BAD_WORKLOAD_FLAGS = [
+    ("inpg-sim", "bogus", "benchmark"),
+    ("inpg-trace", "bogus", "BENCHMARK"),
+    ("inpg-faults", "bogus", "benchmark"),
+    ("inpg-sim", "kdtree --primitive bogus", "--primitive"),
+    ("inpg-trace", "kdtree --primitive bogus", "--primitive"),
+    ("inpg-faults", "--primitive bogus", "--primitive"),
+    ("inpg-faults", "--mechanism bogus", "--mechanism"),
+    ("inpg-sim", "microbench --threads 100", "--threads"),
+    ("inpg-sim", "microbench --threads 0", "--threads"),
+    ("inpg-faults", "--threads 65", "--threads"),
+    ("inpg-faults", "--threads 0", "--threads"),
+    ("inpg-sim", "microbench --home 999", "--home"),
+    ("inpg-sim", "microbench --home -1", "--home"),
+    ("inpg-faults", "--home 64", "--home"),
+    ("inpg-sim", "kdtree --scale -1", "--scale"),
+    ("inpg-sim", "kdtree --scale 0", "--scale"),
+    ("inpg-sim", "kdtree --scale nan", "--scale"),
+    ("inpg-trace", "kdtree --scale -1", "--scale"),
+    ("inpg-trace", "kdtree --scale 0", "--scale"),
+    ("inpg-faults", "--scale -1", "--scale"),
+    ("inpg-faults", "--scale 0", "--scale"),
+]
 
 
 class TestParser:
@@ -100,17 +135,42 @@ class TestMain:
 
     @pytest.mark.parametrize("tool", ["inpg-sim", "inpg-faults"])
     def test_malformed_fault_plan_is_a_usage_error(self, tool, capsys):
-        from repro.faults.campaign import main as faults_main
-
-        run = {"inpg-sim": main, "inpg-faults": faults_main}[tool]
         with pytest.raises(SystemExit) as excinfo:
-            run(["kdtree", "--faults", "bogus:1"])
+            TOOLS[tool](["kdtree", "--faults", "bogus:1"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == (
             f"{tool}: error: argument --faults: unknown fault kind "
             "'bogus' (one of ('drop', 'duplicate', 'corrupt', 'delay'))")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "tool,argv,flag", BAD_WORKLOAD_FLAGS,
+        ids=[f"{tool} {argv}" for tool, argv, _ in BAD_WORKLOAD_FLAGS])
+    def test_bad_workload_flag_is_a_usage_error(self, tool, argv, flag,
+                                                capsys):
+        """A workload flag no run can honour is refused at parse time:
+        a usage error, not a traceback, a wrapped node or a silent run."""
+        with pytest.raises(SystemExit) as excinfo:
+            TOOLS[tool](argv.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: {tool}")
+        [error] = [line for line in captured.err.splitlines()
+                   if "error:" in line]
+        assert error.startswith(f"{tool}: error: argument {flag}: ")
+        assert "Traceback" not in captured.err
+
+    def test_workload_flags_keep_valid_values(self):
+        args = build_parser().parse_args([
+            "microbench", "--threads", "64", "--home", "63",
+            "--primitive", "TTL", "--scale", "0.5"])
+        assert (args.benchmark, args.threads, args.home, args.primitive,
+                args.scale) == ("microbench", 64, 63, "ticket", 0.5)
+        args = build_parser().parse_args(["fluid", "--threads", "1",
+                                          "--home", "0"])
+        assert (args.benchmark, args.threads, args.home) == ("fluid", 1, 0)
 
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):
@@ -121,6 +181,51 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "freqmine" in out and "kdtree" in out
+
+
+class TestCheckedRunPerAxisValue:
+    """Two protocol-checked runs per value of every CLI axis, read from
+    ``describe_axes()`` so a value added to an AXES row is covered with
+    no edit.  The topology values also run the microbench under the WRR
+    arbiter, so both NoC axes meet.  A strict protocol violation ends
+    the run with exit 1.  The flit-level runs are
+    ``tests/test_flit_fabric.py``'s."""
+
+    @pytest.mark.parametrize("flag,value", [
+        (axis["flag"], value) for axis in describe_axes().values()
+        for value in axis["choices"]
+    ])
+    def test_checked_runs_exit_clean(self, flag, value, capsys):
+        extra = ["--arbiter", "wrr"] if flag == "--topology" else []
+        assert main(["kdtree", "--scale", "0.25", "--mechanism", "inpg",
+                     "--no-cache", "--check-protocol", flag, value]) == 0
+        assert main(["microbench", "--threads", "16", "--home", "5",
+                     "--no-cache", "--check-protocol", flag, value]
+                    + extra) == 0
+        assert capsys.readouterr().err == ""
+
+
+def console_scripts() -> dict:
+    """``[project.scripts]`` of ``pyproject.toml``, read from its text
+    (Python 3.10 has no ``tomllib``): script name -> ``module:attr``."""
+    text = (pathlib.Path(__file__).resolve().parent.parent
+            / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                      re.M | re.S).group(1)
+    return dict(re.findall(r'^([\w-]+)\s*=\s*"([\w.]+:\w+)"', table, re.M))
+
+
+class TestConsoleScripts:
+    def test_every_entry_point_is_callable(self):
+        """An installed script whose ``main`` was renamed or moved fails
+        here first, not only after ``pip install``."""
+        scripts = console_scripts()
+        assert {"inpg-experiments", "inpg-faults", "inpg-serve", "inpg-sim",
+                "inpg-trace"} <= set(scripts)
+        for name, target in scripts.items():
+            module, _, attr = target.partition(":")
+            entry = getattr(importlib.import_module(module), attr, None)
+            assert callable(entry), f"{name} = {target!r}"
 
 
 class TestSharedFlagVocabulary:

@@ -203,14 +203,6 @@ class TestPerRunTxnIds:
         assert self._run_and_collect() == [1, 2, 3, 4, 5]
         assert self._run_and_collect() == [1, 2, 3, 4, 5]
 
-    def test_module_counter_still_monotonic(self):
-        """The deprecated process-global counter keeps its old contract
-        for systemless callers."""
-        from repro.coherence.messages import next_txn_id
-
-        a, b = next_txn_id(), next_txn_id()
-        assert b == a + 1
-
 
 # ----------------------------------------------------------------------
 # Slots lint: hot classes must not grow a __dict__

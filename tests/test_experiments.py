@@ -197,6 +197,25 @@ class TestSimulationExperiments:
         for topo in ("mesh", "torus", "ring"):
             assert topo in out
 
+    def test_protocols_ablation_renders_the_spread(self, monkeypatch,
+                                                   tmp_path):
+        from repro.config import PROTOCOL_NAMES
+        from repro.experiments import ablation_protocol
+
+        # two workers, as ``inpg-experiments protocols --jobs 2``
+        monkeypatch.setattr(common, "_EXECUTOR",
+                            Executor(jobs=2, cache_dir=tmp_path))
+        result = ablation_protocol.run(ExperimentOptions(scale=0.1))
+        assert result.protocols == PROTOCOL_NAMES
+        assert len(result.roi_cycles) == 36
+        for proto in result.protocols:
+            for bench in result.benchmarks():
+                assert result.relative_roi(proto, bench) is not None
+        out = result.render()
+        for proto in PROTOCOL_NAMES:
+            assert f"{proto}: avg iNPG ROI reduction " in out
+        assert "spread across protocols: " in out
+
     def test_topologies_ablation_pins_to_one_topology(self):
         from repro.experiments import ablation_topology
 

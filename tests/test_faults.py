@@ -1,5 +1,6 @@
 """Tests for the deterministic fault-injection subsystem (repro.faults)."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -401,40 +402,39 @@ class TestOptionsPath:
         finally:
             common.set_executor(previous)
 
-    def test_legacy_kwargs_raise_with_migration_message(self):
-        from repro.experiments.common import resolve_options
-
-        with pytest.raises(TypeError, match="ExperimentOptions"):
-            resolve_options(quick=False, scale=0.7)
-
 
 # ----------------------------------------------------------------------
 # Campaign classification
 # ----------------------------------------------------------------------
 class TestCampaign:
-    def test_drop_inv_detected_and_delay_diverges(self, tmp_path):
-        from repro.faults.campaign import render_report, run_campaign
+    def test_drop_inv_detected_and_delay_diverges(self, tmp_path, capsys):
+        """``inpg-faults`` on TAS (fault seed 1) and on its defaults (QSL,
+        fault seed 0): the watchdog detects the dropped Invs, the
+        campaign still finishes under ``on_error=skip``, the footer
+        itemizes the failure, and ``--json`` writes the report."""
+        from repro.faults.campaign import main, render_report
 
-        report = run_campaign(
-            plans=[FaultPlan.parse("drop:1/Inv#500..", seed=1),
-                   FaultPlan.parse("delay:0.5+64", seed=1)],
-            primitive="tas",
-            watchdog_cycles=10_000,
-            max_cycles=2_000_000,
-            threads=16,
-            home=5,
-            use_cache=False,
-        )
-        by_plan = {row["plan"]: row for row in report["rows"]}
-        drop = by_plan["drop:1/Inv#500.."]
-        assert drop["outcome"] == "detected"
-        assert drop["error"] == "LivelockDetected"
-        assert drop["detector"] == "liveness watchdog"
-        delay = by_plan["delay:0.5+64"]
-        assert delay["outcome"] in ("silent-divergence", "detected")
-        assert report["outcomes"]["detected"] >= 1
-        text = render_report(report)
-        assert "detected" in text and "drop:1/Inv#500.." in text
+        path = tmp_path / "campaign.json"
+        for extra in (["--primitive", "tas", "--fault-seed", "1"], []):
+            assert main([
+                "--faults", "drop:1/Inv#500..", "delay:0.5+64",
+                "--threads", "16", "--home", "5", "--watchdog", "10000",
+                "--max-cycles", "2000000", "--no-cache",
+                "--json", str(path)] + extra) == 0
+            out = capsys.readouterr().out
+            report = json.loads(path.read_text())
+            by_plan = {row["plan"]: row for row in report["rows"]}
+            drop = by_plan["drop:1/Inv#500.."]
+            assert drop["outcome"] == "detected"
+            assert drop["error"] == "LivelockDetected"
+            assert drop["detector"] == "liveness watchdog"
+            delay = by_plan["delay:0.5+64"]
+            assert delay["outcome"] in ("silent-divergence", "detected")
+            assert report["outcomes"]["detected"] >= 1
+            assert render_report(report) in out
+            assert "detected" in out and "drop:1/Inv#500.." in out
+            for line in ("failed: ", "FAILED", "on_error=skip"):
+                assert line in report["footer"] and line in out, line
 
     def test_plan_naming_no_router_is_refused_not_detected(self):
         """A site outside the mesh is refused at install; the campaign

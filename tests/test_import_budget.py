@@ -122,7 +122,9 @@ def test_cache_replay_loads_no_simulator(tmp_path):
 
 def test_fig12_replay_loads_only_what_it_reads(tmp_path):
     """The Figure 12 quick harness (small scale), filled by this
-    process, then replayed and rendered in a fresh one."""
+    process, then replayed and rendered in fresh ones: by the harness
+    on one worker, and by ``inpg-experiments`` at ``--jobs 2``, whose
+    full-hit plan must start no pool."""
     options = ExperimentOptions(scale=0.05)
     previous = get_executor()
     set_executor(Executor(jobs=1, cache_dir=tmp_path))
@@ -143,6 +145,20 @@ def test_fig12_replay_loads_only_what_it_reads(tmp_path):
     assert never_loaded(out["modules"]) == []
     ours = [m for m in out["modules"] if m == "repro" or m.startswith("repro.")]
     assert len(ours) <= REPLAY_MODULE_BUDGET, ours
+    argv = ["fig12", "--quick", "--scale", str(options.scale),
+            "--jobs", "2", "--cache-dir", str(tmp_path)]
+    cli = fresh_process(
+        "import contextlib, io\n"
+        "from repro.experiments import runner\n"
+        "stdout = io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout):\n"
+        f"    out['rc'] = runner.main({argv!r})\n"
+        "out['stdout'] = stdout.getvalue()")
+    assert cli["rc"] == 0
+    assert f"=== fig12 ===\n{filled}\n[fig12 took " in cli["stdout"]
+    assert "executed: 0" in cli["stdout"]
+    assert "hit rate: 100.0%" in cli["stdout"]
+    assert never_loaded(cli["modules"]) == []
 
 
 def test_pool_workers_inherit_every_module_they_run():

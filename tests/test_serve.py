@@ -155,6 +155,7 @@ def client(service):
 class TestServiceEndToEnd:
     def test_health_reports_versions(self, client):
         health = client.health()
+        assert health["kind"] == "health"
         assert health["status"] == "ok"
         assert health["proto"] == proto.PROTO_SCHEMA_VERSION
 
@@ -253,6 +254,29 @@ class TestRemoteExecutor:
         assert results[spec] is None
         assert remote.stats.failed == 1
         assert remote.stats.failures[0].error_type == "RunTimeout"
+
+    def test_remote_figure_replays_from_the_service_store(
+            self, service, capsys, monkeypatch):
+        """``inpg-experiments fig12 --remote`` twice: the second
+        invocation executes nothing, every spec resolving from the
+        service's store at submit time."""
+        from repro.experiments import common
+        from repro.experiments.runner import main as runner_main
+
+        # the runner installs a remote executor; restore the suite's
+        monkeypatch.setattr(common, "_EXECUTOR", common._EXECUTOR)
+        argv = ["fig12", "--quick", "--scale", "0.1",
+                "--remote", service.url]
+        assert runner_main(argv) == 0
+        assert "run execution summary" in capsys.readouterr().out
+        assert runner_main(argv) == 0
+        second = capsys.readouterr().out
+        assert "executed: 0" in second
+        assert "hit rate: 100.0%" in second
+        stats = ServiceClient(service.url).stats()
+        assert stats["counters"]["serve/deduped_cache"] > 0
+        assert stats["counters"]["serve/specs_executed"] > 0
+        assert stats["store"]["results"] > 0
 
 
 class TestConnect:
