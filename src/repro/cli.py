@@ -20,7 +20,8 @@ the parsed flags into the right executor — in-process by default, a
 running ``inpg-serve``.  The workload flags of ``inpg-sim``,
 ``inpg-trace`` and ``inpg-faults`` share the argparse types below
 (:func:`benchmark_name` ... :func:`home_node`), so a bad value is a
-usage error at parse time, never a traceback or a silent run.
+usage error at parse time, never a traceback or a silent run; so is a
+flag the chosen workload ignores (:class:`WorkloadParser`).
 """
 
 from __future__ import annotations
@@ -202,17 +203,63 @@ def home_node(text: str) -> int:
     return value
 
 
+#: the workload flags one workload reads and the other ignores: flag ->
+#: (its default, the workload that reads it)
+WORKLOAD_FLAGS = {
+    "scale": (1.0, "named benchmarks"),
+    "seed": (2018, "named benchmarks"),
+    "threads": (64, MICROBENCH),
+    "home": (53, MICROBENCH),
+}
+
+
+class WorkloadParser(argparse.ArgumentParser):
+    """The parser of a tool that runs one workload, its ``benchmark``.
+
+    A named benchmark reads neither ``--threads`` nor ``--home``, and
+    microbench reads neither ``--scale`` nor ``--seed`` (a seed would
+    only move its cache address).  Such a flag is a usage error; the
+    :data:`WORKLOAD_FLAGS` the command line leaves unset (their
+    arguments default to ``None``) take their defaults after parsing.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        micro = parsed.benchmark == MICROBENCH
+        for name, (default, reader) in WORKLOAD_FLAGS.items():
+            if getattr(parsed, name) is None:
+                setattr(parsed, name, default)
+            elif (reader == MICROBENCH) != micro:
+                self.error(f"argument --{name}: {parsed.benchmark} "
+                           f"ignores it ({reader} only)")
+        return parsed, extras
+
+
 def footer_cache_dir(executor) -> str:
     """The ``cache_dir`` string the execution-summary footer prints."""
     directory = executor.cache.directory
     return str(directory) if directory is not None else None
 
 
+def add_workload_flags(parser: WorkloadParser) -> None:
+    """Add ``--scale``, ``--seed``, ``--threads`` and ``--home``."""
+    parser.add_argument("--scale", type=positive_scale, default=None,
+                        help="named benchmarks: workload scale factor "
+                             "(default 1.0)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="named benchmarks: workload seed "
+                             "(default 2018)")
+    parser.add_argument("--threads", type=thread_count, default=None,
+                        help="microbench: competing threads (default 64)")
+    parser.add_argument("--home", type=home_node, default=None,
+                        help="microbench: lock home node (default 53)")
+
+
 # ----------------------------------------------------------------------
 # inpg-sim
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = WorkloadParser(
         prog="inpg-sim",
         description="Simulate one benchmark on the iNPG platform.",
         parents=[execution_parent(), axes_parent()],
@@ -226,13 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=list(MECHANISMS))
     parser.add_argument("--primitive", default="qsl", type=primitive_name,
                         help=f"one of {PRIMITIVES} (or paper alias TTL)")
-    parser.add_argument("--scale", type=positive_scale, default=1.0,
-                        help="workload scale factor")
-    parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--threads", type=thread_count, default=64,
-                        help="microbench: competing threads")
-    parser.add_argument("--home", type=home_node, default=53,
-                        help="microbench: lock home node")
+    add_workload_flags(parser)
     parser.add_argument("--faults", default=None, metavar="PLAN",
                         help="deterministic fault plan, e.g. "
                              "'drop:0.01' or 'drop:1/Inv#2000..4000,"

@@ -30,6 +30,7 @@ from ..cli import (
     execution_parent,
     executor_from_args,
     footer_cache_dir,
+    positive_scale,
 )
 from ..config import describe_axes
 from . import common
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="representative 6-benchmark subset (default)",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=positive_scale, default=1.0,
         help="workload scale factor (default 1.0)",
     )
     parser.add_argument(

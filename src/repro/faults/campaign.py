@@ -34,20 +34,18 @@ Examples::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..cli import (
+    WorkloadParser,
+    add_workload_flags,
     benchmark_name,
     execution_parent,
     footer_cache_dir,
-    home_node,
-    positive_scale,
     primitive_name,
-    thread_count,
 )
 from ..config import MECHANISMS, PRIMITIVES, LockSpinConfig, SystemConfig
 from ..exec import Executor, RunSpec
@@ -241,8 +239,8 @@ def render_report(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> WorkloadParser:
+    parser = WorkloadParser(
         prog="inpg-faults",
         description="Sweep deterministic NoC fault plans against a "
                     "baseline run and report detected vs silent outcomes.",
@@ -260,12 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"one of {PRIMITIVES} (or paper alias TTL)")
     parser.add_argument("--mechanism", default="original",
                         choices=list(MECHANISMS))
-    parser.add_argument("--scale", type=positive_scale, default=1.0)
-    parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--threads", type=thread_count, default=64,
-                        help="microbench: competing threads")
-    parser.add_argument("--home", type=home_node, default=53,
-                        help="microbench: lock home node")
+    add_workload_flags(parser)
     parser.add_argument("--watchdog", type=int, default=50_000,
                         metavar="CYCLES",
                         help="liveness-watchdog no-progress window "

@@ -5,19 +5,21 @@ full system (any :class:`Topology`: mesh, torus, ring — selected by the
 ``NocConfig.topology`` axis via :func:`make_topology`), and the
 flit-level validation model — itself available as two bit-exact
 mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`)
-and the cycle-batched vector engine (:mod:`repro.noc.vecflit`), which
-:func:`make_flit_network` (:mod:`repro.noc.engines`) selects by name.
-A full system at flit granularity (``NocConfig(flit_level=True)``) runs
-on the event engine, through :mod:`repro.noc.flit_fabric`; the vector
-engine drives network-only traffic.
+and the cycle-batched vector engine (:mod:`repro.noc.vecflit`, which
+needs NumPy); :func:`make_flit_network` (:mod:`repro.noc.engines`)
+selects one by name.  A full system at flit granularity
+(``NocConfig(flit_level=True)``) runs on the event engine, through
+:mod:`repro.noc.flit_fabric`; the vector engine drives network-only
+traffic under the kernel.
 Output-port arbitration is selectable per the ``NocConfig.arbiter`` axis
 (:class:`OutputPort` round-robin or :mod:`repro.noc.arbiter` weighted
 round-robin).  Synthetic traffic patterns and load sweeps live in
 :mod:`repro.noc.traffic`.
 
-Importing the package loads the packet-level fabric only; the flit
-engines (and NumPy, which the vector engine uses) load on first access
-to one of their names.
+Importing the package loads the packet-level fabric only; the event
+engine loads on first access to one of its names, and the vector engine
+(with NumPy) when :func:`make_flit_network` first builds it.  Every name
+here resolves without NumPy.
 """
 
 from .. import _lazy
@@ -45,8 +47,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "FlitNetwork": ".flitsim",
     "FlitPacket": ".flitsim",
     "FlitRouter": ".flitsim",
-    "HAS_NUMPY": ".vecflit",
-    "VectorFlitNetwork": ".vecflit",
     "make_flit_network": ".engines",
 })
 
@@ -55,7 +55,6 @@ __all__ = [
     "FlitNetwork",
     "FlitPacket",
     "FlitRouter",
-    "HAS_NUMPY",
     "Mesh",
     "Network",
     "OutputPort",
@@ -68,7 +67,6 @@ __all__ = [
     "Topology",
     "Torus",
     "TrafficResult",
-    "VectorFlitNetwork",
     "WeightedRoundRobinArbiter",
     "WrrOutputPort",
     "latency_load_curve",

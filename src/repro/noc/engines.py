@@ -16,7 +16,8 @@ def make_flit_network(sim: Simulator, config: NocConfig, engine: str):
 
     Returns a :class:`~repro.noc.flitsim.FlitNetwork` for ``"event"`` or
     a kernel-attached :class:`~repro.noc.vecflit.VectorFlitNetwork` for
-    ``"vector"``.
+    ``"vector"``; the vector engine needs NumPy, and without it this
+    raises the :class:`ImportError` that names the event engine.
     """
     if engine == "vector":
         from .vecflit import VectorFlitNetwork

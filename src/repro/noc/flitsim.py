@@ -262,10 +262,6 @@ class FlitRouter(Component):
         upstream = self.fabric.routers[self._neighbor_nodes[in_port]]
         upstream.credit_return(REVERSE[in_port], vc_index)
 
-    def _any_pending(self) -> bool:
-        """Any flit buffered at this router (O(1) incremental counter)."""
-        return self._buffered > 0
-
 
 class FlitNetwork(Component):
     """The flit-level fabric with local injection/ejection interfaces."""

@@ -1,28 +1,30 @@
-"""Vectorized array-of-ints flit fabric: cycle-batched router pipelines.
+"""Vectorized flit fabric: the whole mesh one cycle per step, in arrays.
 
 The event-driven flit model (:mod:`repro.noc.flitsim`) spends most of its
 time in per-event Python callbacks: every router tick, flit hop and
 credit return is a separate kernel event.  This module advances the
 *entire mesh one cycle per step* instead — every router pipeline, input
-buffer, credit counter and in-flight flit lives in flat parallel integer
-columns (one slot per router input VC), and the per-cycle candidate
-discovery (which VCs route-compute, which VCs compete for the switch)
-is a handful of masked NumPy operations over boolean occupancy columns
-(DESIGN.md §13).  The per-flit work — buffer pushes and pops, claims,
-credit bumps, key ranks — has two equivalent forms.  A step with few
-ticking routers (every step of an 8x8 drive) loops over plain Python
-columns, where NumPy call dispatch would cost more than the loop.
-A step with at least ``_ARRAY_TICKS`` ticking routers runs the same
-phases as array operations (:meth:`VectorFlitNetwork._array_step`); the
-engine's first such step moves its columns into NumPy arrays for good.
+buffer, credit counter and in-flight flit lives in flat parallel NumPy
+integer columns (one slot per router input VC), and each phase of a
+step — candidate discovery, route compute and VC allocation, switch
+allocation and traversal, wake resolution, key ranking — is a handful
+of array operations over them (DESIGN.md §13).  Injections, local
+deliveries and local credit returns stay scalar Python, over
+memoryviews of the same columns.
+
+The engine runs under the kernel: ``VectorFlitNetwork(config, sim)``
+(what ``make_flit_network(sim, config, "vector")`` builds) registers
+itself as the kernel's stepper and is batch-advanced between event
+buckets (:meth:`Simulator.attach_stepper`); a drive injects with
+:meth:`VectorFlitNetwork.send`, kernel-scheduled or direct, and reads
+:attr:`VectorFlitNetwork.delivered`.
 
 Bit-exactness contract
 ======================
 The event engine stays the reference oracle; this engine must replay it
 *event for event* — same delivered-packet stream, same delivery cycles,
 same emulated event count — on every network drive.  It has no delivery
-callback: a drive injects packets and reads the delivered stream, and
-the full-system flit fabric is the event engine's
+callback: the full-system flit fabric is the event engine's
 (:class:`~repro.noc.flit_fabric.FlitFabric`).  Equivalence hinges on
 reproducing the kernel's FIFO bucket order, which the event model's
 within-cycle semantics observably depend on (whether a flit or credit
@@ -37,9 +39,7 @@ where ``parent_rank`` is the dense rank — in key order — of the
 wakes; nothing else appends), and ``call_index`` counts the parent's
 ``schedule()`` calls.  Events append to a future bucket in exactly the
 order their parents ran, so sorting a bucket by key reproduces the
-kernel's FIFO order (workload injections scheduled before ``run()`` use
-negative keys and sort below every run-time key).  Three consequences
-drive the step function:
+kernel's FIFO order.  Three consequences drive the step function:
 
 * an arriving flit / returning credit is visible to its router's tick
   iff its key is below the tick's key (the *pre/post split*);
@@ -69,13 +69,9 @@ phase mutates the columns.  All three are load-bearing for the pinned
 golden fingerprints and covered by the engine-parity property tests
 (``tests/test_vecflit.py``).
 
-Fallback
-========
-NumPy is optional: when it is absent (or ``force_python=True``) every
-step scans the ticking routers' slots and runs the phases in plain
-loops.  The fallback is for correctness/portability, not speed — the
-benchmark's ``flit_mesh32`` drive and CI's rate floor on it measure the
-array path.
+NumPy is required: without it, importing this module raises
+:class:`ImportError`, and ``make_flit_network(sim, config, "event")``
+runs the same drive bit for bit.
 """
 
 from __future__ import annotations
@@ -84,66 +80,61 @@ import heapq
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+try:
+    import numpy as np
+except ImportError as exc:  # pragma: no cover - run by the no-NumPy leg
+    raise ImportError(
+        "the vector flit engine (repro.noc.vecflit) needs NumPy, which "
+        "is not installed; make_flit_network(sim, config, 'event') runs "
+        "the same drive bit for bit without it"
+    ) from exc
+
 from ..config import NocConfig
 from ..errors import UnsupportedTopology
 from ..sim import Simulator
-from .engines import make_flit_network  # noqa: F401  (also importable here)
 from .topology import EAST, LOCAL, NORTH, REVERSE, SOUTH, WEST, Mesh
-
-try:  # pragma: no cover - absence exercised via tests' import shim
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAS_NUMPY = _np is not None
 
 #: order-key layout: cycle << _CYC_SHIFT | rank << _SUB_BITS | call index
 _CYC_SHIFT = 24
 _SUB_BITS = 6
-#: offset for kernel-drive sends around their cycle's step
+#: offset for sends around their cycle's step
 _LATE_OFF = 1 << 23
-#: pre-run workload injections sort below every run-time key
-_SETUP_BASE = -(1 << 40)
 #: "no tick this cycle" sentinel (above every real key)
 _NO_TICK = 1 << 62
-#: a step with at least this many ticking routers runs the array phases
-#: (:meth:`VectorFlitNetwork._array_step`); smaller steps run the
-#: per-flit loops.  Set at the measured crossover (DESIGN.md §13).
-_ARRAY_TICKS = 120
-#: the mutable columns the array phases read and write: Python lists
-#: until an engine's first array step, NumPy arrays from then on
-_ARRAY_COLUMNS = ("_buf_pid", "_buf_fi", "_head", "_cnt", "_active",
-                  "_out_port", "_out_slot", "_claimed", "_credits", "_rr",
-                  "_buffered", "_tick_key_by_r", "_thr_next")
 
-#: (width, height, vcs) -> the slot tables of :func:`_slot_tables`
-_SLOT_TABLES: Dict[Tuple[int, int, int],
-                   Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = {}
+#: XY output port by (sign(dx) + 1, sign(dy) + 1): the ports of
+#: Mesh.port_rows, computed instead of gathered
+_XY_PORT = np.array(((WEST,) * 3, (NORTH, LOCAL, SOUTH), (EAST,) * 3),
+                    dtype=np.int64)
+#: an empty slot column and an empty (slot, pid, flit index) table: a
+#: bucket's fields until a step fills them
+_NO_SLOTS = np.zeros(0, dtype=np.int64)
+_NO_ROWS = np.zeros((0, 3), dtype=np.int64)
+_NO_SLOTS.flags.writeable = _NO_ROWS.flags.writeable = False
+
+#: (width, height, vcs) -> the link table of :func:`_link_table`
+_LINK_TABLES: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
-def _slot_tables(width: int, height: int, vcs: int):
-    """``(router_of, sidx, link)`` over the input-VC slots of a
-    ``width`` x ``height`` mesh with ``vcs`` VCs a port, slot
-    ``r * 5 * vcs + port * vcs + vc``: the slot's router, its index
-    within the router, and its link target.  Read as an output slot
-    ``(r, port, vc)``, ``link`` names the downstream input slot
-    ``(neighbour, REVERSE[port], vc)``; read as an input slot, the
-    same entry names the upstream output slot whose credit it returns.
+def _link_table(width: int, height: int, vcs: int) -> np.ndarray:
+    """The link target of each input-VC slot of a ``width`` x
+    ``height`` mesh with ``vcs`` VCs a port, slot
+    ``r * 5 * vcs + port * vcs + vc``.  Read as an output slot
+    ``(r, port, vc)``, an entry names the downstream input slot
+    ``(neighbour, REVERSE[port], vc)``; read as an input slot, the same
+    entry names the upstream output slot whose credit it returns.
     ``-1`` marks LOCAL and mesh-edge slots.  Built from slices, once
     per (shape, VCs), and shared read-only by every engine."""
     key = (width, height, vcs)
-    tables = _SLOT_TABLES.get(key)
-    if tables is None:
+    link = _LINK_TABLES.get(key)
+    if link is None:
         R = width * height
         SPR = 5 * vcs
         N = R * SPR
-        router_of = [0] * N
-        for s in range(SPR):
-            router_of[s::SPR] = range(R)
+        link = np.full(N, -1, dtype=np.int64)
         # every slot of one port lies one fixed offset from its
         # neighbour's reverse-port slot; the routers on that port's mesh
         # edge (a range of router ids) have no neighbour
-        link = [-1] * N
         for port, hop, edge in (
             (NORTH, -width, range(0, width)),
             (EAST, 1, range(width - 1, R, width)),
@@ -151,24 +142,22 @@ def _slot_tables(width: int, height: int, vcs: int):
             (WEST, -1, range(0, R, width)),
         ):
             delta = hop * SPR + (REVERSE[port] - port) * vcs
-            unlinked = [-1] * len(edge)
             for first in range(port * vcs, (port + 1) * vcs):
-                link[first::SPR] = range(first + delta, first + delta + N,
-                                         SPR)
+                link[first::SPR] = np.arange(first + delta,
+                                             first + delta + N, SPR)
                 link[first + edge.start * SPR:first + edge.stop * SPR:
-                     edge.step * SPR] = unlinked
-        tables = _SLOT_TABLES[key] = (
-            tuple(router_of), tuple(range(SPR)) * R, tuple(link)
-        )
-    return tables
+                     edge.step * SPR] = -1
+        link.flags.writeable = False
+        _LINK_TABLES[key] = link
+    return link
 
 
 def _run_starts(a):
     """Boolean mask of the first element of each run of equal values
     in the 1-D array ``a`` (empty for an empty ``a``)."""
-    starts = _np.empty(a.size, dtype=bool)
+    starts = np.empty(a.size, dtype=bool)
     starts[:1] = True
-    _np.not_equal(a[1:], a[:-1], out=starts[1:])
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
     return starts
 
 
@@ -214,57 +203,40 @@ class _Bucket:
     """
 
     __slots__ = ("ticks", "nev", "post_acc", "post_cred", "wake_min",
-                 "inj")
+                 "lcred")
 
     def __init__(self):
         #: router -> order key of its scheduled tick
         self.ticks: Dict[int, int] = {}
         #: fused accept/credit events arriving this cycle (pre + post)
         self.nev = 0
-        #: post-tick link arrivals: (slot, pid, flit index)
-        self.post_acc: List[Tuple[int, int, int]] = []
+        #: post-tick link arrivals: rows of (slot, pid, flit index)
+        self.post_acc = _NO_ROWS
         #: post-tick upstream credit returns: credit slots
-        self.post_cred: List[int] = []
-        #: router -> minimal candidate wake key from fused events
-        self.wake_min: Dict[int, int] = {}
-        #: sparse events: ("send", key, src, dst, length, payload) and
-        #: ("lcred", key, node) — local credit returns re-entering the
-        #: injection path
-        self.inj: List[Tuple] = []
-
-    def listed(self) -> None:
-        """Turn the fields an array step left as arrays (``post_acc`` an
-        (n, 3) array, ``post_cred`` an array, ``wake_min`` a (routers,
-        keys) pair) back into the loop phases' Python containers."""
-        if type(self.post_acc) is not list:
-            self.post_acc = self.post_acc.tolist()
-        if type(self.post_cred) is not list:
-            self.post_cred = self.post_cred.tolist()
-        if type(self.wake_min) is not dict:
-            routers, keys = self.wake_min
-            self.wake_min = dict(zip(routers.tolist(), keys.tolist()))
+        self.post_cred = _NO_SLOTS
+        #: fused events' candidate wakes: (routers, each one's least key)
+        self.wake_min = (_NO_SLOTS, _NO_SLOTS)
+        #: local credit returns re-entering the injection path:
+        #: (key, node) pairs
+        self.lcred: List[Tuple[int, int]] = []
 
 
 class _Arrays:
-    """An engine's columns as NumPy arrays (named as the attribute less
-    its underscore) and the static tables the array phases gather
-    through; built once, at the engine's first array step."""
+    """An engine's columns as NumPy arrays, and the static tables its
+    step gathers through."""
 
 
 class VectorFlitNetwork:
     """Cycle-batched flit fabric, API-compatible with ``FlitNetwork``.
 
-    Standalone use (the flit goldens and parity tests) drives it with
-    :meth:`send_at` + :meth:`run`.  A kernel drive (``make_flit_network``,
-    perfbench's ``flit_mesh32``) passes ``sim`` and injects with
-    kernel-scheduled :meth:`send` calls; the engine registers itself as
-    the kernel's stepper and is batch-advanced between event buckets
-    (:meth:`Simulator.attach_stepper`).  Either drive reads the result
-    from :attr:`delivered`.
+    It registers itself as ``sim``'s stepper and is batch-advanced
+    between event buckets (:meth:`Simulator.attach_stepper`).  A drive
+    injects with :meth:`send` — scheduled on the kernel or called
+    directly between ``sim.run(until=...)`` slices — and reads the
+    result from :attr:`delivered`.
     """
 
-    def __init__(self, config: NocConfig, sim: Optional[Simulator] = None,
-                 force_python: bool = False):
+    def __init__(self, config: NocConfig, sim: Simulator):
         if config.topology != "mesh":
             # port-direction arrays below are indexed by the 5 fixed
             # mesh directions; other fabrics run on the packet model.
@@ -275,72 +247,6 @@ class VectorFlitNetwork:
                 model="flit/vector",
                 topology=config.topology,
             )
-        self.config = config
-        self.mesh = Mesh(config.width, config.height)
-        self.sim = sim
-        self._numpy = bool(HAS_NUMPY and not force_python)
-
-        R = self.mesh.num_nodes
-        V = config.vcs_per_port
-        cap = config.flits_per_vc
-        self.R, self.V, self.cap = R, V, cap
-        #: input-VC slots per router (5 ports x V); the same index space
-        #: addresses (out_port, out_vc) credit counters and claims
-        self.SPR = 5 * V
-        N = R * self.SPR
-        self.N = N
-
-        # -- per-slot truth columns (one row per router input VC) ------
-        # flat ring buffers: flit at (slot, pos) lives at slot*cap + pos
-        self._buf_pid = [0] * (N * cap)
-        self._buf_fi = [0] * (N * cap)
-        self._head = [0] * N
-        self._cnt = [0] * N
-        self._active = [0] * N        # VC holds a downstream claim
-        self._out_port = [-1] * N
-        self._out_slot = [0] * N      # r*SPR + out_port*V + out_vc
-        self._claimed = [0] * N       # indexed like out_slot
-        self._credits = [cap] * N     # indexed like out_slot
-        self._rr = [0] * R            # per-router SA round-robin
-        self._buffered = [0] * R      # per-router flit occupancy
-        # -- static tables, shared per shape ---------------------------
-        #: router -> dst -> output port (the mesh's XY port rows)
-        self._route = self.mesh.port_rows()
-        #: slot -> router, slot -> index within its router, and the
-        #: link target (downstream input slot == upstream credit slot)
-        self._router_of, self._sidx, self._link = _slot_tables(
-            config.width, config.height, V
-        )
-
-        # -- NumPy candidate mirrors (discovery only) ------------------
-        # two product masks: ci = "nonempty and unrouted" (route-compute
-        # candidates), ca = "nonempty and routed" (switch candidates),
-        # written through memoryviews at every mutation (a single-byte
-        # view write is cheaper than batching + re-flushing); candidate
-        # discovery reads them *before* the route-compute phase runs,
-        # which is what excludes same-cycle VC activations from switch
-        # allocation (ready_at = activation + 1).  Without NumPy the
-        # views are throwaway lists and discovery scans the truth
-        # columns directly.
-        if self._numpy:
-            self._ci_np = _np.zeros(N, dtype=bool)
-            self._ca_np = _np.zeros(N, dtype=bool)
-            self._ci_w = memoryview(self._ci_np)  # type: ignore
-            self._ca_w = memoryview(self._ca_np)  # type: ignore
-        else:
-            self._ci_w = [False] * N
-            self._ca_w = [False] * N
-
-        # per-router scratch columns, all-zero between steps (each step
-        # writes only its ticking routers' entries and resets them)
-        self._subtot = [0] * R
-        self._gmask = [0] * R
-        self._tick_base = [0] * R
-        self._ext_base = [0] * R
-        #: next cycle's tick keys, valid only inside phase 7 (fused
-        #: event classification); _NO_TICK between steps
-        self._thr_next = [_NO_TICK] * R
-
         if config.link_cycles != 1:
             raise ValueError(
                 "the vector flit engine models single-cycle links only "
@@ -348,6 +254,72 @@ class VectorFlitNetwork:
                 "(make_flit_network(..., 'event')) models multi-cycle "
                 "links"
             )
+        self.config = config
+        self.mesh = Mesh(config.width, config.height)
+        self.sim = sim
+
+        R = self.mesh.num_nodes
+        V = config.vcs_per_port
+        cap = config.flits_per_vc
+        self.R, self.V, self.cap = R, V, cap
+        #: input-VC slots per router (5 ports x V); the same index space
+        #: addresses (out_port, out_vc) credit counters and claims
+        self.SPR = SPR = 5 * V
+        N = R * SPR
+
+        A = self._arrays = _Arrays()
+        # -- truth columns: per slot (one row per router input VC), per
+        # router and per packet ----------------------------------------
+        for name, size, fill in (
+            # flat ring buffers: flit at (slot, pos) lives at slot*cap + pos
+            ("buf_pid", N * cap, 0), ("buf_fi", N * cap, 0),
+            ("head", N, 0), ("cnt", N, 0),
+            ("active", N, 0),         # VC holds a downstream claim
+            ("out_port", N, -1),
+            ("out_slot", N, 0),       # r*SPR + out_port*V + out_vc
+            ("claimed", N, 0),        # indexed like out_slot
+            ("credits", N, cap),      # indexed like out_slot
+            ("rr", R, 0),             # per-router SA round-robin
+            ("buffered", R, 0),       # per-router flit occupancy
+            # the tick key of each router ticking this step (_NO_TICK
+            # between steps), and next cycle's tick keys: set while a
+            # step classifies its fused events, and by a kernel send
+            # ahead of its cycle's step, which clears them
+            ("tick_key_by_r", R, _NO_TICK), ("thr_next", R, _NO_TICK),
+            # per-router scratch: a step writes its ticking routers'
+            # tick_base before reading it, and leaves subtot zero
+            ("tick_base", R, 0), ("subtot", R, 0),
+            # packet lengths and destinations by pid, grown by doubling
+            ("plen", 1024, 0), ("pdst", 1024, 0),
+        ):
+            setattr(A, name, np.full(size, fill, dtype=np.int64))
+        # two product masks: ci = "nonempty and unrouted" (route-compute
+        # candidates), ca = "nonempty and routed" (switch candidates),
+        # kept at every mutation; candidate discovery reads them *before*
+        # the route-compute phase runs, which is what excludes same-cycle
+        # VC activations from switch allocation (ready_at = activation + 1)
+        A.ci = np.zeros(N, dtype=bool)
+        A.ca = np.zeros(N, dtype=bool)
+        # -- static tables ---------------------------------------------
+        slots = np.arange(N, dtype=np.int64)
+        A.router_of = slots // SPR
+        A.sidx = slots % SPR
+        #: the link target (downstream input slot == upstream credit slot)
+        A.link = _link_table(config.width, config.height, V)
+
+        # the scalar injection path reads and writes the same columns
+        # through memoryviews, whose item access costs a fraction of an
+        # array's
+        self._buf_pid = memoryview(A.buf_pid)
+        self._buf_fi = memoryview(A.buf_fi)
+        self._head = memoryview(A.head)
+        self._cnt = memoryview(A.cnt)
+        self._active = memoryview(A.active)
+        self._buffered = memoryview(A.buffered)
+        self._ci = memoryview(A.ci)
+        self._ca = memoryview(A.ca)
+        self._tick_key_by_r = memoryview(A.tick_key_by_r)
+        self._thr_next = memoryview(A.thr_next)
 
         # -- injection machinery (mirrors FlitNetwork) -----------------
         self._iqueue: Dict[int, Deque[VectorFlitPacket]] = {
@@ -357,66 +329,26 @@ class VectorFlitNetwork:
             n: None for n in range(R)
         }
         self._packets: List[VectorFlitPacket] = []
-        self._plen: List[int] = []
-        self._pdst: List[int] = []
 
         # -- emulated event queue --------------------------------------
         self._buckets: Dict[int, _Bucket] = {}
         self._bheap: List[int] = []
-        self._tick_key_by_r = [_NO_TICK] * R
-        self._setup_seq = 0
         self._late_seq = 0
         self._stepped_cycle = -1
 
-        self.cycle = 0
         self.events_processed = 0
         self.delivered: List[VectorFlitPacket] = []
         self.injected = 0
 
-        #: the columns as NumPy arrays, from the first array step on; an
-        #: engine whose steps stay small keeps the lists, which the loops
-        #: index fastest
-        self._arrays: Optional[_Arrays] = None
-
-        if sim is not None:
-            sim.attach_stepper(self)
+        sim.attach_stepper(self)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def send_at(self, cycle: int, src: int, dst: int, length: int,
-                payload: object = None) -> None:
-        """Schedule an injection, like ``sim.schedule_at(c, net.send, ...)``.
-
-        Pre-run injections sort below every run-time event of their
-        cycle, exactly as setup-time ``schedule_at`` entries precede
-        run-time appends in the kernel's FIFO buckets.
-        """
-        key = _SETUP_BASE + self._setup_seq
-        self._setup_seq += 1
-        self._bucket(cycle).inj.append(
-            ("send", key, src, dst, length, payload)
-        )
-
     def send(self, src: int, dst: int, length: int,
              payload: object = None) -> VectorFlitPacket:
         """Inject now (event-engine ``FlitNetwork.send`` semantics)."""
-        now = self.sim.cycle if self.sim is not None else self.cycle
-        return self._late_send(src, dst, length, payload, now)
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Standalone run loop (no kernel): drain, or pause at ``until``."""
-        while True:
-            nxt = self.next_cycle()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
-                self.cycle = until
-                return self.cycle
-            self._step(nxt)
-        if until is not None and until > self.cycle:
-            self.cycle = until
-        return self.cycle
+        return self._late_send(src, dst, length, payload, self.sim.cycle)
 
     @property
     def mean_latency(self) -> float:
@@ -449,8 +381,7 @@ class VectorFlitNetwork:
             nxt = self.next_cycle()
             if nxt is None or (limit is not None and nxt > limit):
                 break
-            if self.sim is not None:
-                self.sim.cycle = nxt
+            self.sim.cycle = nxt
             self._step(nxt)
         return self.events_processed - before
 
@@ -464,28 +395,27 @@ class VectorFlitNetwork:
             heapq.heappush(self._bheap, cycle)
         return b
 
-    def _new_packet(self, src, dst, length, payload, now) -> VectorFlitPacket:
-        pid = len(self._packets)
-        packet = VectorFlitPacket(src, dst, max(1, length), payload, pid)
-        packet.injected_cycle = now
-        self._packets.append(packet)
-        self._plen.append(packet.length)
-        self._pdst.append(packet.dst)
-        self.injected += 1
-        return packet
-
     def _late_send(self, src, dst, length, payload, now) -> VectorFlitPacket:
         """Injection at the current cycle (a kernel-scheduled or direct
         :meth:`send`): the event engine's ``send`` pushes flits into the
         local VCs synchronously and the woken router ticks next cycle."""
-        self.cycle = max(self.cycle, now)
-        packet = self._new_packet(src, dst, length, payload, now)
+        pid = len(self._packets)
+        packet = VectorFlitPacket(src, dst, max(1, length), payload, pid)
+        packet.injected_cycle = now
+        self._packets.append(packet)
+        A = self._arrays
+        if pid == A.plen.size:
+            A.plen = np.concatenate((A.plen, np.zeros_like(A.plen)))
+            A.pdst = np.concatenate((A.pdst, np.zeros_like(A.pdst)))
+        A.plen[pid] = packet.length
+        A.pdst[pid] = dst
+        self.injected += 1
         self._iqueue[src].append(packet)
         # Kernel-first ordering: the kernel drains its cycle-``now``
         # bucket before :meth:`_step` runs ``now``, so this send's wake
         # appends to bucket ``now + 1`` *before* anything the step
         # schedules — key it below ``base_key``.  A send arriving after
-        # the step (a direct send after a paused ``run(until=...)``)
+        # the step (a direct send after a paused ``sim.run(until=...)``)
         # appends last instead.
         pre = now > self._stepped_cycle
         if pre:
@@ -550,8 +480,8 @@ class VectorFlitNetwork:
             cnt[i] = c
             self._buffered[node] += c - old
             a = active[i]
-            self._ci_w[i] = not a
-            self._ca_w[i] = a
+            self._ci[i] = not a
+            self._ca[i] = a
         if next_flit >= length:
             self._streaming[node] = None
             if self._iqueue[node]:
@@ -560,426 +490,18 @@ class VectorFlitNetwork:
             self._streaming[node] = (packet, vc_index, next_flit)
         wakes.append((node, own))
 
-    def _deliver(self, pid: int, now: int) -> None:
-        packet = self._packets[pid]
-        packet.delivered_cycle = now
-        self.delivered.append(packet)
-
-    def _run_inject(self, event, tau: int,
-                    wakes: List[Tuple[int, int]]) -> None:
-        if event[0] == "send":
-            _, own, src, dst, length, payload = event
-            packet = self._new_packet(src, dst, length, payload, tau)
-            self._iqueue[src].append(packet)
-            self._try_inject(src, own, wakes)
-        else:  # ("lcred", key, node)
-            self._try_inject(event[2], event[1], wakes)
-
     # ------------------------------------------------------------------
     def _step(self, tau: int) -> None:  # noqa: C901 - the one hot path
         """Advance the whole mesh through cycle ``tau`` (DESIGN.md §13).
 
-        A step with at least ``_ARRAY_TICKS`` ticking routers runs the
-        same phases as array operations (:meth:`_array_step`); the rest
-        run the loops below, which touch only the routers that tick.
+        The phases run as array operations over the whole mesh, and each
+        reproduces the event engine's keys and tie-breaks.  Injections,
+        local deliveries and local credit returns stay Python.  Every
+        wake, whatever its source, is a (router, key) candidate; a
+        router's winning wake is its least effective one.
         """
         bucket = self._buckets.pop(tau)
-        self.cycle = tau
         self._stepped_cycle = tau
-        if self._numpy and len(bucket.ticks) >= _ARRAY_TICKS:
-            if self._arrays is None:
-                self._promote()
-            self._array_step(tau, bucket)
-            return
-        if self._arrays is not None:
-            bucket.listed()
-        SPR, V, cap = self.SPR, self.V, self.cap
-        base_key = tau << _CYC_SHIFT
-
-        thr = self._tick_key_by_r
-        thr_next = self._thr_next
-        T_items = list(bucket.ticks.items())
-        for r, k in T_items:
-            thr[r] = k
-            thr_next[r] = _NO_TICK  # consume this tick's pre-late entry
-        n_ev = len(T_items)
-
-        router_of = self._router_of
-        cnt, head = self._cnt, self._head
-        buf_pid, buf_fi = self._buf_pid, self._buf_fi
-        buffered, credits = self._buffered, self._credits
-        active = self._active
-        ci_w, ca_w = self._ci_w, self._ca_w
-
-        #: router -> minimal effective wake key seen so far
-        best_wake: Dict[int, int] = {}
-        bwget = best_wake.get
-
-        # ---- 1. collect pending events (fused arrivals are already
-        # classified and pre-applied by the producing step) ------------
-        # an event is visible to its router's tick iff its key is below
-        # the tick's key; non-ticking routers (thr == _NO_TICK) apply
-        # everything immediately.  A wake is effective iff the router
-        # has no tick this cycle or the key is >= the tick key — the
-        # producing step could not know about ticks inserted later by
-        # late sends, so effectiveness is re-checked here.  A
-        # tick already pending next cycle (a kernel send's pre-late
-        # wake, recorded in thr_next) makes every wake a no-op.
-        n_ev += bucket.nev
-        for r, k in bucket.wake_min.items():
-            t = thr[r]
-            if (t == _NO_TICK or k >= t) and thr_next[r] == _NO_TICK:
-                best_wake[r] = k
-        post_acc = bucket.post_acc
-        post_cred = bucket.post_cred
-        injects = bucket.inj
-        if len(injects) > 1:
-            injects.sort(key=lambda e: e[1])
-        n_ev += len(injects)
-        post_inj: List[Tuple] = []
-        if injects:
-            wakes: List[Tuple[int, int]] = []
-            for event in injects:
-                if event[1] < thr[event[2]]:
-                    self._run_inject(event, tau, wakes)
-                else:
-                    post_inj.append(event)
-            for node, own in wakes:
-                t = thr[node]
-                if (t == _NO_TICK or own >= t) \
-                        and thr_next[node] == _NO_TICK:
-                    bw = bwget(node)
-                    if bw is None or own < bw:
-                        best_wake[node] = own
-        self.events_processed += n_ev
-
-        # ---- 2. candidate discovery over the product mirrors ---------
-        # runs before stage 1 touches the columns, so a VC activated
-        # this cycle is not yet a switch candidate (ready_at = now + 1).
-        # The mirrors cover the whole mesh; non-ticking routers' slots
-        # are filtered in the consuming loops (rare: a router holding
-        # flits at tick end always self-wakes, so a buffered router is
-        # non-ticking only on the single cycle its first flit arrives).
-        stage3: List[int] = []
-        sacand: List[int] = []
-        if T_items:
-            if self._numpy:
-                stage3 = _np.flatnonzero(self._ci_np).tolist()
-                sacand = _np.flatnonzero(self._ca_np).tolist()
-            else:
-                for r in sorted(r for r, _ in T_items):
-                    b = r * SPR
-                    for i in range(b, b + SPR):
-                        if cnt[i]:
-                            (sacand if active[i] else stage3).append(i)
-
-        # ---- 3. stage 1: route compute + VC allocation ---------------
-        if stage3:
-            route = self._route
-            pdst = self._pdst
-            claimed = self._claimed
-            out_port, out_slot = self._out_port, self._out_slot
-            for i in stage3:
-                r = router_of[i]
-                if thr[r] == _NO_TICK:
-                    continue  # not ticking this cycle
-                pos = i * cap + head[i]
-                if buf_fi[pos]:
-                    continue  # mid-packet flit: VC awaits its head
-                op = route[r][pdst[buf_pid[pos]]]
-                ob = r * SPR + op * V
-                for ov in range(ob, ob + V):
-                    if not claimed[ov]:
-                        claimed[ov] = 1
-                        active[i] = 1
-                        ci_w[i] = False
-                        ca_w[i] = True
-                        out_port[i] = op
-                        out_slot[i] = ov
-                        break
-                # allocation failure leaves the flit buffered, which
-                # already forces the end-of-tick self-wake
-
-        # ---- 4. switch allocation + traversal ------------------------
-        gmask_of = self._gmask
-        subtot = self._subtot
-        acc_s: List[int] = []
-        acc_p: List[int] = []
-        acc_f: List[int] = []
-        acc_r: List[int] = []
-        acc_c: List[int] = []
-        ret_s: List[int] = []
-        ret_r: List[int] = []
-        ret_c: List[int] = []
-        deliveries: List[Tuple[int, int]] = []
-        if sacand:
-            rr = self._rr
-            sidx = self._sidx
-            out_port, out_slot = self._out_port, self._out_slot
-            elig: List[Tuple[int, int, int, int]] = []
-            for i in sacand:
-                r = router_of[i]
-                if thr[r] == _NO_TICK:
-                    continue  # not ticking this cycle
-                op = out_port[i]
-                if op != LOCAL and credits[out_slot[i]] <= 0:
-                    continue
-                elig.append((r, (sidx[i] - rr[r]) % SPR, i, op))
-            elig.sort()
-            plen = self._plen
-            acc_tgt = self._link
-            claimed = self._claimed
-            gmask = 0
-            cur_r = -1
-            sub = 0
-            for r, _prio, i, op in elig:
-                if r != cur_r:
-                    if cur_r >= 0:
-                        subtot[cur_r] = sub
-                        gmask_of[cur_r] = gmask
-                    cur_r = r
-                    gmask = 0
-                    sub = 0
-                ob = 1 << op
-                if gmask & ob:
-                    continue  # one grant per output port per cycle
-                gmask |= ob
-                h = head[i]
-                pos = i * cap + h
-                pid = buf_pid[pos]
-                fi = buf_fi[pos]
-                head[i] = (h + 1) % cap
-                c = cnt[i] - 1
-                cnt[i] = c
-                buffered[r] -= 1
-                if fi == plen[pid] - 1:  # tail flit frees the VC
-                    active[i] = 0
-                    ci_w[i] = c > 0
-                    ca_w[i] = False
-                    claimed[out_slot[i]] = 0
-                    if op == LOCAL:
-                        deliveries.append((thr[r], pid))
-                else:
-                    ci_w[i] = False
-                    ca_w[i] = c > 0
-                if op != LOCAL:
-                    osl = out_slot[i]
-                    credits[osl] -= 1
-                    acc_s.append(acc_tgt[osl])
-                    acc_p.append(pid)
-                    acc_f.append(fi)
-                    acc_r.append(r)
-                    acc_c.append(sub)
-                    sub += 1
-                ret_s.append(i)
-                ret_r.append(r)
-                ret_c.append(sub)
-                sub += 1
-            if cur_r >= 0:
-                subtot[cur_r] = sub
-                gmask_of[cur_r] = gmask
-
-        # deliveries fire inside the ticks, in tick-key order
-        if deliveries:
-            deliveries.sort()
-            for _, pid in deliveries:
-                self._deliver(pid, tau)
-
-        # ---- 5. end-of-tick bookkeeping ------------------------------
-        # self-wake fires iff flits remain buffered at tick end or the
-        # tick granted >= 2 flits (what work_left reduces to); its key
-        # is the tick's own, the minimum possible effective wake
-        rr = self._rr
-        for r, k in T_items:
-            rr[r] = (rr[r] + 1) % SPR
-            if buffered[r] > 0:
-                best_wake[r] = k
-            else:
-                gm = gmask_of[r]
-                if gm & (gm - 1):  # two or more output ports granted
-                    best_wake[r] = k
-
-        # ---- 6. post-tick arrivals (wakes already registered) --------
-        for s, pid, fi in post_acc:
-            pos = s * cap + (head[s] + cnt[s]) % cap
-            buf_pid[pos] = pid
-            buf_fi[pos] = fi
-            cnt[s] += 1
-            buffered[router_of[s]] += 1
-            a = active[s]
-            ci_w[s] = not a
-            ca_w[s] = a
-        for cs in post_cred:
-            credits[cs] += 1
-        if post_inj:
-            wakes = []
-            for event in post_inj:
-                self._run_inject(event, tau, wakes)
-            for node, own in wakes:
-                t = thr[node]
-                if (t == _NO_TICK or own >= t) \
-                        and thr_next[node] == _NO_TICK:
-                    bw = bwget(node)
-                    if bw is None or own < bw:
-                        best_wake[node] = own
-
-        # ---- 7. rank this cycle's appenders; materialize keys --------
-        # only ticks and winning wakes append events to future buckets,
-        # so dense ranks over them (in key order) reproduce the kernel's
-        # append order; gaps from silent ticks don't matter
-        if T_items or best_wake:
-            # encode the router in the tuple's tiebreak slot: ticks as
-            # +r, external-wake winners as ~r (keys never tie, so the
-            # second element only disambiguates same-key impossibles)
-            ranked = [(k, r) for r, k in T_items]
-            for r, own in best_wake.items():
-                if own != thr[r]:
-                    ranked.append((own, ~r))
-            ranked.sort()
-            tick_base = self._tick_base
-            ext_base = self._ext_base
-            for rank, (_own, r_enc) in enumerate(ranked):
-                child = base_key + (rank << _SUB_BITS)
-                if r_enc >= 0:
-                    tick_base[r_enc] = child
-                else:
-                    ext_base[~r_enc] = child
-
-            # next cycle's ticks first: together with the pre-late
-            # kernel-send ticks already recorded in thr_next, the wake
-            # winners fully determine them, and the fused arrival
-            # classification below needs them final.  A send after the
-            # step only adds a key above _LATE_OFF afterwards.
-            if best_wake:
-                ticks_next = self._bucket(tau + 1).ticks
-                for r, own in best_wake.items():
-                    if own == thr[r]:         # end-of-tick self-wake
-                        child = tick_base[r] + subtot[r]
-                    else:                     # external arrival's wake
-                        child = ext_base[r]
-                    ticks_next[r] = child
-                    thr_next[r] = child
-
-            if acc_s or ret_s:
-                nb = self._bucket(tau + 1)
-                wmin = nb.wake_min
-                wmget = wmin.get
-                post_app = nb.post_acc.append
-                for s, pid, fi, r, c in zip(acc_s, acc_p, acc_f,
-                                            acc_r, acc_c):
-                    k = tick_base[r] + c
-                    dr = router_of[s]
-                    t = thr_next[dr]
-                    if k < t:
-                        pos = s * cap + (head[s] + cnt[s]) % cap
-                        buf_pid[pos] = pid
-                        buf_fi[pos] = fi
-                        cnt[s] += 1
-                        buffered[dr] += 1
-                        a = active[s]
-                        ci_w[s] = not a
-                        ca_w[s] = a
-                        if t == _NO_TICK:
-                            w = wmget(dr)
-                            if w is None or k < w:
-                                wmin[dr] = k
-                    else:
-                        post_app((s, pid, fi))
-                        w = wmget(dr)
-                        if w is None or k < w:
-                            wmin[dr] = k
-                # freed input slots credit upstream next cycle; LOCAL
-                # input ports re-enter the injection path instead
-                sidx = self._sidx
-                ret_cslot = self._link
-                inj_app = nb.inj.append
-                cred_app = nb.post_cred.append
-                n_lcred = 0
-                for i, r, c in zip(ret_s, ret_r, ret_c):
-                    k = tick_base[r] + c
-                    if sidx[i] < V:  # LOCAL is port 0
-                        inj_app(("lcred", k, router_of[i]))
-                        n_lcred += 1
-                        continue
-                    cs = ret_cslot[i]
-                    dr = router_of[cs]
-                    t = thr_next[dr]
-                    if k < t:
-                        credits[cs] += 1
-                        if t == _NO_TICK:
-                            w = wmget(dr)
-                            if w is None or k < w:
-                                wmin[dr] = k
-                    else:
-                        cred_app(cs)
-                        w = wmget(dr)
-                        if w is None or k < w:
-                            wmin[dr] = k
-                nb.nev += len(acc_s) + len(ret_s) - n_lcred
-
-            for r in best_wake:
-                thr_next[r] = _NO_TICK
-
-        # reset threshold + scratch columns (all-zero-between-steps)
-        for r, _k in T_items:
-            thr[r] = _NO_TICK
-            subtot[r] = 0
-            gmask_of[r] = 0
-
-    # ------------------------------------------------------------------
-    def _promote(self) -> None:
-        """Move the mutable columns into NumPy arrays, once, before the
-        engine's first array step.  The scalar code (injections, the
-        loop phases of later small steps) indexes them through
-        memoryviews, so both paths share one truth."""
-        np = _np
-        A = _Arrays()
-        for name in _ARRAY_COLUMNS:
-            column = np.array(getattr(self, name), dtype=np.int64)
-            setattr(A, name[1:], column)
-            setattr(self, name, memoryview(column))
-        slots = np.arange(self.N, dtype=np.int64)
-        A.router_of = slots // self.SPR
-        A.sidx = slots % self.SPR
-        A.link = np.array(self._link, dtype=np.int64)
-        #: XY output port by (sign(dx) + 1, sign(dy) + 1): the ports of
-        #: Mesh.port_rows, computed instead of gathered
-        A.xy_port = np.array(((WEST,) * 3, (NORTH, LOCAL, SOUTH),
-                              (EAST,) * 3), dtype=np.int64)
-        #: per-router scratch, zero between steps
-        A.tick_base = np.zeros(self.R, dtype=np.int64)
-        A.subtot = np.zeros(self.R, dtype=np.int64)
-        #: packet lengths and destinations, grown as packets are made
-        A.plen = np.zeros(1024, dtype=np.int64)
-        A.pdst = np.zeros(1024, dtype=np.int64)
-        A.npk = 0
-        self._arrays = A
-
-    def _packet_arrays(self, A: _Arrays):
-        """``(plen, pdst)`` arrays covering every packet made so far."""
-        n, m = len(self._plen), A.npk
-        if n > m:
-            if n > len(A.plen):
-                size = max(n, 2 * len(A.plen))
-                for name in ("plen", "pdst"):
-                    grown = _np.zeros(size, dtype=_np.int64)
-                    grown[:m] = getattr(A, name)[:m]
-                    setattr(A, name, grown)
-            A.plen[m:n] = self._plen[m:n]
-            A.pdst[m:n] = self._pdst[m:n]
-            A.npk = n
-        return A.plen, A.pdst
-
-    def _array_step(self, tau: int, bucket: _Bucket) -> None:  # noqa: C901
-        """:meth:`_step`'s phases as NumPy array operations (a big step).
-
-        The phases and their order are the loop path's; so are every
-        key and every tie-break (DESIGN.md §13, "The array path").
-        Injections, local deliveries and ``"lcred"`` returns stay
-        Python.  Every wake, whatever its source, is a (router, key)
-        candidate; a router's winning wake is its least effective one.
-        """
-        np = _np
         A = self._arrays
         SPR, V, cap, R = self.SPR, self.V, self.cap, self.R
         NO = _NO_TICK
@@ -990,7 +512,7 @@ class VectorFlitNetwork:
         bpid_a, bfi_a = A.buf_pid, A.buf_fi
         active_a, claimed_a, credits_a = A.active, A.claimed, A.credits
         buffered_a = A.buffered
-        ci_np, ca_np = self._ci_np, self._ca_np
+        ci_a, ca_a = A.ci, A.ca
 
         ticks = bucket.ticks
         nT = len(ticks)
@@ -999,31 +521,33 @@ class VectorFlitNetwork:
         thr_a[T_r] = T_k
         thrn_a[T_r] = NO  # consume this tick's pre-late entry
 
-        # ---- 1. pending events: fused wakes, pre-tick injections -----
-        wm = bucket.wake_min
-        if type(wm) is dict:
-            wr = np.fromiter(wm, np.int64, len(wm))
-            wk = np.fromiter(wm.values(), np.int64, len(wm))
-        else:
-            wr, wk = wm
+        # ---- 1. pending events: fused wakes, pre-tick credit returns -
+        # an event is visible to its router's tick iff its key is below
+        # the tick's key; fused arrivals were classified and pre-applied
+        # by the producing step
+        wr, wk = bucket.wake_min
         thr = self._tick_key_by_r
-        injects = bucket.inj
-        if len(injects) > 1:
-            injects.sort(key=lambda e: e[1])
-        #: (router, key) wakes from the Python injection paths
+        lcred = bucket.lcred
+        if len(lcred) > 1:
+            lcred.sort()
+        #: (router, key) wakes from the Python injection path
         wakes: List[Tuple[int, int]] = []
-        post_inj: List[Tuple] = []
-        for event in injects:
-            if event[1] < thr[event[2]]:
-                self._run_inject(event, tau, wakes)
+        post_lcred: List[Tuple[int, int]] = []
+        for key, node in lcred:
+            if key < thr[node]:
+                self._try_inject(node, key, wakes)
             else:
-                post_inj.append(event)
-        self.events_processed += nT + bucket.nev + len(injects)
-        plen_a, pdst_a = self._packet_arrays(A)
+                post_lcred.append((key, node))
+        self.events_processed += nT + bucket.nev + len(lcred)
+        plen_a, pdst_a = A.plen, A.pdst
 
         # ---- 2. candidate discovery (before stage 1 mutates) ---------
-        s3 = np.flatnonzero(ci_np)
-        sa = np.flatnonzero(ca_np)
+        # the masks cover the whole mesh; non-ticking routers' slots are
+        # dropped below (rare: a router holding flits at tick end always
+        # self-wakes, so a buffered router is non-ticking only on the
+        # single cycle its first flit arrives)
+        s3 = np.flatnonzero(ci_a)
+        sa = np.flatnonzero(ca_a)
 
         # ---- 3. stage 1: the j-th head flit of a (router, port) group
         # in slot order takes the j-th VC of that port free at step start
@@ -1035,8 +559,8 @@ class VectorFlitNetwork:
             r3 = rof[s3]
             dst = pdst_a[bpid_a[pos]]
             W = self.mesh.width
-            op = A.xy_port[np.sign(dst % W - r3 % W) + 1,
-                           np.sign(dst // W - r3 // W) + 1]
+            op = _XY_PORT[np.sign(dst % W - r3 % W) + 1,
+                          np.sign(dst // W - r3 // W) + 1]
             ob = r3 * SPR + op * V
             order = np.argsort(ob, kind="stable")
             grouped = ob[order]
@@ -1052,10 +576,12 @@ class VectorFlitNetwork:
             ov = ob[got] + hit[got].argmax(axis=1)
             claimed_a[ov] = 1
             active_a[s3] = 1
-            ci_np[s3] = False
-            ca_np[s3] = True
+            ci_a[s3] = False
+            ca_a[s3] = True
             A.out_port[s3] = op[got]
             A.out_slot[s3] = ov
+            # an allocation failure leaves the flit buffered, which
+            # already forces the end-of-tick self-wake
 
         # ---- 4. switch allocation + traversal ------------------------
         sa = sa[thr_a[rof[sa]] != NO]
@@ -1095,8 +621,8 @@ class VectorFlitNetwork:
         cnt_a[sw] = left
         buffered_a[granted] -= grants
         tail = fi == plen_a[pid] - 1  # tail flit frees the VC
-        ci_np[sw] = tail & (left > 0)
-        ca_np[sw] = ~tail & (left > 0)
+        ci_a[sw] = tail & (left > 0)
+        ca_a[sw] = ~tail & (left > 0)
         active_a[sw[tail]] = 0
         claimed_a[oslw[tail]] = 0
         credits_a[oslw[nonlocal_]] -= 1
@@ -1109,28 +635,33 @@ class VectorFlitNetwork:
         ejected = tail & ~nonlocal_
         if ejected.any():
             keys = thr_a[rw[ejected]]
+            packets, delivered = self._packets, self.delivered
             for p in pid[ejected][np.argsort(keys)].tolist():
-                self._deliver(p, tau)
+                packet = packets[p]
+                packet.delivered_cycle = tau
+                delivered.append(packet)
 
         # ---- 5. end-of-tick: rr bump, self-wakes ---------------------
+        # a self-wake fires iff flits remain buffered at tick end or the
+        # tick granted >= 2 flits (what work_left reduces to)
         A.rr[T_r] = (A.rr[T_r] + 1) % SPR
         busy = buffered_a[T_r] > 0
         multi = granted[grants >= 2]
 
-        # ---- 6. post-tick arrivals, credits and injections -----------
+        # ---- 6. post-tick arrivals, credits and credit returns -------
         post = bucket.post_acc
-        if len(post):
-            post = np.asarray(post, dtype=np.int64).reshape(-1, 3)
+        if post.size:
             self._push(A, post[:, 0], post[:, 1], post[:, 2])
-        if len(bucket.post_cred):
-            credits_a[np.asarray(bucket.post_cred, dtype=np.int64)] += 1
-        for event in post_inj:
-            self._run_inject(event, tau, wakes)
+        if bucket.post_cred.size:
+            credits_a[bucket.post_cred] += 1
+        for key, node in post_lcred:
+            self._try_inject(node, key, wakes)
 
         # ---- wake resolution -----------------------------------------
         # a wake is effective iff its router has no tick this cycle or
         # its key is >= the tick key, and no tick is pending next cycle
-        # already; the self-wake (the tick's own key) always is
+        # already (a kernel send's pre-late wake, recorded in thr_next);
+        # the self-wake (the tick's own key) always is
         cand_r = [wr, T_r[busy], multi]
         cand_k = [wk, T_k[busy], thr_a[multi]]
         if wakes:
@@ -1147,6 +678,9 @@ class VectorFlitNetwork:
         own = best[win]
 
         # ---- 7. rank this cycle's appenders; materialize keys --------
+        # only ticks and winning wakes append events to future buckets,
+        # so dense ranks over them (in key order) reproduce the kernel's
+        # append order; gaps from silent ticks don't matter
         tick_base = A.tick_base
         if nT or win.size:
             self_wake = own == thr_a[win]
@@ -1157,8 +691,10 @@ class VectorFlitNetwork:
             child_base = base_key + (rank << _SUB_BITS)
             tick_base[T_r] = child_base[:nT]
             if win.size:
-                # a self-wake is the tick's last schedule(); an external
-                # arrival's wake is its own appender
+                # next cycle's ticks first: the fused classification
+                # below needs them final.  A self-wake is the tick's last
+                # schedule(); an external arrival's wake is its own
+                # appender
                 child = np.empty_like(own)
                 ws = win[self_wake]
                 child[self_wake] = tick_base[ws] + A.subtot[ws]
@@ -1184,14 +720,12 @@ class VectorFlitNetwork:
                 # freed input slots credit upstream next cycle; LOCAL
                 # input ports re-enter the injection path instead
                 k = tick_base[rw] + ret_c
-                lcred = A.sidx[sw] < V  # LOCAL is port 0
-                if lcred.any():
-                    inj = nb.inj
-                    for key, node in zip(k[lcred].tolist(),
-                                         rw[lcred].tolist()):
-                        inj.append(("lcred", key, node))
-                cs = link[sw[~lcred]]
-                k = k[~lcred]
+                local = A.sidx[sw] < V  # LOCAL is port 0
+                if local.any():
+                    nb.lcred.extend(zip(k[local].tolist(),
+                                        rw[local].tolist()))
+                cs = link[sw[~local]]
+                k = k[~local]
                 dr = rof[cs]
                 t = thrn_a[dr]
                 pre = k < t
@@ -1209,7 +743,7 @@ class VectorFlitNetwork:
 
             thrn_a[win] = NO
 
-        # reset threshold + scratch columns (all-zero-between-steps)
+        # reset the tick keys and subtot for the next step
         thr_a[T_r] = NO
         A.subtot[granted] = 0
 
@@ -1220,8 +754,7 @@ class VectorFlitNetwork:
         A.buf_pid[pos] = pid
         A.buf_fi[pos] = fi
         cnt_a[s] += 1
-        _np.add.at(A.buffered, A.router_of[s], 1)
+        np.add.at(A.buffered, A.router_of[s], 1)
         routed = A.active[s] != 0
-        self._ci_np[s] = ~routed
-        self._ca_np[s] = routed
-
+        A.ci[s] = ~routed
+        A.ca[s] = routed

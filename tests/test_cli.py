@@ -9,12 +9,13 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.config import describe_axes
+from repro.experiments.runner import main as experiments_main
 from repro.faults.campaign import main as faults_main
 from repro.obs.cli import main as trace_main
 
 #: the entry point of each tool sharing the workload-flag types
 TOOLS = {"inpg-sim": main, "inpg-trace": trace_main,
-         "inpg-faults": faults_main}
+         "inpg-faults": faults_main, "inpg-experiments": experiments_main}
 
 #: (tool, argv, the flag refused): a workload flag no run can honour
 BAD_WORKLOAD_FLAGS = [
@@ -39,6 +40,17 @@ BAD_WORKLOAD_FLAGS = [
     ("inpg-trace", "kdtree --scale 0", "--scale"),
     ("inpg-faults", "--scale -1", "--scale"),
     ("inpg-faults", "--scale 0", "--scale"),
+    ("inpg-experiments", "fig9 --scale -1 --no-cache", "--scale"),
+    ("inpg-experiments", "fig9 --scale 0", "--scale"),
+    # a workload flag the chosen workload ignores
+    ("inpg-sim", "kdtree --threads 8", "--threads"),
+    ("inpg-sim", "kdtree --home 5", "--home"),
+    ("inpg-sim", "microbench --scale 0.5", "--scale"),
+    ("inpg-sim", "microbench --seed 5", "--seed"),
+    ("inpg-faults", "kdtree --threads 8", "--threads"),
+    ("inpg-faults", "kdtree --home 5", "--home"),
+    ("inpg-faults", "--scale 0.5", "--scale"),
+    ("inpg-faults", "microbench --seed 5", "--seed"),
 ]
 
 
@@ -165,12 +177,17 @@ class TestMain:
     def test_workload_flags_keep_valid_values(self):
         args = build_parser().parse_args([
             "microbench", "--threads", "64", "--home", "63",
-            "--primitive", "TTL", "--scale", "0.5"])
+            "--primitive", "TTL"])
         assert (args.benchmark, args.threads, args.home, args.primitive,
-                args.scale) == ("microbench", 64, 63, "ticket", 0.5)
-        args = build_parser().parse_args(["fluid", "--threads", "1",
+                args.scale, args.seed) == \
+            ("microbench", 64, 63, "ticket", 1.0, 2018)
+        args = build_parser().parse_args(["microbench", "--threads", "1",
                                           "--home", "0"])
-        assert (args.benchmark, args.threads, args.home) == ("fluid", 1, 0)
+        assert (args.threads, args.home) == (1, 0)
+        args = build_parser().parse_args(["fluid", "--scale", "0.5",
+                                          "--seed", "7"])
+        assert (args.benchmark, args.scale, args.seed, args.threads,
+                args.home) == ("fluid", 0.5, 7, 64, 53)
 
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):

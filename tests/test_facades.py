@@ -15,7 +15,6 @@ from repro.config import NocConfig
 from repro.sim import Simulator
 
 from test_import_budget import fresh_process
-from test_vecflit import vecflit_without_numpy
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -33,7 +32,6 @@ DATA = {
     "ALL_PROFILES": "repro.workloads.profiles:ALL_PROFILES",
     "ARBITERS": "repro.config:ARBITERS",
     "CONTINUE": "repro.noc.router:CONTINUE",
-    "HAS_NUMPY": "repro.noc.vecflit:HAS_NUMPY",
     "MECHANISMS": "repro.config:MECHANISMS",
     "OMP2012": "repro.workloads.profiles:OMP2012",
     "OMP2012_PROFILES": "repro.workloads.profiles:OMP2012_PROFILES",
@@ -128,18 +126,24 @@ def test_loading_a_module_binds_all_its_facade_names():
 
 def test_factory_builds_the_vector_engine_loaded_now():
     """The factory resolves the vector engine when it is called, so a
-    reloaded ``vecflit`` (the NumPy import shim) is the one it builds."""
-    import repro.noc.vecflit as vecflit
-    from repro.noc import VectorFlitNetwork, make_flit_network
+    freshly imported ``vecflit`` is the one it builds."""
+    pytest.importorskip("numpy")
+    import repro.noc as noc
+    import repro.noc.vecflit as original
+    from repro.noc import make_flit_network
 
-    assert vecflit.make_flit_network is make_flit_network
     cfg = NocConfig(width=4, height=4)
-    with vecflit_without_numpy() as reloaded:
+    del sys.modules["repro.noc.vecflit"]
+    try:
         net = make_flit_network(Simulator(), cfg, "vector")
-        assert type(net) is reloaded.VectorFlitNetwork
-        assert reloaded.VectorFlitNetwork is not VectorFlitNetwork
+        fresh = sys.modules["repro.noc.vecflit"]
+        assert fresh is not original
+        assert type(net) is fresh.VectorFlitNetwork
+    finally:
+        sys.modules["repro.noc.vecflit"] = original
+        noc.vecflit = original
     net = make_flit_network(Simulator(), cfg, "vector")
-    assert type(net) is VectorFlitNetwork
+    assert type(net) is original.VectorFlitNetwork
 
 
 def test_api_annotations_resolve():

@@ -17,6 +17,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro import api
 from repro.config import NocConfig
 from repro.exec import Executor
@@ -193,6 +195,7 @@ def test_event_flit_engine_needs_no_numpy():
 
 
 def test_vector_flit_drive_loads_only_its_engine():
+    pytest.importorskip("numpy")
     out = fresh_process(
         "from repro.config import NocConfig\n"
         "from repro.noc import make_flit_network\n"

@@ -15,7 +15,7 @@ from repro.noc.topology import (
     WEST,
     Mesh,
 )
-from repro.noc.vecflit import VectorFlitNetwork
+from repro.noc.engines import make_flit_network
 from repro.sim import Simulator
 
 
@@ -120,18 +120,20 @@ class TestXYPortRows:
 
     @pytest.mark.parametrize("width,height", [(6, 3), (8, 8)])
     def test_every_engine_shares_one_table(self, width, height):
+        """Every event router indexes its mesh's cached row; every
+        vector engine of one shape gathers through one read-only link
+        table (and computes the XY port from coordinates)."""
         rows = Mesh(width, height).port_rows()
         assert Mesh(width, height).port_rows() is rows
         cfg = NocConfig(width=width, height=height)
         event = FlitNetwork(Simulator(), cfg)
-        vector = VectorFlitNetwork(cfg)
         for node, row in enumerate(rows):
             assert event.routers[node]._route_row is row
-        assert vector._route is rows
-        # the slot tables are shared per shape too
-        again = VectorFlitNetwork(cfg)
-        assert again._link is vector._link
-        assert again._router_of is vector._router_of
+        pytest.importorskip("numpy")
+        vector, again = (make_flit_network(Simulator(), cfg, "vector")
+                         for _ in range(2))
+        assert again._arrays.link is vector._arrays.link
+        assert not vector._arrays.link.flags.writeable
 
 
 @st.composite

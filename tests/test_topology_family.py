@@ -391,11 +391,12 @@ class TestFlitEngineGuard:
 
     @pytest.mark.parametrize("topology", ["torus", "ring"])
     def test_vector_engine_rejects(self, topology):
+        pytest.importorskip("numpy")
         from repro.noc.vecflit import VectorFlitNetwork
 
         with pytest.raises(UnsupportedTopology) as excinfo:
             VectorFlitNetwork(NocConfig(width=4, height=4,
-                                        topology=topology))
+                                        topology=topology), Simulator())
         self._check(excinfo.value)
         assert excinfo.value.model == "flit/vector"
 

@@ -1,34 +1,36 @@
 """Tests for the vectorized flit engine (:mod:`repro.noc.vecflit`).
 
-The vector engine's whole claim is *bit-exactness*: it must replay the
-event-driven reference (:mod:`repro.noc.flitsim`) delivery for delivery
-under every drive — standalone ``send_at``/``run``, kernel-scheduled
-``send`` via ``schedule_at``, NumPy and pure-Python paths.  These tests
-pin that claim against the committed flit golden, property-check it on
+The vector engine's whole claim is *bit-exactness*: under the kernel it
+must replay the event-driven reference (:mod:`repro.noc.flitsim`)
+delivery for delivery, whether a send is scheduled on the kernel or
+made directly between ``sim.run(until=...)`` slices.  These tests pin
+that claim against the committed flit golden, property-check it on
 randomized traffic, and cover the engine's refusals (multi-cycle links,
-unknown engine names).
+unknown engine names, and a missing NumPy).  Without NumPy only that
+refusal and the event engine's golden cases run.
 """
 
-import contextlib
 import hashlib
 import sys
+from collections import defaultdict
 
 import pytest
 
 from repro.config import NocConfig
 from repro.noc import make_flit_network
-from repro.noc.flitsim import FlitNetwork
-from repro.noc import vecflit
-from repro.noc.vecflit import HAS_NUMPY, VectorFlitNetwork
 from repro.perf.workloads import _uniform_flit_plan
 from repro.sim import Simulator, make_rng
 
 from test_golden_determinism import GOLDEN_FLIT
 
+try:
+    import numpy
+except ImportError:
+    numpy = None
 
-#: ``_ARRAY_TICKS`` values that put every step on one path: the array
-#: phases (any step qualifies) or the loops (no step does)
-STEP_PATHS = {"array": 0, "loop": 1 << 62}
+#: every test that runs the engine; without NumPy it is refused
+needs_numpy = pytest.mark.skipif(numpy is None,
+                                 reason="the vector flit engine needs NumPy")
 
 
 def _golden_plan(packets=1200):
@@ -46,18 +48,31 @@ def _fingerprint(delivered):
     return digest.hexdigest()
 
 
-def _run_cosim(engine, shape, plan, force_python=False):
-    """Drive one engine on a ``(width, height)`` mesh through the kernel;
-    return its observable trace."""
+def _drive(engine, shape, plan, direct=()):
+    """Drive one engine on a ``(width, height)`` mesh through the kernel
+    until its traffic drains; return ``(sim, net)``.  ``plan`` rows are
+    scheduled on the kernel up front; each ``direct`` row ``(cycle,
+    src, dst, length)`` is sent directly once ``sim.run(until=cycle)``
+    has paused there."""
     sim = Simulator()
-    cfg = NocConfig(width=shape[0], height=shape[1])
-    if engine == "event":
-        net = FlitNetwork(sim, cfg)
-    else:
-        net = VectorFlitNetwork(cfg, sim=sim, force_python=force_python)
+    net = make_flit_network(
+        sim, NocConfig(width=shape[0], height=shape[1]), engine)
     for cycle, src, dst, length in plan:
         sim.schedule_at(cycle, net.send, src, dst, length)
+    by_cycle = defaultdict(list)
+    for cycle, src, dst, length in direct:
+        by_cycle[cycle].append((src, dst, length))
+    for cycle in sorted(by_cycle):
+        sim.run(until=cycle)
+        for src, dst, length in by_cycle[cycle]:
+            net.send(src, dst, length)
     sim.run(until=2_000_000)
+    return sim, net
+
+
+def _trace(sim, net):
+    """A drained drive's observable trace: delivered stream, final
+    cycle, events processed."""
     stream = [
         (p.src, p.dst, p.length, p.injected_cycle, p.delivered_cycle)
         for p in net.delivered
@@ -65,18 +80,9 @@ def _run_cosim(engine, shape, plan, force_python=False):
     return stream, sim.cycle, sim.events_processed
 
 
-def _run_plan_drive(shape, plan):
-    """The plan drive (``send_at`` + one ``run``) on a ``(width,
-    height)`` mesh; returns its trace in :func:`_run_cosim`'s shape."""
-    net = VectorFlitNetwork(NocConfig(width=shape[0], height=shape[1]))
-    for cycle, src, dst, length in plan:
-        net.send_at(cycle, src, dst, length)
-    net.run(until=2_000_000)
-    stream = [
-        (p.src, p.dst, p.length, p.injected_cycle, p.delivered_cycle)
-        for p in net.delivered
-    ]
-    return stream, net.cycle, net.events_processed
+def _run_cosim(engine, shape, plan, direct=()):
+    """The observable trace of :func:`_drive` on one engine."""
+    return _trace(*_drive(engine, shape, plan, direct))
 
 
 #: mesh shapes (width, height) the parity tests drive besides the
@@ -116,11 +122,13 @@ def _random_plan(seed, shape=None):
 
 
 class TestVectorGolden:
-    """The vector engine reproduces the committed flit golden."""
+    """The vector engine reproduces the committed flit golden, as the
+    event engine does."""
 
+    @needs_numpy
     def test_cosim_drive_matches_pinned_golden(self):
         sim = Simulator()
-        net = VectorFlitNetwork(NocConfig(width=8, height=8), sim=sim)
+        net = make_flit_network(sim, NocConfig(width=8, height=8), "vector")
         for cycle, src, dst, length in _golden_plan():
             sim.schedule_at(cycle, net.send, src, dst, length)
         sim.run(until=2_000_000)
@@ -130,58 +138,31 @@ class TestVectorGolden:
             len(net.delivered),
         ) == GOLDEN_FLIT
 
-    def test_standalone_drive_matches_pinned_golden(self):
-        net = VectorFlitNetwork(NocConfig(width=8, height=8))
-        for cycle, src, dst, length in _golden_plan():
-            net.send_at(cycle, src, dst, length)
-        net.run(until=2_000_000)
-        assert (
-            _fingerprint(net.delivered),
-            net.events_processed,
-            len(net.delivered),
-        ) == GOLDEN_FLIT
-
-    def test_pure_python_path_matches_pinned_golden(self):
+    @pytest.mark.parametrize("engine", [
+        pytest.param("vector", id="array", marks=needs_numpy),
+        pytest.param("event", id="event"),
+    ])
+    @pytest.mark.parametrize("drive", ["cosim", "sliced"])
+    def test_each_step_path_matches_pinned_golden(self, drive, engine):
+        """Both step paths replay the golden — the vector engine's array
+        phases, one whole-mesh step a cycle, and the event engine's
+        per-router events — whether the kernel runs the plan in one
+        ``sim.run`` (cosim) or pauses at each of its injection cycles
+        (sliced), so that the step after each pause starts a new run."""
         sim = Simulator()
-        net = VectorFlitNetwork(
-            NocConfig(width=8, height=8), sim=sim, force_python=True
-        )
-        for cycle, src, dst, length in _golden_plan():
+        net = make_flit_network(sim, NocConfig(width=8, height=8), engine)
+        plan = _golden_plan()
+        for cycle, src, dst, length in plan:
             sim.schedule_at(cycle, net.send, src, dst, length)
+        if drive == "sliced":
+            for cycle in sorted({row[0] for row in plan}):
+                sim.run(until=cycle)
         sim.run(until=2_000_000)
-        assert (
-            _fingerprint(net.delivered),
-            sim.events_processed,
-            len(net.delivered),
-        ) == GOLDEN_FLIT
-
-    @pytest.mark.parametrize("path", sorted(STEP_PATHS))
-    @pytest.mark.parametrize("drive", ["cosim", "standalone"])
-    def test_each_step_path_matches_pinned_golden(self, drive, path,
-                                                  monkeypatch):
-        """Both sides of the array threshold replay the golden: every
-        step on the array phases, and every step on the loops."""
-        monkeypatch.setattr(vecflit, "_ARRAY_TICKS", STEP_PATHS[path])
-        cfg = NocConfig(width=8, height=8)
-        if drive == "cosim":
-            sim = Simulator()
-            net = VectorFlitNetwork(cfg, sim=sim)
-            for cycle, src, dst, length in _golden_plan():
-                sim.schedule_at(cycle, net.send, src, dst, length)
-            sim.run(until=2_000_000)
-            events = sim.events_processed
-        else:
-            net = VectorFlitNetwork(cfg)
-            for cycle, src, dst, length in _golden_plan():
-                net.send_at(cycle, src, dst, length)
-            net.run(until=2_000_000)
-            events = net.events_processed
-        assert (_fingerprint(net.delivered), events,
+        assert (_fingerprint(net.delivered), sim.events_processed,
                 len(net.delivered)) == GOLDEN_FLIT
-        # the array phases ran, on NumPy's columns, iff they were forced
-        assert (net._arrays is not None) == (path == "array" and HAS_NUMPY)
 
 
+@needs_numpy
 class TestEngineParity:
     """Property test: event and vector engines are indistinguishable
     (delivered stream, final cycle, event count) on randomized traffic."""
@@ -192,90 +173,85 @@ class TestEngineParity:
         assert _run_cosim("event", shape, plan) == \
             _run_cosim("vector", shape, plan)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="the array phases need NumPy")
     @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
-    def test_array_path_parity(self, seed, shape, monkeypatch):
-        """The same sweep with every vector step on the array phases
-        (the meshes above are too small to reach the threshold)."""
-        monkeypatch.setattr(vecflit, "_ARRAY_TICKS", STEP_PATHS["array"])
+    def test_array_path_parity(self, seed, shape):
+        """The same sweep, read on the array phases' columns as well:
+        the vector run replays the reference, and once its traffic has
+        drained it leaves the engine at rest — no flit buffered, queued
+        or streaming, every credit returned, no VC active or claimed,
+        no candidate mask set, no tick or bucket pending."""
+        from repro.noc.vecflit import _NO_TICK
+
         shape, plan = _random_plan(seed, shape)
-        assert _run_cosim("event", shape, plan) == \
-            _run_cosim("vector", shape, plan)
+        sim, net = _drive("vector", shape, plan)
+        assert _trace(sim, net) == _run_cosim("event", shape, plan)
+        A = net._arrays
+        assert not (A.cnt.any() or A.buffered.any() or A.subtot.any())
+        assert not (A.active.any() or A.claimed.any())
+        assert not (A.ci.any() or A.ca.any())
+        assert (A.credits == net.cap).all()
+        assert (A.tick_key_by_r == _NO_TICK).all()
+        assert (A.thr_next == _NO_TICK).all()
+        assert not net._buckets
+        assert not any(net._iqueue.values())
+        assert not any(net._streaming.values())
 
-    @pytest.mark.parametrize("seed,shape", parity_cases([0, 3]))
-    def test_pure_python_parity(self, seed, shape):
-        """The no-NumPy fallback is the same engine, not an approximation."""
-        shape, plan = _random_plan(seed, shape)
-        assert _run_cosim("event", shape, plan) == \
-            _run_cosim("vector", shape, plan, force_python=True)
-
-    @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
-    def test_plan_drive_parity(self, seed, shape, monkeypatch):
-        """Seed and shape sweep: the plan drive replays the
-        kernel-driven event reference exactly (same stream, same final
-        cycle, same event count) with every step on the array phases
-        and with every step on the loops."""
-        shape, plan = _random_plan(seed, shape)
-        reference = _run_cosim("event", shape, plan)
-        for path, ticks in sorted(STEP_PATHS.items()):
-            monkeypatch.setattr(vecflit, "_ARRAY_TICKS", ticks)
-            assert _run_plan_drive(shape, plan) == reference, \
-                f"seed={seed} {path}"
-
-
-@contextlib.contextmanager
-def vecflit_without_numpy():
-    """Import a second copy of :mod:`repro.noc.vecflit` with NumPy
-    blocked and install it in ``sys.modules`` while the block runs.  The
-    original module comes back on exit, so the classes every other test
-    imported stay the ones the program builds."""
-    import builtins
-    import importlib
-
-    import repro.noc as noc
-    import repro.noc.vecflit as original
-
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"blocked for test: {name}")
-        return real_import(name, *args, **kwargs)
-
-    saved_numpy = sys.modules.pop("numpy", None)
-    del sys.modules["repro.noc.vecflit"]
-    builtins.__import__ = blocked
-    try:
-        yield importlib.import_module("repro.noc.vecflit")
-    finally:
-        builtins.__import__ = real_import
-        if saved_numpy is not None:
-            sys.modules["numpy"] = saved_numpy
-        sys.modules["repro.noc.vecflit"] = original
-        noc.vecflit = original
+    @pytest.mark.parametrize("seed", range(10))
+    def test_direct_send_parity(self, seed):
+        """Every other packet is sent directly between ``sim.run``
+        slices, after its cycle's step has run, while the rest stay
+        scheduled on the kernel: the post-step branch of the vector
+        engine's send keys each above that step's own events."""
+        shape, plan = _random_plan(seed)
+        scheduled, direct = plan[::2], plan[1::2]
+        assert _run_cosim("event", shape, scheduled, direct) == \
+            _run_cosim("vector", shape, scheduled, direct)
 
 
-class TestImportShim:
-    def test_engine_works_without_numpy(self):
-        """With NumPy import-blocked, HAS_NUMPY drops to False and the
-        engine still runs (pure-Python fallback)."""
-        with vecflit_without_numpy() as mod:
-            assert mod.HAS_NUMPY is False
-            net = mod.VectorFlitNetwork(NocConfig(width=4, height=4))
-            net.send_at(0, 0, 15, 8)
-            net.send_at(1, 5, 3, 1)
-            net.run(until=100_000)
-            assert len(net.delivered) == 2
-        assert sys.modules["repro.noc.vecflit"].VectorFlitNetwork \
-            is VectorFlitNetwork
+class TestWithoutNumpy:
+    def test_vector_engine_is_refused(self):
+        """With NumPy unimportable, the vector engine's module raises an
+        ImportError that names NumPy and the event engine, and the
+        event engine still runs the drive."""
+        import repro.noc as noc
+
+        saved = {name: sys.modules.pop(name)
+                 for name in ("numpy", "repro.noc.vecflit")
+                 if name in sys.modules}
+        bound = vars(noc).pop("vecflit", None)
+        sys.modules["numpy"] = None  # makes ``import numpy`` fail
+        cfg = NocConfig(width=4, height=4)
+        try:
+            with pytest.raises(ImportError) as excinfo:
+                make_flit_network(Simulator(), cfg, "vector")
+            message = str(excinfo.value)
+            assert "needs NumPy" in message
+            assert "make_flit_network(sim, config, 'event')" in message
+            assert "repro.noc.vecflit" not in sys.modules
+            sim = Simulator()
+            net = make_flit_network(sim, cfg, "event")
+            net.send(0, 15, 8)
+            sim.run(until=100_000)
+            assert len(net.delivered) == 1
+        finally:
+            del sys.modules["numpy"]
+            sys.modules.update(saved)
+            if bound is not None:
+                noc.vecflit = bound
 
 
+@needs_numpy
 class TestEngineGuards:
     def test_multi_cycle_links_refused(self):
         with pytest.raises(ValueError, match="link_cycles"):
-            VectorFlitNetwork(NocConfig(width=4, height=4, link_cycles=2))
+            make_flit_network(Simulator(),
+                              NocConfig(width=4, height=4, link_cycles=2),
+                              "vector")
 
     def test_factory_selects_engines(self):
+        from repro.noc.flitsim import FlitNetwork
+        from repro.noc.vecflit import VectorFlitNetwork
+
         sim = Simulator()
         cfg = NocConfig(width=4, height=4)
         assert isinstance(
