@@ -23,11 +23,9 @@ Everything a consumer needs lives behind four calls::
     api.save_result(result, "run.json")
     result = api.load_result("run.json")
 
-    # the simulation service (local twin by default, remote by URL)
-    client = api.connect()                        # in-process
-    client = api.connect("http://127.0.0.1:8731") # a running inpg-serve
-    job = client.submit(specs)
-    results = client.run(specs)                   # submit + wait + fetch
+    # the same plan on a running inpg-serve: one shared cache and pool
+    remote = api.RemoteExecutor("http://127.0.0.1:8731")
+    by_spec = remote.run(specs)                   # spec -> result
 
 The deep import paths (``repro.system.ManyCoreSystem``,
 ``repro.exec.Executor``, ``repro.stats.serialize`` …) keep working and
@@ -81,7 +79,6 @@ from .stats.serialize import (
 __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "FaultPlan": ".faults",
     "FaultSite": ".faults",
-    "LocalClient": ".serve.client",
     "ManyCoreSystem": ".system",
     "Observation": ".obs",
     "PROTOCOL_SPECS": ".coherence.protocol:PROTOCOLS",
@@ -89,7 +86,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "RemoteExecutor": ".serve.client",
     "ServiceClient": ".serve.client",
     "Workload": ".workloads.generator",
-    "connect": ".serve.client",
     "generate_workload": ".workloads.generator",
     "get_protocol": ".coherence.protocol",
     "run_benchmark": ".system",
@@ -110,7 +106,6 @@ __all__ = [
     "FaultPlan",
     "FaultSite",
     "LivelockDetected",
-    "LocalClient",
     "MECHANISMS",
     "ManyCoreSystem",
     "Observation",
@@ -130,7 +125,6 @@ __all__ = [
     "SystemConfig",
     "TOPOLOGIES",
     "Workload",
-    "connect",
     "describe_axes",
     "errors",
     "generate_workload",

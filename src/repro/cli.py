@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Optional
 
 from .config import (
     AXES,
@@ -123,15 +124,16 @@ def executor_from_args(args, *, retries: int = 0, on_error: str = "raise",
     :class:`~repro.serve.client.RemoteExecutor` bound to ``--remote``.
     Observed (traced) plans cannot cross the wire — trace rings live in
     the executing process — so ``observe_factory`` with ``--remote`` is
-    rejected here, once, instead of in every tool.
+    refused here, once, instead of in every tool: an
+    ``argparse.ArgumentError`` the tool reports as a usage error.
     """
     remote = getattr(args, "remote", None)
     if remote:
         if observe_factory is not None:
-            raise SystemExit(
-                "error: --trace needs inline execution and cannot be "
-                "combined with --remote (trace data stays in the "
-                "executing process)")
+            raise argparse.ArgumentError(
+                None, "--trace needs inline execution and cannot be "
+                      "combined with --remote (trace data stays in the "
+                      "executing process)")
         from .serve.client import RemoteExecutor
 
         return RemoteExecutor(remote, timeout_s=args.timeout,
@@ -214,29 +216,41 @@ WORKLOAD_FLAGS = {
 
 
 class WorkloadParser(argparse.ArgumentParser):
-    """The parser of a tool that runs one workload, its ``benchmark``.
+    """The parser of a tool that runs workloads: its ``benchmark``, or
+    each of its ``benchmarks``.
 
     A named benchmark reads neither ``--threads`` nor ``--home``, and
     microbench reads neither ``--scale`` nor ``--seed`` (a seed would
-    only move its cache address).  Such a flag is a usage error; the
-    :data:`WORKLOAD_FLAGS` the command line leaves unset (their
-    arguments default to ``None``) take their defaults after parsing.
+    only move its cache address).  Such a flag is a usage error when
+    any chosen workload ignores it; the :data:`WORKLOAD_FLAGS` the
+    command line leaves unset (their arguments default to ``None``)
+    take their defaults after parsing.  A tool takes any subset of the
+    flags.
     """
 
     def parse_known_args(self, args=None, namespace=None):
         parsed, extras = super().parse_known_args(args, namespace)
-        micro = parsed.benchmark == MICROBENCH
+        chosen = getattr(parsed, "benchmarks", None) or [parsed.benchmark]
         for name, (default, reader) in WORKLOAD_FLAGS.items():
+            if not hasattr(parsed, name):
+                continue
             if getattr(parsed, name) is None:
                 setattr(parsed, name, default)
-            elif (reader == MICROBENCH) != micro:
-                self.error(f"argument --{name}: {parsed.benchmark} "
-                           f"ignores it ({reader} only)")
+                continue
+            for benchmark in chosen:
+                if (reader == MICROBENCH) != (benchmark == MICROBENCH):
+                    self.error(f"argument --{name}: {benchmark} "
+                               f"ignores it ({reader} only)")
         return parsed, extras
 
 
-def footer_cache_dir(executor) -> str:
-    """The ``cache_dir`` string the execution-summary footer prints."""
+def footer_cache_dir(executor) -> Optional[str]:
+    """The ``cache_dir`` string the execution-summary footer prints: the
+    cache directory, or the URL of the service a
+    :class:`~repro.serve.client.RemoteExecutor` runs on."""
+    client = getattr(executor, "client", None)
+    if client is not None:
+        return client.url
     directory = executor.cache.directory
     return str(directory) if directory is not None else None
 
@@ -312,11 +326,12 @@ def main(argv=None) -> int:
                   f"group-relevant short name: {profile.short_name})")
         return 0
     args = parser.parse_args(argv)
-    traced = args.trace or args.trace_out is not None
-    if traced and args.remote:
-        print("error: --trace needs inline execution and cannot be "
-              "combined with --remote", file=sys.stderr)
-        return 2
+    observe_factory = None
+    if args.trace or args.trace_out is not None:
+        from .obs import Observation
+
+        # an observed run executes inline and never touches the cache
+        observe_factory = lambda spec: Observation(label=spec.label())  # noqa: E731
     fault_plan = None
     if args.faults:
         from .faults import FaultPlan
@@ -326,7 +341,7 @@ def main(argv=None) -> int:
         except ValueError as err:
             parser.error(f"argument --faults: {err}")
     try:
-        executor = executor_from_args(args)
+        executor = executor_from_args(args, observe_factory=observe_factory)
         options = ExperimentOptions(
             fault_plan=fault_plan,
             watchdog_cycles=args.watchdog,
@@ -350,19 +365,11 @@ def main(argv=None) -> int:
                 seed=args.seed,
             )
         spec = options.apply_to_spec(spec)
-        observe = None
-        if traced:
-            from .exec.executor import execute_spec
-            from .obs import Observation
-
-            observe = Observation(label=spec.label())
-            # observed runs execute inline and never touch the cache:
-            # cached results carry no trace ring, and traced payloads
-            # must not leak into unobserved plans.
-            result = execute_spec(spec, observe=observe,
-                                  timeout_s=args.timeout)
-        else:
-            result = executor.run_one(spec)
+        result = executor.run_one(spec)
+        observe = executor.observation_for(spec)
+    except argparse.ArgumentError as err:  # --trace with --remote
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except ReproError as err:
         # a refused or failed run is a one-line diagnosis, not a traceback
         print(f"error: {err}", file=sys.stderr)

@@ -9,7 +9,10 @@ The execution pipeline for a plan (a sequence of :class:`RunSpec`):
 3. execute the remainder — in-process when ``jobs == 1`` (today's
    debuggable path), else on a ``ProcessPoolExecutor`` of ``jobs``
    workers, each re-running the simulation from its spec and shipping
-   the result back through the versioned serialization layer;
+   the result back through the versioned serialization layer.  This is
+   the one step (``_execute``) a
+   :class:`~repro.serve.client.RemoteExecutor` replaces: it submits the
+   remainder to an ``inpg-serve`` instead;
 4. write every fresh result through to the disk cache and record
    per-run observability (wall time, simulated cycles, events/sec).
 
@@ -377,14 +380,13 @@ class Executor:
                 todo[fp] = spec
 
         if self.observe_factory is not None:
-            self._run_observed(todo, timeout_s, retries, on_error)
+            for fp, spec in todo.items():
+                self._attempt_inline(fp, spec, timeout_s, retries, on_error,
+                                     observe=self.observe_factory(spec))
         else:
             missing = self._load_from_disk(todo)
             if missing:
-                if self.jobs > 1 and len(missing) > 1:
-                    self._run_pool(missing, timeout_s, retries, on_error)
-                else:
-                    self._run_inline(missing, timeout_s, retries, on_error)
+                self._execute(missing, timeout_s, retries, on_error)
         return {
             spec: self._memory.get(fp)
             for spec, fp in zip(specs, fingerprints)
@@ -416,8 +418,22 @@ class Executor:
             missing[fp] = spec
         return missing
 
+    def _execute(self, missing: Dict[str, RunSpec],
+                 timeout_s: Optional[float], retries: int,
+                 on_error: str) -> None:
+        """Run the specs neither memory nor the cache holds.
+
+        The one step a :class:`~repro.serve.client.RemoteExecutor`
+        replaces: it submits them to a service instead.
+        """
+        if self.jobs > 1 and len(missing) > 1:
+            self._run_pool(missing, timeout_s, retries, on_error)
+        else:
+            for fp, spec in missing.items():
+                self._attempt_inline(fp, spec, timeout_s, retries, on_error)
+
     def _store(self, spec: RunSpec, fp: str, result: RunResult,
-               wall: float) -> None:
+               wall: float, observe=None) -> None:
         self._memory[fp] = result
         self.stats.record_run(
             RunRecord(
@@ -428,6 +444,10 @@ class Executor:
                 sim_events=int(result.extra.get("sim_events", 0)),
             )
         )
+        if observe is not None:
+            # an observed result stays out of the cache (observe_factory)
+            self.observations[fp] = observe
+            return
         self.cache.put(
             fp,
             spec.canonical_payload(),
@@ -480,35 +500,9 @@ class Executor:
                     self._failure(spec, fp, error, attempts, wall)
                     return
                 raise
-            wall = time.perf_counter() - start
-            if observe is not None:
-                self._memory[fp] = result
-                self.observations[fp] = observe
-                self.stats.record_run(
-                    RunRecord(
-                        fingerprint=fp,
-                        label=spec.label(),
-                        wall_time=wall,
-                        sim_cycles=result.roi_cycles,
-                        sim_events=int(result.extra.get("sim_events", 0)),
-                    )
-                )
-            else:
-                self._store(spec, fp, result, wall)
+            self._store(spec, fp, result, time.perf_counter() - start,
+                        observe)
             return
-
-    def _run_inline(self, missing: Dict[str, RunSpec],
-                    timeout_s: Optional[float], retries: int,
-                    on_error: str) -> None:
-        for fp, spec in missing.items():
-            self._attempt_inline(fp, spec, timeout_s, retries, on_error)
-
-    def _run_observed(self, todo: Dict[str, RunSpec],
-                      timeout_s: Optional[float], retries: int,
-                      on_error: str) -> None:
-        for fp, spec in todo.items():
-            self._attempt_inline(fp, spec, timeout_s, retries, on_error,
-                                 observe=self.observe_factory(spec))
 
     def _run_pool(self, missing: Dict[str, RunSpec],
                   timeout_s: Optional[float], retries: int,

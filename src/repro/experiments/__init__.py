@@ -27,7 +27,6 @@ from .common import (
     ExperimentOptions,
     benchmarks_for,
     cached_run,
-    clear_cache,
     execute,
     format_table,
     get_executor,
@@ -72,7 +71,6 @@ __all__ = [
     "get_executor",
     "run_mechanism_matrix",
     "set_executor",
-    "clear_cache",
     "fig02_lco",
     "fig07_synthesis",
     "fig08_cs_chars",

@@ -229,11 +229,6 @@ def cached_run(
     )
 
 
-def clear_cache() -> None:
-    """Drop the in-memory result table (the disk cache survives)."""
-    get_executor().clear_memory()
-
-
 def run_mechanism_matrix(
     benchmarks: Optional[Sequence[str]] = None,
     mechanisms: Sequence[str] = MECHANISMS,

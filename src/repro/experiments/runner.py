@@ -128,14 +128,17 @@ def main(argv=None) -> int:
         from ..obs import Observation
 
         observe_factory = lambda spec: Observation(label=spec.label())  # noqa: E731
-    executor = common.set_executor(
-        executor_from_args(
-            args,
-            retries=args.retries,
-            on_error=args.on_error,
-            observe_factory=observe_factory,
+    try:
+        executor = common.set_executor(
+            executor_from_args(
+                args,
+                retries=args.retries,
+                on_error=args.on_error,
+                observe_factory=observe_factory,
+            )
         )
-    )
+    except argparse.ArgumentError as err:  # --trace with --remote
+        parser.error(str(err))
     options = common.ExperimentOptions(
         quick=not args.full,
         scale=args.scale,

@@ -44,6 +44,7 @@ from ..cli import (
     add_workload_flags,
     benchmark_name,
     execution_parent,
+    executor_from_args,
     footer_cache_dir,
     primitive_name,
 )
@@ -111,6 +112,7 @@ def classify(
 
 
 def run_campaign(
+    executor: Executor,
     benchmark: str = "microbench",
     plans: Optional[List[FaultPlan]] = None,
     *,
@@ -120,21 +122,20 @@ def run_campaign(
     seed: int = 2018,
     fault_seed: int = 0,
     watchdog_cycles: int = 50_000,
-    timeout_s: Optional[float] = None,
     max_cycles: int = 5_000_000,
     raw_spin: bool = False,
     threads: int = 64,
     home: int = 53,
-    jobs: Optional[int] = None,
-    use_cache: bool = True,
-    cache_dir=None,
-    remote: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Run one campaign; returns the JSON-safe report payload.
+    """Run one campaign on ``executor``; returns the JSON-safe report
+    payload.
 
     The baseline runs *without* faults or watchdog (so it stays
     bit-exact with the repository goldens); each plan then runs the same
-    spec with the plan installed and the watchdog armed.
+    spec with the plan installed and the watchdog armed.  Every run goes
+    through ``on_error="skip"``, whatever the executor's own policy: a
+    failed run is a campaign row, not an abort.  The executor's
+    ``timeout_s`` is the per-run wall-clock budget.
     """
     if plans is None:
         plans = [FaultPlan.parse(text, seed=fault_seed)
@@ -159,16 +160,7 @@ def run_campaign(
         for plan in plans
     ]
 
-    if remote:
-        from ..serve.client import RemoteExecutor
-
-        executor = RemoteExecutor(remote, timeout_s=timeout_s,
-                                  on_error="skip")
-    else:
-        executor = Executor(jobs=jobs, use_cache=use_cache,
-                            cache_dir=cache_dir, timeout_s=timeout_s,
-                            on_error="skip")
-    baseline = executor.run_one(base_spec)
+    baseline = executor.run_one(base_spec, on_error="skip")
     if baseline is None:
         # even the fault-free baseline failed: report and bail
         failure = executor.stats.failures[-1]
@@ -176,7 +168,7 @@ def run_campaign(
             f"baseline run failed ({failure.error_type}): "
             f"{failure.message.splitlines()[0]}"
         )
-    results = executor.run(faulted)
+    results = executor.run(faulted, on_error="skip")
     failures = {rec.fingerprint: rec for rec in executor.stats.failures}
 
     rows = [
@@ -286,6 +278,7 @@ def main(argv=None) -> int:
         except ValueError as err:
             parser.error(f"argument --faults: {err}")
     report = run_campaign(
+        executor_from_args(args),
         args.benchmark,
         plans,
         primitive=args.primitive,
@@ -294,15 +287,10 @@ def main(argv=None) -> int:
         seed=args.seed,
         fault_seed=args.fault_seed,
         watchdog_cycles=args.watchdog,
-        timeout_s=args.timeout,
         max_cycles=args.max_cycles,
         raw_spin=args.spin == "raw",
         threads=args.threads,
         home=args.home,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        remote=args.remote,
     )
     print(render_report(report))
     print()

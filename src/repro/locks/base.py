@@ -114,37 +114,6 @@ class LockPrimitive(Component):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _spin_until(
-        self,
-        core: int,
-        addr: int,
-        passes: Callable[[int], bool],
-        on_pass: Callable[[int], None],
-        priority: int = 0,
-        on_poll: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Poll ``addr`` every ``spin_interval`` cycles until ``passes``.
-
-        Polls hit the local L1 copy while it stays valid; an invalidation
-        (the lock holder's release, or a new winner's acquisition) turns
-        the next poll into a GetS refetch — exactly the spin-lock traffic
-        pattern of Section 3.2.
-        """
-        interval = self.config.spin.spin_interval
-
-        def poll() -> None:
-            self.memsys.load(core, addr, on_value, priority=priority)
-
-        def on_value(value: int) -> None:
-            if on_poll is not None:
-                on_poll()
-            if passes(value):
-                on_pass(value)
-            else:
-                self.after(interval, poll)
-
-        poll()
-
     def _monitored_spin(
         self,
         core: int,

@@ -1,9 +1,9 @@
 """``inpg-trace``: run simulations under observation and export traces.
 
 The dedicated front door to :mod:`repro.obs`: runs one or more
-benchmarks inline (uncached, observed), writes a combined Chrome
-trace-event JSON file viewable in Perfetto / ``chrome://tracing``, and
-prints the per-lock contention report.
+benchmarks through an observed executor (inline, uncached), writes a
+combined Chrome trace-event JSON file viewable in Perfetto /
+``chrome://tracing``, and prints the per-lock contention report.
 
 Examples::
 
@@ -15,21 +15,24 @@ Examples::
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import Counter
 from typing import List, Optional
 
-from ..cli import benchmark_name, positive_scale, primitive_name
+from ..cli import (
+    WorkloadParser,
+    benchmark_name,
+    positive_scale,
+    primitive_name,
+)
 from ..config import MECHANISMS, PRIMITIVES
-from ..exec import RunSpec
-from ..exec.executor import execute_spec
+from ..exec import Executor, RunSpec
 from . import DEFAULT_CAPACITY, Observation
 from .export import write_chrome_trace
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> WorkloadParser:
+    parser = WorkloadParser(
         prog="inpg-trace",
         description="Run benchmarks under observation and export a "
                     "combined Chrome trace-event JSON (Perfetto).",
@@ -48,9 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--primitive", default="qsl", type=primitive_name,
                         help=f"one of {PRIMITIVES} (or paper alias TTL)")
-    parser.add_argument("--scale", type=positive_scale, default=1.0,
-                        help="workload scale factor")
-    parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--scale", type=positive_scale, default=None,
+                        help="named benchmarks: workload scale factor "
+                             "(default 1.0)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="named benchmarks: workload seed "
+                             "(default 2018)")
     parser.add_argument("-o", "--out", default="trace.json", metavar="PATH",
                         help="output trace file (default trace.json)")
     parser.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
@@ -70,6 +76,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     mechanisms = args.mechanisms or ["inpg"]
+    executor = Executor(
+        use_cache=False,
+        observe_factory=lambda spec: Observation(
+            trace_capacity=args.capacity, label=spec.label()),
+    )
 
     runs = []
     for benchmark in args.benchmarks:
@@ -78,10 +89,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 benchmark=benchmark, mechanism=mechanism,
                 primitive=args.primitive, scale=args.scale, seed=args.seed,
             )
-            observe = Observation(
-                trace_capacity=args.capacity, label=spec.label()
-            )
-            result = execute_spec(spec, observe=observe)
+            result = executor.run_one(spec)
+            observe = executor.observation_for(spec)
             print(f"{spec.label()}: roi={result.roi_cycles:,} cycles, "
                   f"{len(observe.records()):,} trace records "
                   f"({observe.tracer.dropped:,} dropped)")

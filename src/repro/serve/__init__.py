@@ -4,24 +4,17 @@ The package splits along the wire:
 
 * :mod:`repro.serve.proto` — the schema both sides share (versioned
   envelopes; ``PROTO_SCHEMA_VERSION``);
-* :mod:`repro.serve.store` — fingerprint-keyed result + failure store
-  over the executor's cache directory;
+* :mod:`repro.serve.store` — failure provenance and the result index
+  over the executor's cache directory (the executor keeps the results);
 * :mod:`repro.serve.server` — the ``inpg-serve`` asyncio service
   (job queue, dedupe, worker fan-out, SSE progress);
-* :mod:`repro.serve.client` — ``ServiceClient`` (HTTP),
-  ``RemoteExecutor`` (the ``--remote`` drop-in for the harnesses) and
-  :func:`connect` (local-or-remote entry point, re-exported from
-  :mod:`repro.api`).
+* :mod:`repro.serve.client` — ``ServiceClient`` (HTTP) and
+  ``RemoteExecutor``, the :class:`~repro.exec.Executor` that runs on the
+  service (the ``--remote`` drop-in for the harnesses).
 """
 
 from .. import _lazy
-from .client import (
-    LocalClient,
-    RemoteExecutor,
-    ServiceClient,
-    ServiceError,
-    connect,
-)
+from .client import RemoteExecutor, ServiceClient, ServiceError
 from .proto import PROTO_SCHEMA_VERSION, ProtoError
 from .store import ResultStore
 
@@ -33,7 +26,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
 })
 
 __all__ = [
-    "LocalClient",
     "PROTO_SCHEMA_VERSION",
     "ProtoError",
     "RemoteExecutor",
@@ -42,6 +34,5 @@ __all__ = [
     "ServiceError",
     "ServiceHandle",
     "SimulationService",
-    "connect",
     "start_in_thread",
 ]

@@ -1,24 +1,25 @@
 """Clients of ``inpg-serve``: the thin HTTP side of the serve proto.
 
-Three layers, outermost first:
+Two layers, outermost first:
 
 * :class:`ServiceClient` — a stdlib :mod:`http.client` wrapper speaking
   :mod:`repro.serve.proto` verbatim: submit, poll, stream events, fetch
   results/failures by fingerprint.
-* :class:`RemoteExecutor` — an :class:`~repro.exec.Executor`-shaped
-  facade over a :class:`ServiceClient`.  The experiment harnesses, the
+* :class:`RemoteExecutor` — an :class:`~repro.exec.Executor` whose
+  missing specs run on the service.  The experiment harnesses, the
   sweep and the fault campaign all talk to *an executor*; installing a
   ``RemoteExecutor`` (``--remote <url>``) redirects every one of them to
-  the service without a line of harness code changing.  Local semantics
-  are preserved client-side: the service always runs ``on_error="skip"``
-  internally, and this facade re-raises (:class:`ExecutorError`) when
-  the caller asked for ``"raise"``.
-* :func:`connect` — the one-call entry point (re-exported from
-  :mod:`repro.api`): ``connect()`` gives a :class:`LocalClient` over an
-  in-process executor, ``connect("http://host:port")`` the remote
-  client; both expose the identical ``submit`` / ``wait`` / ``result`` /
-  ``run`` surface, so "local by default, remote by URL" is a call-site
-  decision, not an architecture.
+  the service without a line of harness code changing.  It inherits
+  memory, in-plan dedupe and the run policy, and replaces only the step
+  that runs what memory lacks.  Local semantics are preserved
+  client-side: the service always runs ``on_error="skip"`` internally,
+  and this executor re-raises (:class:`ExecutorError`) when the caller
+  asked for ``"raise"``.
+
+Local by default, remote by URL: :func:`repro.api.run_plan` (or an
+:class:`~repro.exec.Executor`) runs a plan in-process, and
+``RemoteExecutor(url)`` offers the same ``run`` / ``run_one`` on a
+running service.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ExecutorError
 from ..exec import Executor, RunSpec
-from ..exec.executor import ExecStats, RunRecord
+from ..exec.cache import NullCache
+from ..exec.executor import RunRecord
 from ..stats.metrics import RunResult
 from ..stats.serialize import (
     deserialize_run_result,
@@ -112,12 +114,10 @@ class ServiceClient:
 
     def submit(self, specs: Sequence[RunSpec], *,
                timeout_s: Optional[float] = None,
-               retries: Optional[int] = None,
-               on_error: Optional[str] = None) -> Dict:
+               retries: Optional[int] = None) -> Dict:
         """POST a plan; returns the initial ``job`` snapshot."""
         request = proto.submit_request(
-            specs, timeout_s=timeout_s, retries=retries,
-            on_error=on_error)
+            specs, timeout_s=timeout_s, retries=retries)
         return self._request("POST", "/v1/jobs", request, kind="job")
 
     def job(self, job_id: str) -> Dict:
@@ -189,59 +189,22 @@ class ServiceClient:
             return None
         return failure_record_from_dict(payload)
 
-    # ------------------------------------------------------------------
-    def run(self, specs: Sequence[RunSpec], *,
-            timeout_s: Optional[float] = None,
-            retries: Optional[int] = None,
-            poll_s: float = 0.25,
-            wait_timeout_s: Optional[float] = None,
-            ) -> Dict[RunSpec, Optional[RunResult]]:
-        """Submit, wait, fetch: the blocking convenience round trip.
-
-        Failed specs map to ``None`` (skip semantics — ask
-        :meth:`failure` why); :class:`RemoteExecutor` layers raise
-        semantics on top.
-        """
-        specs = list(specs)
-        job = self.submit(specs, timeout_s=timeout_s, retries=retries)
-        final = self.wait(job["id"], poll_s=poll_s,
-                          timeout_s=wait_timeout_s)
-        if final["state"] == "error":
-            raise ServiceError(
-                f"service failed executing job {job['id']}: "
-                f"{final.get('error')}")
-        results: Dict[str, Optional[RunResult]] = {}
-        for row in final["specs"]:
-            fp = row["fingerprint"]
-            if fp in results:
-                continue
-            if row["state"] == "failed":
-                results[fp] = None
-            else:
-                results[fp] = self.result(fp)
-        return {spec: results[spec.fingerprint] for spec in specs}
-
 
 # ----------------------------------------------------------------------
-# Executor facade
+# Executor
 # ----------------------------------------------------------------------
-class _RemoteCache:
-    """Footer shim: the remote store, shaped like a local cache."""
-
-    def __init__(self, directory: Optional[str], url: str):
-        self.directory = (f"{url} ({directory})"
-                          if directory is not None else url)
-
-
-class RemoteExecutor:
-    """An Executor-shaped facade that executes on an ``inpg-serve``.
+class RemoteExecutor(Executor):
+    """An :class:`~repro.exec.Executor` that executes on an ``inpg-serve``.
 
     Drop-in for the process-global executor the harnesses share
-    (:func:`repro.experiments.common.set_executor`): ``run`` / ``run_one``
-    signatures, ``stats`` footer counters, ``jobs`` and
-    ``cache.directory`` all behave as the harness code expects, but
-    every simulation happens on the service — one shared cache and one
-    shared worker pool for every client on the machine.
+    (:func:`repro.experiments.common.set_executor`): ``run`` / ``run_one``,
+    memory, in-plan dedupe, the run policy and the ``stats`` footer
+    counters are the executor's own, but every simulation happens on the
+    service — one shared cache and one shared worker pool for every
+    client on the machine.  It holds no local cache: what memory lacks
+    goes to the service, which dedupes against its store, and a spec
+    the service already held counts as a disk hit.  ``jobs`` is the
+    service's pool width.
     """
 
     def __init__(self, url: str, timeout_s: Optional[float] = None,
@@ -250,75 +213,26 @@ class RemoteExecutor:
         self.client = url if isinstance(url, ServiceClient) \
             else ServiceClient(url)
         health = self.client.health()  # fail fast + discover the pool
-        self.jobs = health["jobs"]
-        self.cache = _RemoteCache(health.get("store"), self.client.url)
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.on_error = on_error
+        super().__init__(jobs=health["jobs"], cache=NullCache(),
+                         timeout_s=timeout_s, retries=retries,
+                         on_error=on_error)
         self.poll_s = poll_s
-        self.stats = ExecStats()
-        self._memory: Dict[str, RunResult] = {}
-        #: observed runs can't cross the wire (trace rings are local)
-        self.observe_factory = None
-        self.observations: Dict[str, object] = {}
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        plan: Sequence[RunSpec],
-        *,
-        timeout_s: Optional[float] = None,
-        retries: Optional[int] = None,
-        on_error: Optional[str] = None,
-    ) -> Dict[RunSpec, Optional[RunResult]]:
-        timeout_s = self.timeout_s if timeout_s is None else timeout_s
-        retries = self.retries if retries is None else retries
-        on_error = self.on_error if on_error is None else on_error
-        specs = list(plan)
-        fingerprints = [spec.fingerprint for spec in specs]
-
-        # mirror the local executor: dedupe against client memory first
-        todo: Dict[str, RunSpec] = {}
-        for spec, fp in zip(specs, fingerprints):
-            if fp in self._memory or fp in todo:
-                self.stats.memory_hits += 1
-            else:
-                todo[fp] = spec
-
-        if todo:
-            job = self.client.submit(
-                list(todo.values()), timeout_s=timeout_s,
-                retries=retries)
-            final = self.client.wait(job["id"], poll_s=self.poll_s)
-            if final["state"] == "error":
-                raise ExecutorError(
-                    f"service failed executing job {job['id']}: "
-                    f"{final.get('error')}")
-            self._absorb(final, todo, on_error)
-
-        return {
-            spec: self._memory.get(fp)
-            for spec, fp in zip(specs, fingerprints)
-        }
-
-    def run_one(self, spec: RunSpec, **policy) -> Optional[RunResult]:
-        return self.run([spec], **policy)[spec]
-
-    def observation_for(self, spec: RunSpec):
-        return None
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
-    # ------------------------------------------------------------------
-    def _absorb(self, final: Dict, todo: Dict[str, RunSpec],
-                on_error: str) -> None:
-        """Fold one finished job into local memory + footer stats."""
+    def _execute(self, missing: Dict[str, RunSpec],
+                 timeout_s: Optional[float], retries: int,
+                 on_error: str) -> None:
+        """Submit what memory lacks, wait, and fold the finished job
+        into memory and the footer counters."""
+        job = self.client.submit(list(missing.values()),
+                                 timeout_s=timeout_s, retries=retries)
+        final = self.client.wait(job["id"], poll_s=self.poll_s)
+        if final["state"] == "error":
+            raise ExecutorError(
+                f"service failed executing job {job['id']}: "
+                f"{final.get('error')}")
         for row in final["specs"]:
             fp = row["fingerprint"]
-            spec = todo.get(fp)
-            if spec is None or fp in self._memory:
-                continue
+            spec = missing[fp]
             state = row["state"]
             if state == "failed":
                 record = self.client.failure(fp)
@@ -348,126 +262,8 @@ class RemoteExecutor:
                 self.stats.disk_hits += 1
 
 
-# ----------------------------------------------------------------------
-# Local twin + entry point
-# ----------------------------------------------------------------------
-class LocalClient:
-    """The in-process twin of :class:`ServiceClient`.
-
-    Same ``submit`` / ``job`` / ``wait`` / ``result`` / ``run`` surface,
-    zero sockets: jobs execute synchronously at submit time on a private
-    (or supplied) :class:`~repro.exec.Executor`.  Code written against
-    :func:`connect` runs identically with and without a service.
-    """
-
-    def __init__(self, executor: Optional[Executor] = None, **kwargs):
-        self.executor = executor if executor is not None \
-            else Executor(**kwargs)
-        self._jobs: Dict[str, Dict] = {}
-        self._specs: Dict[str, RunSpec] = {}
-        self._seq = 0
-
-    @property
-    def url(self) -> None:
-        return None
-
-    def health(self) -> Dict:
-        directory = self.executor.cache.directory
-        return proto.health_message(
-            jobs=self.executor.jobs,
-            store=str(directory) if directory is not None else None,
-        )
-
-    def submit(self, specs: Sequence[RunSpec], *,
-               timeout_s: Optional[float] = None,
-               retries: Optional[int] = None,
-               on_error: Optional[str] = None) -> Dict:
-        specs = list(specs)
-        before = {spec.fingerprint for spec in specs
-                  if spec.fingerprint in self.executor._memory
-                  or spec.fingerprint in self.executor.cache}
-        results = self.executor.run(
-            specs, timeout_s=timeout_s, retries=retries,
-            on_error=on_error or "skip")
-        self._seq += 1
-        job_id = f"local-j{self._seq}"
-        rows = []
-        for spec in specs:
-            fp = spec.fingerprint
-            self._specs[fp] = spec
-            rows.append({
-                "fingerprint": fp,
-                "label": spec.label(),
-                "state": ("failed" if results[spec] is None
-                          else "cached" if fp in before else "done"),
-            })
-        snapshot = proto.envelope(
-            "job", id=job_id, state="done", version=1,
-            total=len(specs), resolved=len(specs),
-            counts={}, specs=rows, error=None,
-        )
-        self._jobs[job_id] = snapshot
-        return snapshot
-
-    def job(self, job_id: str) -> Dict:
-        return self._jobs[job_id]
-
-    def wait(self, job_id: str, poll_s: float = 0.25,
-             timeout_s: Optional[float] = None) -> Dict:
-        return self._jobs[job_id]
-
-    def result_payload(self, fingerprint: str) -> Dict:
-        from ..stats.serialize import serialize_run_result
-
-        return serialize_run_result(self.result(fingerprint))
-
-    def result(self, fingerprint: str) -> RunResult:
-        result = self.executor._memory.get(fingerprint)
-        if result is None:
-            raise KeyError(f"no result for {fingerprint[:16]}...")
-        return result
-
-    def failure(self, fingerprint: str):
-        for record in self.executor.stats.failures:
-            if record.fingerprint == fingerprint:
-                return record
-        return None
-
-    def run(self, specs: Sequence[RunSpec], *,
-            timeout_s: Optional[float] = None,
-            retries: Optional[int] = None,
-            poll_s: float = 0.25,
-            wait_timeout_s: Optional[float] = None,
-            ) -> Dict[RunSpec, Optional[RunResult]]:
-        return self.executor.run(
-            list(specs), timeout_s=timeout_s, retries=retries,
-            on_error="skip")
-
-
-def connect(url: Optional[str] = None, **executor_kwargs):
-    """Open the simulation service — or its in-process twin.
-
-    ``connect("http://host:port")`` returns a :class:`ServiceClient`
-    bound to a running ``inpg-serve`` (executor kwargs are rejected:
-    the service owns its executor policy).  ``connect()`` returns a
-    :class:`LocalClient` over a private executor built from
-    ``executor_kwargs`` (``jobs=``, ``cache_dir=``, ...) — the same
-    submit/wait/result surface with zero infrastructure.
-    """
-    if url is None:
-        return LocalClient(**executor_kwargs)
-    if executor_kwargs:
-        raise TypeError(
-            "executor kwargs only apply to local connections; the "
-            f"service at {url!r} owns its own executor policy "
-            f"(got {sorted(executor_kwargs)})")
-    return ServiceClient(url)
-
-
 __all__ = [
-    "LocalClient",
     "RemoteExecutor",
     "ServiceClient",
     "ServiceError",
-    "connect",
 ]

@@ -30,8 +30,8 @@ Message kinds
 kind        body
 ========== ==========================================================
 submit      ``specs`` (list of spec payloads), ``policy`` (executor
-            policy overrides: ``timeout_s`` / ``retries`` /
-            ``on_error``)
+            policy overrides: ``timeout_s`` / ``retries``; the service
+            always runs ``on_error="skip"``, so that key is refused)
 job         one job's status snapshot (see :func:`job_payload` on the
             server side): id, state, per-spec states, counters
 result      ``fingerprint`` + ``result`` (serialized run result)
@@ -123,7 +123,6 @@ def submit_request(
     *,
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
-    on_error: Optional[str] = None,
 ) -> Dict:
     """Encode a plan submission (specs + executor policy overrides)."""
     policy: Dict = {}
@@ -131,8 +130,6 @@ def submit_request(
         policy["timeout_s"] = float(timeout_s)
     if retries is not None:
         policy["retries"] = int(retries)
-    if on_error is not None:
-        policy["on_error"] = on_error
     return envelope(
         "submit",
         specs=[spec.to_dict() for spec in specs],
@@ -157,7 +154,7 @@ def decode_submit(payload: Dict) -> tuple:
     policy = body.get("policy") or {}
     if not isinstance(policy, dict):
         raise ProtoError("submit policy must be a mapping")
-    unknown = set(policy) - {"timeout_s", "retries", "on_error"}
+    unknown = set(policy) - {"timeout_s", "retries"}
     if unknown:
         raise ProtoError(f"unknown policy keys: {sorted(unknown)}")
     return specs, policy

@@ -21,9 +21,11 @@ Lifecycle of a submission (``POST /v1/jobs``):
    in chunks (chunk size = the worker-pool width) inside a thread, so
    the event loop keeps serving status polls while simulations run;
    per-chunk completion updates job progress;
-4. results persist in the :class:`~repro.serve.store.ResultStore`
-   (= the cache directory) and failures are recorded through the
-   serialize layer, both queryable by fingerprint afterwards.
+4. results persist once, where the executor keeps them (its cache
+   directory, or its memory under ``--no-cache``); failures are
+   recorded in the :class:`~repro.serve.store.ResultStore` through the
+   serialize layer, and a fresh result deletes its fingerprint's
+   failure.  Both are queryable by fingerprint afterwards.
 
 Endpoints (all JSON, proto-enveloped)::
 
@@ -146,11 +148,9 @@ class Job:
 class SimulationService:
     """The job queue, dedupe logic and HTTP front-end in one object."""
 
-    def __init__(self, executor: Optional[Executor] = None,
-                 store: Optional[ResultStore] = None):
+    def __init__(self, executor: Optional[Executor] = None):
         self.executor = executor if executor is not None else Executor()
-        self.store = store if store is not None else ResultStore(
-            self.executor.cache)
+        self.store = ResultStore(self.executor.cache)
         self.jobs: Dict[str, Job] = {}
         self.counters = Registry()
         self._queue: asyncio.Queue = asyncio.Queue()
@@ -169,7 +169,14 @@ class SimulationService:
     def _known(self, fingerprint: str) -> bool:
         """Does the service already hold a result for this address?"""
         return (fingerprint in self.executor._memory
-                or fingerprint in self.store)
+                or fingerprint in self.executor.cache)
+
+    def _result_payload(self, fingerprint: str) -> Optional[Dict]:
+        """The serialized result the executor holds, or ``None``."""
+        payload = self.executor.cache.get(fingerprint)
+        if payload is None and fingerprint in self.executor._memory:
+            payload = serialize_run_result(self.executor._memory[fingerprint])
+        return payload
 
     def submit(self, specs: Sequence[RunSpec], policy: Dict) -> Job:
         """Dedupe and enqueue one plan; returns the (queued) job."""
@@ -261,15 +268,11 @@ class SimulationService:
         }
         for spec in batch:
             fp = spec.fingerprint
-            result = self.executor._memory.get(fp)
-            if result is not None:
+            if fp in self.executor._memory:
                 job.mark_fp(fp, "done", only=("queued", "running"))
                 self.counters.inc("serve/specs_executed")
                 self._records[fp] = self._record_for(fp)
-                self.store.put_result(
-                    spec, result, serialize_run_result(result),
-                    wall=self._records[fp].get("wall_time", 0.0),
-                )
+                self.store.forget_failure(fp)
             else:
                 job.mark_fp(fp, "failed", only=("queued", "running"))
                 self.counters.inc("serve/specs_failed")
@@ -399,10 +402,11 @@ class SimulationService:
         elif tail == ["stats"] and method == "GET":
             await self._respond(writer, 200, self._stats_payload())
         elif tail == ["store"] and method == "GET":
+            memory = self.executor._memory
             await self._respond(writer, 200, proto.envelope(
                 "stats", counters={}, exec={},
-                store={"index": self.store.index(),
-                       **self.store.summary()}))
+                store={"index": self.store.index(memory),
+                       **self.store.summary(memory)}))
         elif tail == ["jobs"] and method == "POST":
             await self._handle_submit(body, writer)
         elif len(tail) == 2 and tail[0] == "jobs" and method == "GET":
@@ -417,11 +421,7 @@ class SimulationService:
               and tail[2] == "events" and method == "GET"):
             await self._handle_events(tail[1], writer)
         elif len(tail) == 2 and tail[0] == "results" and method == "GET":
-            payload = self.store.get_payload(tail[1])
-            if payload is None:
-                result = self.executor._memory.get(tail[1])
-                if result is not None:
-                    payload = serialize_run_result(result)
+            payload = self._result_payload(tail[1])
             if payload is None:
                 await self._respond(writer, 404, proto.error_message(
                     "unknown-result", f"no result for {tail[1][:16]}..."))
@@ -493,7 +493,7 @@ class SimulationService:
                 "sim_events": stats.sim_events,
                 "jobs": self.executor.jobs,
             },
-            store=self.store.summary(),
+            store=self.store.summary(self.executor._memory),
         )
 
 
@@ -581,15 +581,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from ..cli import executor_from_args
+
     args = build_parser().parse_args(argv)
-    executor = Executor(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
-    service = SimulationService(executor=executor)
+    service = SimulationService(
+        executor=executor_from_args(args, retries=args.retries))
     try:
         asyncio.run(service.serve_forever(args.host, args.port))
     except KeyboardInterrupt:

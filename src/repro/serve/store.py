@@ -1,21 +1,25 @@
-"""Queryable result store: the disk cache plus failure provenance.
+"""What the service keeps beside its executor: failure provenance and
+the result index.
 
-The executor's :class:`~repro.exec.cache.ResultCache` already content-
-addresses every successful run by spec fingerprint; the service needs
-two more things from the same directory:
+The executor holds each result once — its
+:class:`~repro.exec.cache.ResultCache` content-addresses every
+successful run by spec fingerprint, and its memory holds what it ran or
+read — so the service reads results there.  The store adds two things
+over the same directory:
 
 * **failures** — a skipped/failed run leaves no cache entry, so the
   store records its :class:`~repro.exec.executor.FailureRecord` (through
   the versioned serialize layer) under ``failures/<fingerprint>.json``.
   A campaign client can then ask *why* a fingerprint has no result —
-  previously that provenance died with the executor process.
+  previously that provenance died with the executor process.  A fresh
+  result for the fingerprint deletes the record.
 * **queries** — cache entries carry the spec's canonical payload, so the
   store can answer "which benchmarks and fingerprints do you hold?" without
   a separate index.
 
-When the executor runs uncached (``NullCache``), the store degrades to
-an in-memory table with the same interface — results survive for the
-service's lifetime, not across restarts.
+When the executor runs uncached (``NullCache``), its memory is the
+store: results survive for the service's lifetime, not across restarts,
+and the index and counts read the fingerprints the service passes in.
 """
 
 from __future__ import annotations
@@ -24,25 +28,22 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Collection, Dict, List, Optional, Union
 
 from ..exec.cache import NullCache, ResultCache
-from ..stats.metrics import RunResult
 from ..stats.serialize import (
-    deserialize_run_result,
     failure_record_from_dict,
     failure_record_to_dict,
 )
 
 
 class ResultStore:
-    """Fingerprint-keyed results + failures over one cache directory."""
+    """Failures and the result index over one executor's cache."""
 
     def __init__(self, cache: Union[ResultCache, NullCache]):
         self.cache = cache
-        #: memory fallbacks (NullCache mode, and always for failures so
-        #: a dead disk never loses the current session's provenance)
-        self._results: Dict[str, Dict] = {}
+        #: failures are also kept in memory, so a dead disk never loses
+        #: the current session's provenance
         self._failures: Dict[str, Dict] = {}
 
     @property
@@ -54,40 +55,6 @@ class ResultStore:
         if self.directory is None:
             return None
         return self.directory / "failures"
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def put_result(self, spec, result: RunResult, payload: Dict,
-                   wall: float = 0.0) -> None:
-        """Record one completed run (``payload`` = serialized result).
-
-        When the underlying cache persists (the executor also writes
-        through it), this is belt-and-braces; in ``NullCache`` mode it
-        is the only copy.
-        """
-        self._results[spec.fingerprint] = payload
-        self.cache.put(spec.fingerprint, spec.canonical_payload(), payload,
-                       meta={"wall_time": wall})
-        # a fresh result supersedes any stale failure for the address
-        self._failures.pop(spec.fingerprint, None)
-
-    def get_payload(self, fingerprint: str) -> Optional[Dict]:
-        """The serialized result for a fingerprint, or ``None``."""
-        payload = self.cache.get(fingerprint)
-        if payload is not None:
-            return payload
-        return self._results.get(fingerprint)
-
-    def get_result(self, fingerprint: str) -> Optional[RunResult]:
-        payload = self.get_payload(fingerprint)
-        if payload is None:
-            return None
-        return deserialize_run_result(payload)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return (fingerprint in self._results
-                or fingerprint in self.cache)
 
     # ------------------------------------------------------------------
     # Failures
@@ -115,6 +82,13 @@ class ResultStore:
                 pass
             raise
 
+    def forget_failure(self, fingerprint: str) -> None:
+        """Delete a failure its fingerprint's fresh result supersedes."""
+        self._failures.pop(fingerprint, None)
+        directory = self._failure_dir
+        if directory is not None:
+            (directory / f"{fingerprint}.json").unlink(missing_ok=True)
+
     def get_failure_payload(self, fingerprint: str) -> Optional[Dict]:
         payload = self._failures.get(fingerprint)
         if payload is not None:
@@ -139,12 +113,17 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def index(self) -> List[Dict]:
-        """One row per stored result: fingerprint + spec identity."""
-        rows: List[Dict] = []
-        seen = set()
+    def index(self, memory: Collection[str] = ()) -> List[Dict]:
+        """One row per stored result: fingerprint + spec identity.
+
+        Without a cache directory the results are the fingerprints in
+        the executor's ``memory``, one bare row each.
+        """
         directory = self.directory
-        if directory is not None and directory.is_dir():
+        if directory is None:
+            return [{"fingerprint": fp} for fp in sorted(memory)]
+        rows: List[Dict] = []
+        if directory.is_dir():
             for path in sorted(directory.glob("*.json")):
                 try:
                     with open(path, "r", encoding="utf-8") as fh:
@@ -155,7 +134,6 @@ class ResultStore:
                 spec = entry.get("spec") or {}
                 if not fp:
                     continue
-                seen.add(fp)
                 rows.append({
                     "fingerprint": fp,
                     "benchmark": spec.get("benchmark"),
@@ -163,19 +141,21 @@ class ResultStore:
                     "seed": spec.get("seed"),
                     "scale": spec.get("scale"),
                 })
-        for fp in sorted(self._results):
-            if fp not in seen:
-                rows.append({"fingerprint": fp})
         return rows
 
-    def summary(self) -> Dict:
-        """The store block of the service ``stats`` message."""
+    def summary(self, memory: Collection[str] = ()) -> Dict:
+        """The store block of the service ``stats`` message.
+
+        It counts from directory listings (or the executor's ``memory``
+        without a cache directory) and reads no entry.
+        """
         failed = set(self._failures)
         if self._failure_dir is not None and self._failure_dir.is_dir():
             failed.update(p.stem for p in self._failure_dir.glob("*.json"))
+        directory = self.directory
         return {
-            "directory": (str(self.directory)
-                          if self.directory is not None else None),
-            "results": len(self.index()),
+            "directory": str(directory) if directory is not None else None,
+            "results": (len(self.cache) if directory is not None
+                        else len(memory)),
             "failures": len(failed),
         }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .kernel import Event, Simulator
+from .kernel import Simulator
 
 
 class Component:
@@ -29,12 +29,6 @@ class Component:
         """Schedule ``fn(*args)`` ``delay`` cycles in the future (hot,
         non-cancellable path — see :meth:`Simulator.schedule`)."""
         self.sim.schedule(delay, fn, *args)
-
-    def after_cancellable(
-        self, delay: int, fn: Callable[..., None], *args
-    ) -> Event:
-        """Schedule a retractable timer ``delay`` cycles out."""
-        return self.sim.schedule_cancellable(delay, fn, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -47,6 +47,8 @@ BAD_WORKLOAD_FLAGS = [
     ("inpg-sim", "kdtree --home 5", "--home"),
     ("inpg-sim", "microbench --scale 0.5", "--scale"),
     ("inpg-sim", "microbench --seed 5", "--seed"),
+    ("inpg-trace", "microbench --scale 0.5", "--scale"),
+    ("inpg-trace", "microbench --seed 5", "--seed"),
     ("inpg-faults", "kdtree --threads 8", "--threads"),
     ("inpg-faults", "kdtree --home 5", "--home"),
     ("inpg-faults", "--scale 0.5", "--scale"),
@@ -188,6 +190,12 @@ class TestMain:
                                           "--seed", "7"])
         assert (args.benchmark, args.scale, args.seed, args.threads,
                 args.home) == ("fluid", 0.5, 7, 64, 53)
+        # inpg-trace takes only --scale and --seed; unset, they keep the
+        # named benchmarks' defaults beside a microbench
+        from repro.obs.cli import build_parser as trace_parser
+
+        args = trace_parser().parse_args(["microbench", "fluid"])
+        assert (args.scale, args.seed) == (1.0, 2018)
 
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):

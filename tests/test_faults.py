@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import LockSpinConfig, NocConfig, SystemConfig
 from repro.errors import LivelockDetected, UnsupportedFaultSite
-from repro.exec import RunSpec, execute_spec
+from repro.exec import Executor, RunSpec, execute_spec
 from repro.faults import FaultInjector, FaultPlan, parse_site
 from repro.noc.network import Network
 from repro.sim import Simulator
@@ -442,8 +442,9 @@ class TestCampaign:
         from repro.faults.campaign import render_report, run_campaign
 
         report = run_campaign(
+            Executor(use_cache=False),
             plans=[FaultPlan.parse("drop:1@router:999")],
-            threads=8, home=5, use_cache=False,
+            threads=8, home=5,
         )
         [row] = report["rows"]
         assert row["outcome"] == "refused"

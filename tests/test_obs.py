@@ -404,5 +404,6 @@ class TestCli:
             e["name"] for e in doc["traceEvents"] if e["ph"] == "i"
         }
         captured = capsys.readouterr().out
+        assert "kdtree[inpg/qsl scale=0.1 seed=2018]: roi=" in captured
         assert "inpg.early_inv" in captured
         assert "lock contention timeline" in captured

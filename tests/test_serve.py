@@ -12,16 +12,12 @@ import json
 
 import pytest
 
+from repro.cli import footer_cache_dir
 from repro.config import SystemConfig
 from repro.exec import Executor, RunSpec
 from repro.exec.executor import FailureRecord
 from repro.serve import proto
-from repro.serve.client import (
-    LocalClient,
-    RemoteExecutor,
-    ServiceClient,
-    connect,
-)
+from repro.serve.client import RemoteExecutor, ServiceClient
 from repro.serve.server import start_in_thread
 from repro.serve.store import ResultStore
 from repro.stats.serialize import (
@@ -71,6 +67,11 @@ class TestProto:
         request = proto.submit_request([RunSpec(**GOLDEN_SPEC)])
         request["policy"]["jobs"] = 4  # server-owned, not negotiable
         with pytest.raises(proto.ProtoError, match="policy"):
+            proto.decode_submit(request)
+        # the service always runs on_error="skip"; RemoteExecutor raises
+        request = proto.submit_request([RunSpec(**GOLDEN_SPEC)])
+        request["policy"]["on_error"] = "raise"
+        with pytest.raises(proto.ProtoError, match="on_error"):
             proto.decode_submit(request)
 
     def test_error_envelope_surfaces_as_proto_error(self):
@@ -215,6 +216,43 @@ class TestServiceEndToEnd:
         with pytest.raises(proto.ProtoError, match="unknown-result"):
             client.result(spec.fingerprint)
 
+    def test_one_cache_write_per_executed_spec(self, service, client,
+                                               monkeypatch):
+        """The service keeps each result once: where its executor wrote
+        it, with no second copy of its own."""
+        cache = service.service.executor.cache
+        put = cache.put
+        writes = []
+
+        def counting_put(fingerprint, *args, **kwargs):
+            writes.append(fingerprint)
+            put(fingerprint, *args, **kwargs)
+
+        monkeypatch.setattr(cache, "put", counting_put)
+        spec = RunSpec.microbench(home_node=5,
+                                  config=SystemConfig(num_threads=4))
+        final = client.wait(client.submit([spec])["id"], timeout_s=120)
+        assert final["counts"]["done"] == 1
+        assert writes == [spec.fingerprint]
+
+    def test_fresh_result_supersedes_the_failure(self, client):
+        """A fingerprint that failed and then ran is served as a result
+        and no longer as a failure, from memory or from disk."""
+        spec = RunSpec.microbench(home_node=5,
+                                  config=SystemConfig(num_threads=2))
+        failed = client.wait(
+            client.submit([spec], timeout_s=0.0)["id"], timeout_s=60)
+        assert failed["counts"]["failed"] == 1
+        assert client.failure(spec.fingerprint).error_type == "RunTimeout"
+        failures = client.stats()["store"]["failures"]
+        final = client.wait(client.submit([spec])["id"], timeout_s=120)
+        assert final["counts"]["done"] == 1
+        assert client.result(spec.fingerprint).roi_cycles > 0
+        with pytest.raises(proto.ProtoError, match="unknown-failure"):
+            client._request("GET", f"/v1/failures/{spec.fingerprint}",
+                            kind="failure")
+        assert client.stats()["store"]["failures"] == failures - 1
+
     def test_unknown_routes_are_structured_errors(self, client):
         with pytest.raises(proto.ProtoError, match="unknown-job"):
             client.job("j999")
@@ -234,7 +272,7 @@ class TestRemoteExecutor:
         assert remote.stats.executed == 0
         # footer renders with the remote store as the cache line
         footer = remote.stats.render_footer(
-            jobs=remote.jobs, cache_dir=remote.cache.directory)
+            jobs=remote.jobs, cache_dir=footer_cache_dir(remote))
         assert service.url in footer
 
     def test_raise_mode_surfaces_service_failures(self, service):
@@ -279,20 +317,34 @@ class TestRemoteExecutor:
         assert stats["store"]["results"] > 0
 
 
-class TestConnect:
-    def test_local_client_runs_in_process(self):
-        client = connect(jobs=1, use_cache=False)
-        assert isinstance(client, LocalClient)
-        spec = RunSpec(**GOLDEN_SPEC)
-        job = client.submit([spec])
-        assert job["state"] == "done"
-        assert client.result(spec.fingerprint).roi_cycles > 0
+class TestRemoteFlag:
+    """``--remote`` end to end: a tool prints what its local run does."""
 
-    def test_remote_url_gives_service_client(self, service):
-        client = connect(service.url)
-        assert isinstance(client, ServiceClient)
-        assert client.health()["status"] == "ok"
+    def test_inpg_sim_remote_matches_local(self, service, capsys):
+        from repro.cli import main
 
-    def test_executor_kwargs_rejected_for_remote(self):
-        with pytest.raises(TypeError, match="owns its own executor"):
-            connect("http://127.0.0.1:1", jobs=4)
+        argv = ["microbench", "--threads", "8", "--home", "5", "--json"]
+        assert main(argv + ["--no-cache"]) == 0
+        local = capsys.readouterr().out
+        assert main(argv + ["--remote", service.url]) == 0
+        assert capsys.readouterr().out == local
+        assert json.loads(local)["roi_cycles"] > 0
+
+    def test_inpg_faults_remote_matches_local(self, service, tmp_path,
+                                              capsys):
+        from repro.faults.campaign import main
+
+        argv = ["--faults", "drop:1/Inv#500..", "delay:0.5+64",
+                "--threads", "16", "--home", "5", "--watchdog", "10000",
+                "--max-cycles", "2000000", "--json"]
+        local, remote = tmp_path / "local.json", tmp_path / "remote.json"
+        assert main(argv + [str(local), "--no-cache"]) == 0
+        assert main(argv + [str(remote), "--remote", service.url]) == 0
+        capsys.readouterr()
+        local, remote = (json.loads(path.read_text())
+                         for path in (local, remote))
+        assert remote["outcomes"] == local["outcomes"] == {
+            "detected": 1, "silent-divergence": 1}
+        assert remote["rows"] == local["rows"]
+        assert remote["baseline"] == local["baseline"]
+        assert service.url in remote["footer"]
