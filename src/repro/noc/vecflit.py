@@ -102,15 +102,13 @@ _LATE_OFF = 1 << 23
 #: "no tick this cycle" sentinel (above every real key)
 _NO_TICK = 1 << 62
 
-#: XY output port by (sign(dx) + 1, sign(dy) + 1): the ports of
+#: XY output port at 3 * sign(dx) + sign(dy) + 4: the ports of
 #: Mesh.port_rows, computed instead of gathered
-_XY_PORT = np.array(((WEST,) * 3, (NORTH, LOCAL, SOUTH), (EAST,) * 3),
+_XY_PORT = np.array((WEST,) * 3 + (NORTH, LOCAL, SOUTH) + (EAST,) * 3,
                     dtype=np.int64)
-#: an empty slot column and an empty (slot, pid, flit index) table: a
-#: bucket's fields until a step fills them
+#: an empty column: a bucket's fields until a step fills them
 _NO_SLOTS = np.zeros(0, dtype=np.int64)
-_NO_ROWS = np.zeros((0, 3), dtype=np.int64)
-_NO_SLOTS.flags.writeable = _NO_ROWS.flags.writeable = False
+_NO_SLOTS.flags.writeable = False
 
 #: (width, height, vcs) -> the link table of :func:`_link_table`
 _LINK_TABLES: Dict[Tuple[int, int, int], np.ndarray] = {}
@@ -190,6 +188,12 @@ class VectorFlitPacket:
 class _Bucket:
     """One cycle's worth of emulated events, pre-sorted by kind.
 
+    Besides its event count, every field is an array or a tuple of
+    arrays, assigned once, by the step of the cycle before.  The bucket
+    holds no ticks: a router's pending tick lives in the
+    ``tick_cyc``/``thr_next`` columns, and a bucket only marks a cycle
+    with work pending.
+
     Link arrivals and credit returns are *fused*: because next cycle's
     tick keys are final when a step ends (``link_cycles == 1``; a send
     after the step only adds a strictly larger key), the producing step
@@ -197,28 +201,25 @@ class _Bucket:
     Pre-tick events are applied to the truth columns immediately (the
     columns are not read again until that cycle's step), post-tick
     events land in ``post_acc``/``post_cred``, and candidate wake keys
-    accumulate per router in ``wake_min`` — re-checked for
+    are every fused event's (receiver, key) in ``wakes`` — checked for
     effectiveness at consume time, which is what keeps late-inserted
     ticks correct.
     """
 
-    __slots__ = ("ticks", "nev", "post_acc", "post_cred", "wake_min",
-                 "lcred")
+    __slots__ = ("nev", "post_acc", "post_cred", "wakes", "lcred")
 
     def __init__(self):
-        #: router -> order key of its scheduled tick
-        self.ticks: Dict[int, int] = {}
         #: fused accept/credit events arriving this cycle (pre + post)
         self.nev = 0
-        #: post-tick link arrivals: rows of (slot, pid, flit index)
-        self.post_acc = _NO_ROWS
+        #: post-tick link arrivals: (slots, pids, flit indices)
+        self.post_acc = (_NO_SLOTS, _NO_SLOTS, _NO_SLOTS)
         #: post-tick upstream credit returns: credit slots
         self.post_cred = _NO_SLOTS
-        #: fused events' candidate wakes: (routers, each one's least key)
-        self.wake_min = (_NO_SLOTS, _NO_SLOTS)
+        #: fused events' candidate wakes: (receiving routers, keys)
+        self.wakes = (_NO_SLOTS, _NO_SLOTS)
         #: local credit returns re-entering the injection path:
-        #: (key, node) pairs
-        self.lcred: List[Tuple[int, int]] = []
+        #: (keys, nodes)
+        self.lcred = (_NO_SLOTS, _NO_SLOTS)
 
 
 class _Arrays:
@@ -281,18 +282,22 @@ class VectorFlitNetwork:
             ("credits", N, cap),      # indexed like out_slot
             ("rr", R, 0),             # per-router SA round-robin
             ("buffered", R, 0),       # per-router flit occupancy
-            # the tick key of each router ticking this step (_NO_TICK
-            # between steps), and next cycle's tick keys: set while a
-            # step classifies its fused events, and by a kernel send
-            # ahead of its cycle's step, which clears them
-            ("tick_key_by_r", R, _NO_TICK), ("thr_next", R, _NO_TICK),
+            # each router's one pending tick: its cycle (-1 for none)
+            # and its key (_NO_TICK for none), written by the step or
+            # send that schedules it and cleared by the step that runs
+            # it; and the tick key of each router ticking this step
+            # (_NO_TICK between steps)
+            ("tick_cyc", R, -1), ("thr_next", R, _NO_TICK),
+            ("tick_key_by_r", R, _NO_TICK),
             # per-router scratch: a step writes its ticking routers'
-            # tick_base before reading it, and leaves subtot zero
-            ("tick_base", R, 0), ("subtot", R, 0),
+            # tick_base before reading it
+            ("tick_base", R, 0),
             # packet lengths and destinations by pid, grown by doubling
             ("plen", 1024, 0), ("pdst", 1024, 0),
         ):
             setattr(A, name, np.full(size, fill, dtype=np.int64))
+        # claimed as one row of V VCs per (router, out-port)
+        A.claimed_rows = A.claimed.reshape(R * 5, V)
         # two product masks: ci = "nonempty and unrouted" (route-compute
         # candidates), ca = "nonempty and routed" (switch candidates),
         # kept at every mutation; candidate discovery reads them *before*
@@ -300,10 +305,17 @@ class VectorFlitNetwork:
         # VC activations from switch allocation (ready_at = activation + 1)
         A.ci = np.zeros(N, dtype=bool)
         A.ca = np.zeros(N, dtype=bool)
+        # per node: a packet is queued or streaming, so a local credit
+        # return has something to inject (kept by _late_send and
+        # _try_inject)
+        A.inj_work = np.zeros(R, dtype=bool)
         # -- static tables ---------------------------------------------
         slots = np.arange(N, dtype=np.int64)
         A.router_of = slots // SPR
         A.sidx = slots % SPR
+        nodes = np.arange(R, dtype=np.int64)
+        A.node_x = nodes % config.width
+        A.node_y = nodes // config.width
         #: the link target (downstream input slot == upstream credit slot)
         A.link = _link_table(config.width, config.height, V)
 
@@ -318,7 +330,8 @@ class VectorFlitNetwork:
         self._buffered = memoryview(A.buffered)
         self._ci = memoryview(A.ci)
         self._ca = memoryview(A.ca)
-        self._tick_key_by_r = memoryview(A.tick_key_by_r)
+        self._inj_work = memoryview(A.inj_work)
+        self._tick_cyc = memoryview(A.tick_cyc)
         self._thr_next = memoryview(A.thr_next)
 
         # -- injection machinery (mirrors FlitNetwork) -----------------
@@ -411,6 +424,7 @@ class VectorFlitNetwork:
         A.pdst[pid] = dst
         self.injected += 1
         self._iqueue[src].append(packet)
+        self._inj_work[src] = True
         # Kernel-first ordering: the kernel drains its cycle-``now``
         # bucket before :meth:`_step` runs ``now``, so this send's wake
         # appends to bucket ``now + 1`` *before* anything the step
@@ -427,21 +441,18 @@ class VectorFlitNetwork:
         self._try_inject(src, key, wakes)
         if wakes:
             # A pending tick makes the wake a no-op (the event engine's
-            # ``_scheduled`` flag) — including a tick at *this* cycle
-            # that has not stepped yet (kernel-first ordering): that
-            # tick sees the flit and re-wakes itself if work remains.
-            bnow = self._buckets.get(now)
-            tnow = bnow.ticks if bnow is not None else ()
-            ticks = self._bucket(now + 1).ticks
-            thr_next = self._thr_next
+            # ``_scheduled`` flag).  A router's one pending tick is at
+            # ``now + 1`` or, before this cycle's step (kernel-first
+            # ordering), at ``now``: that tick sees the flit and
+            # re-wakes itself if work remains.  Before the step, the
+            # recorded key also reaches its fused classification and
+            # wake no-op tests.
+            self._bucket(now + 1)
+            tick_cyc, thr_next = self._tick_cyc, self._thr_next
             for node, own in wakes:
-                if node not in tnow and node not in ticks:
-                    ticks[node] = own
-                    if pre:
-                        # _step(now) has yet to run: expose the tick to
-                        # its fused classification and wake no-op tests
-                        # (cleared by the consuming step's preamble)
-                        thr_next[node] = own
+                if tick_cyc[node] < 0:
+                    tick_cyc[node] = now + 1
+                    thr_next[node] = own
         return packet
 
     def _try_inject(self, node: int, own: int,
@@ -486,6 +497,8 @@ class VectorFlitNetwork:
             self._streaming[node] = None
             if self._iqueue[node]:
                 self._try_inject(node, own, wakes)
+            else:
+                self._inj_work[node] = False
         else:
             self._streaming[node] = (packet, vc_index, next_flit)
         wakes.append((node, own))
@@ -495,10 +508,14 @@ class VectorFlitNetwork:
         """Advance the whole mesh through cycle ``tau`` (DESIGN.md §13).
 
         The phases run as array operations over the whole mesh, and each
-        reproduces the event engine's keys and tie-breaks.  Injections,
-        local deliveries and local credit returns stay Python.  Every
-        wake, whatever its source, is a (router, key) candidate; a
-        router's winning wake is its least effective one.
+        reproduces the event engine's keys and tie-breaks.  The step's
+        bookkeeping stays in arrays from one step to the next: the
+        ticking routers come from the ``tick_cyc`` column, and the next
+        bucket takes arrays only.  Local deliveries and the injections
+        of local credit returns stay Python, the latter only at nodes
+        with a packet to inject.  Every wake, whatever its source, is a
+        (router, key) candidate; a router's winning wake is its least
+        effective one.
         """
         bucket = self._buckets.pop(tau)
         self._stepped_cycle = tau
@@ -507,73 +524,81 @@ class VectorFlitNetwork:
         NO = _NO_TICK
         base_key = tau << _CYC_SHIFT
         rof, link = A.router_of, A.link
-        thr_a, thrn_a = A.tick_key_by_r, A.thr_next
+        thr_a, thrn_a, tc_a = A.tick_key_by_r, A.thr_next, A.tick_cyc
         head_a, cnt_a = A.head, A.cnt
         bpid_a, bfi_a = A.buf_pid, A.buf_fi
         active_a, claimed_a, credits_a = A.active, A.claimed, A.credits
         buffered_a = A.buffered
         ci_a, ca_a = A.ci, A.ca
 
-        ticks = bucket.ticks
-        nT = len(ticks)
-        T_r = np.fromiter(ticks, np.int64, nT)
-        T_k = np.fromiter(ticks.values(), np.int64, nT)
+        # consume this cycle's pending ticks
+        T_r = (tc_a == tau).nonzero()[0]
+        nT = T_r.size
+        T_k = thrn_a[T_r]
         thr_a[T_r] = T_k
-        thrn_a[T_r] = NO  # consume this tick's pre-late entry
+        thrn_a[T_r] = NO
+        tc_a[T_r] = -1
 
         # ---- 1. pending events: fused wakes, pre-tick credit returns -
         # an event is visible to its router's tick iff its key is below
         # the tick's key; fused arrivals were classified and pre-applied
         # by the producing step
-        wr, wk = bucket.wake_min
-        thr = self._tick_key_by_r
-        lcred = bucket.lcred
-        if len(lcred) > 1:
-            lcred.sort()
+        wr, wk = bucket.wakes
+        lk, ln = bucket.lcred
+        self.events_processed += nT + bucket.nev + lk.size
         #: (router, key) wakes from the Python injection path
         wakes: List[Tuple[int, int]] = []
-        post_lcred: List[Tuple[int, int]] = []
-        for key, node in lcred:
-            if key < thr[node]:
+        # a local credit return injects only at a node with a packet
+        # queued or streaming; elsewhere it returns with no wake.  A
+        # step only removes injection work, so a mask taken now misses
+        # no node.  The rest inject in key order, pre-tick ones now
+        post_lcred = ()
+        work = A.inj_work[ln].nonzero()[0]
+        if work.size:
+            work = work[lk[work].argsort()]
+            lk, ln = lk[work], ln[work]
+            pre = lk < thr_a[ln]
+            for key, node in zip(lk[pre].tolist(), ln[pre].tolist()):
                 self._try_inject(node, key, wakes)
-            else:
-                post_lcred.append((key, node))
-        self.events_processed += nT + bucket.nev + len(lcred)
-        plen_a, pdst_a = A.plen, A.pdst
+            post = ~pre
+            post_lcred = zip(lk[post].tolist(), ln[post].tolist())
 
         # ---- 2. candidate discovery (before stage 1 mutates) ---------
         # the masks cover the whole mesh; non-ticking routers' slots are
         # dropped below (rare: a router holding flits at tick end always
         # self-wakes, so a buffered router is non-ticking only on the
         # single cycle its first flit arrives)
-        s3 = np.flatnonzero(ci_a)
-        sa = np.flatnonzero(ca_a)
+        s3 = ci_a.nonzero()[0]
+        sa = ca_a.nonzero()[0]
 
         # ---- 3. stage 1: the j-th head flit of a (router, port) group
         # in slot order takes the j-th VC of that port free at step start
-        s3 = s3[thr_a[rof[s3]] != NO]
         pos = s3 * cap + head_a[s3]
-        head_flit = bfi_a[pos] == 0
-        s3, pos = s3[head_flit], pos[head_flit]
+        heads = ((bfi_a[pos] == 0)
+                 & (thr_a[rof[s3]] != NO)).nonzero()[0]
+        s3 = s3[heads]
         if s3.size:
             r3 = rof[s3]
-            dst = pdst_a[bpid_a[pos]]
-            W = self.mesh.width
-            op = _XY_PORT[np.sign(dst % W - r3 % W) + 1,
-                          np.sign(dst // W - r3 // W) + 1]
-            ob = r3 * SPR + op * V
-            order = np.argsort(ob, kind="stable")
-            grouped = ob[order]
-            n = grouped.size
-            starts = np.flatnonzero(_run_starts(grouped))
-            j = np.empty(n, dtype=np.int64)
-            j[order] = np.arange(n) - np.repeat(
-                starts, np.diff(np.append(starts, n)))
-            free = claimed_a[ob[:, None] + np.arange(V)] == 0
-            hit = free & (np.cumsum(free, axis=1) == (j + 1)[:, None])
-            got = hit.any(axis=1)
+            dst = A.pdst[bpid_a[pos[heads]]]
+            nx, ny = A.node_x, A.node_y
+            op = _XY_PORT[3 * np.sign(nx[dst] - nx[r3])
+                          + np.sign(ny[dst] - ny[r3]) + 4]
+            # a (router, out-port) group's V claims are one row of
+            # claimed, its output slots port * V + vc
+            port = r3 * 5 + op
+            # j: a candidate's sorted position less its group's first
+            order = port.argsort(kind="stable")
+            at = np.arange(port.size)
+            j = np.empty_like(at)
+            j[order] = at - np.maximum.accumulate(
+                np.where(_run_starts(port[order]), at, 0))
+            # the (j+1)-th free VC: the number of VCs before which at
+            # most j are free (V when the port has too few)
+            free = A.claimed_rows[port] == 0
+            vc = (free.cumsum(axis=1) <= j[:, None]).sum(axis=1)
+            got = (vc < V).nonzero()[0]
             s3 = s3[got]
-            ov = ob[got] + hit[got].argmax(axis=1)
+            ov = port[got] * V + vc[got]
             claimed_a[ov] = 1
             active_a[s3] = 1
             ci_a[s3] = False
@@ -584,33 +609,38 @@ class VectorFlitNetwork:
             # already forces the end-of-tick self-wake
 
         # ---- 4. switch allocation + traversal ------------------------
-        sa = sa[thr_a[rof[sa]] != NO]
+        # eligibility reads the credits as they were before any grant
         op = A.out_port[sa]
         osl = A.out_slot[sa]
-        # eligibility reads the credits as they were before any grant
-        ok = (op == LOCAL) | (credits_a[osl] > 0)
-        sa, op, osl = sa[ok], op[ok], osl[ok]
+        ok = ((thr_a[rof[sa]] != NO)
+              & ((op == LOCAL) | (credits_a[osl] > 0))).nonzero()[0]
+        sa = sa[ok]
         ra = rof[sa]
-        # winners in (router, prio) order: per output port, the least
-        # (sidx - rr) % SPR
-        order = np.argsort(ra * SPR + (A.sidx[sa] - A.rr[ra]) % SPR)
-        port = (ra * 5 + op)[order]
-        by_port = np.argsort(port, kind="stable")
-        grouped = port[by_port]
-        won = by_port[_run_starts(grouped)]
-        won.sort()
-        won = order[won]
-        sw, rw, opw, oslw = sa[won], ra[won], op[won], osl[won]
+        # one sort puts the candidates in (router, prio) order, prio =
+        # (sidx - rr) % SPR, unique within a router (the candidates come
+        # in router order, which a stable sort runs through fastest);
+        # each output port's winner is its first candidate in that
+        # order, a grouped minimum of the sorted positions, and the
+        # winners keep the order
+        order = (ra * SPR + (A.sidx[sa] - A.rr[ra]) % SPR).argsort(
+            kind="stable")
+        port = (ra * 5 + op[ok])[order]
+        at = np.arange(port.size)
+        first = np.full(5 * R, port.size, dtype=np.int64)
+        np.minimum.at(first, port, at)
+        won = order[(first[port] == at).nonzero()[0]]
+        sw, rw = sa[won], ra[won]
+        won = ok[won]
+        opw, oslw = op[won], osl[won]
         # the per-router schedule() counter: a non-LOCAL grant takes c
-        # (its accept) and c + 1 (its credit return), a LOCAL one c
+        # (its accept) and c + 1 (its credit return), a LOCAL one c.
+        # The winners come in router order, so a router's first grant
+        # starts after the calls of the routers before it
         nonlocal_ = opw != LOCAL
         inc = nonlocal_ + 1
-        end = np.cumsum(inc)
-        first = np.flatnonzero(_run_starts(rw))
-        grants = np.diff(np.append(first, rw.size))
-        c = end - inc - np.repeat(end[first] - inc[first], grants)
-        granted = rw[first]
-        A.subtot[granted] = c[first + grants - 1] + inc[first + grants - 1]
+        calls = np.bincount(rw, inc, R).astype(np.int64)
+        c = inc.cumsum() - inc - (calls.cumsum() - calls)[rw]
+        grants = np.bincount(rw, minlength=R)
         # pops: a slot pops at most once a step, a router many times
         h = head_a[sw]
         pos = sw * cap + h
@@ -619,24 +649,28 @@ class VectorFlitNetwork:
         head_a[sw] = (h + 1) % cap
         left = cnt_a[sw] - 1
         cnt_a[sw] = left
-        buffered_a[granted] -= grants
-        tail = fi == plen_a[pid] - 1  # tail flit frees the VC
-        ci_a[sw] = tail & (left > 0)
-        ca_a[sw] = ~tail & (left > 0)
-        active_a[sw[tail]] = 0
-        claimed_a[oslw[tail]] = 0
-        credits_a[oslw[nonlocal_]] -= 1
-        acc_s = link[oslw[nonlocal_]]
-        acc_p, acc_f = pid[nonlocal_], fi[nonlocal_]
-        acc_r, acc_c = rw[nonlocal_], c[nonlocal_]
+        buffered_a -= grants
+        tail = fi == A.plen[pid] - 1  # tail flit frees the VC
+        more = left > 0
+        ci_a[sw] = tail & more
+        ca_a[sw] = ~tail & more
+        freed = tail.nonzero()[0]
+        active_a[sw[freed]] = 0
+        claimed_a[oslw[freed]] = 0
+        nl = nonlocal_.nonzero()[0]
+        acc_s = oslw[nl]
+        credits_a[acc_s] -= 1
+        acc_s = link[acc_s]
+        acc_p, acc_f = pid[nl], fi[nl]
+        acc_r, acc_c = rw[nl], c[nl]
         ret_c = c + nonlocal_
 
         # deliveries fire inside the ticks, in tick-key order
-        ejected = tail & ~nonlocal_
-        if ejected.any():
+        ejected = (tail & ~nonlocal_).nonzero()[0]
+        if ejected.size:
             keys = thr_a[rw[ejected]]
             packets, delivered = self._packets, self.delivered
-            for p in pid[ejected][np.argsort(keys)].tolist():
+            for p in pid[ejected][keys.argsort()].tolist():
                 packet = packets[p]
                 packet.delivered_cycle = tau
                 delivered.append(packet)
@@ -645,13 +679,13 @@ class VectorFlitNetwork:
         # a self-wake fires iff flits remain buffered at tick end or the
         # tick granted >= 2 flits (what work_left reduces to)
         A.rr[T_r] = (A.rr[T_r] + 1) % SPR
-        busy = buffered_a[T_r] > 0
-        multi = granted[grants >= 2]
+        busy = (buffered_a[T_r] > 0).nonzero()[0]
+        multi = (grants >= 2).nonzero()[0]
 
         # ---- 6. post-tick arrivals, credits and credit returns -------
-        post = bucket.post_acc
-        if post.size:
-            self._push(A, post[:, 0], post[:, 1], post[:, 2])
+        ps, pp, pf = bucket.post_acc
+        if ps.size:
+            self._push(A, ps, pp, pf)
         if bucket.post_cred.size:
             credits_a[bucket.post_cred] += 1
         for key, node in post_lcred:
@@ -673,8 +707,8 @@ class VectorFlitNetwork:
         t = thr_a[cand_r]
         eff = ((t == NO) | (cand_k >= t)) & (thrn_a[cand_r] == NO)
         best = np.full(R, NO, dtype=np.int64)
-        np.minimum.at(best, cand_r[eff], cand_k[eff])
-        win = np.flatnonzero(best != NO)
+        np.minimum.at(best, cand_r, np.where(eff, cand_k, NO))
+        win = (best != NO).nonzero()[0]
         own = best[win]
 
         # ---- 7. rank this cycle's appenders; materialize keys --------
@@ -683,11 +717,10 @@ class VectorFlitNetwork:
         # append order; gaps from silent ticks don't matter
         tick_base = A.tick_base
         if nT or win.size:
-            self_wake = own == thr_a[win]
-            ext = ~self_wake
+            ext = (own != thr_a[win]).nonzero()[0]
             keys = np.concatenate((T_k, own[ext]))
-            rank = np.empty(keys.size, dtype=np.int64)
-            rank[np.argsort(keys)] = np.arange(keys.size)
+            rank = np.empty_like(keys)
+            rank[keys.argsort()] = np.arange(keys.size)
             child_base = base_key + (rank << _SUB_BITS)
             tick_base[T_r] = child_base[:nT]
             if win.size:
@@ -695,13 +728,11 @@ class VectorFlitNetwork:
                 # below needs them final.  A self-wake is the tick's last
                 # schedule(); an external arrival's wake is its own
                 # appender
-                child = np.empty_like(own)
-                ws = win[self_wake]
-                child[self_wake] = tick_base[ws] + A.subtot[ws]
+                child = tick_base[win] + calls[win]
                 child[ext] = child_base[nT:]
-                self._bucket(tau + 1).ticks.update(
-                    zip(win.tolist(), child.tolist()))
+                tc_a[win] = tau + 1
                 thrn_a[win] = child
+                self._bucket(tau + 1)
 
             if sw.size:
                 nb = self._bucket(tau + 1)
@@ -709,51 +740,43 @@ class VectorFlitNetwork:
                 # rest arrive post-tick
                 k = tick_base[acc_r] + acc_c
                 dr = rof[acc_s]
-                t = thrn_a[dr]
-                pre = k < t
-                self._push(A, acc_s[pre], acc_p[pre], acc_f[pre])
-                late = ~pre
-                nb.post_acc = np.stack(
-                    (acc_s[late], acc_p[late], acc_f[late]), axis=1)
-                wake = late | (t == NO)
-                wake_r, wake_k = [dr[wake]], [k[wake]]
+                pre = k < thrn_a[dr]
+                i = pre.nonzero()[0]
+                self._push(A, acc_s[i], acc_p[i], acc_f[i])
+                i = (~pre).nonzero()[0]
+                nb.post_acc = (acc_s[i], acc_p[i], acc_f[i])
                 # freed input slots credit upstream next cycle; LOCAL
                 # input ports re-enter the injection path instead
-                k = tick_base[rw] + ret_c
+                kc = tick_base[rw] + ret_c
                 local = A.sidx[sw] < V  # LOCAL is port 0
-                if local.any():
-                    nb.lcred.extend(zip(k[local].tolist(),
-                                        rw[local].tolist()))
-                cs = link[sw[~local]]
-                k = k[~local]
-                dr = rof[cs]
-                t = thrn_a[dr]
-                pre = k < t
-                credits_a[cs[pre]] += 1
-                nb.post_cred = cs[~pre]
-                wake = ~pre | (t == NO)
-                wake_r.append(dr[wake])
-                wake_k.append(k[wake])
-                wake_r = np.concatenate(wake_r)
-                best = np.full(R, NO, dtype=np.int64)
-                np.minimum.at(best, wake_r, np.concatenate(wake_k))
-                routers = np.flatnonzero(best != NO)
-                nb.wake_min = (routers, best[routers])
-                nb.nev += acc_s.size + cs.size
+                i = local.nonzero()[0]
+                if i.size:
+                    nb.lcred = (kc[i], rw[i])
+                i = (~local).nonzero()[0]
+                cs = link[sw[i]]
+                kc = kc[i]
+                dc = rof[cs]
+                pre = kc < thrn_a[dc]
+                credits_a[cs[pre.nonzero()[0]]] += 1
+                nb.post_cred = cs[(~pre).nonzero()[0]]
+                # every fused event is a wake candidate of its receiver;
+                # the consuming step finds the effective ones, so a
+                # pre-tick event's wake stays the no-op it is
+                nb.wakes = (np.concatenate((dr, dc)),
+                            np.concatenate((k, kc)))
+                nb.nev = acc_s.size + cs.size
 
-            thrn_a[win] = NO
-
-        # reset the tick keys and subtot for the next step
+        # reset the tick keys for the next step
         thr_a[T_r] = NO
-        A.subtot[granted] = 0
 
     def _push(self, A: _Arrays, s, pid, fi) -> None:
         """Append one flit to each of the distinct input slots ``s``."""
         cnt_a = A.cnt
-        pos = s * self.cap + (A.head[s] + cnt_a[s]) % self.cap
+        c = cnt_a[s]
+        pos = s * self.cap + (A.head[s] + c) % self.cap
         A.buf_pid[pos] = pid
         A.buf_fi[pos] = fi
-        cnt_a[s] += 1
+        cnt_a[s] = c + 1
         np.add.at(A.buffered, A.router_of[s], 1)
         routed = A.active[s] != 0
         A.ci[s] = ~routed

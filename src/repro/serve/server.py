@@ -255,23 +255,32 @@ class SimulationService:
     def _run_batch(self, job: Job, batch: List[RunSpec]) -> None:
         """One executor call, in a worker thread (never the loop)."""
         policy = job.policy
-        failed_before = len(self.executor.stats.failures)
+        stats = self.executor.stats
+        ran_before = len(stats.records)
+        failed_before = len(stats.failures)
         self.executor.run(
             batch,
             timeout_s=policy.get("timeout_s"),
             retries=policy.get("retries"),
             on_error="skip",
         )
+        # the records this call appended (one batch runs at a time)
+        runs = {rec.fingerprint: rec for rec in stats.records[ran_before:]}
         failures = {
-            rec.fingerprint: rec
-            for rec in self.executor.stats.failures[failed_before:]
+            rec.fingerprint: rec for rec in stats.failures[failed_before:]
         }
         for spec in batch:
             fp = spec.fingerprint
             if fp in self.executor._memory:
                 job.mark_fp(fp, "done", only=("queued", "running"))
                 self.counters.inc("serve/specs_executed")
-                self._records[fp] = self._record_for(fp)
+                record = runs.get(fp)
+                if record is not None:
+                    self._records[fp] = {
+                        "wall_time": record.wall_time,
+                        "sim_cycles": record.sim_cycles,
+                        "sim_events": record.sim_events,
+                    }
                 self.store.forget_failure(fp)
             else:
                 job.mark_fp(fp, "failed", only=("queued", "running"))
@@ -279,16 +288,6 @@ class SimulationService:
                 record = failures.get(fp)
                 if record is not None:
                     self.store.record_failure(record)
-
-    def _record_for(self, fingerprint: str) -> Dict:
-        for record in reversed(self.executor.stats.records):
-            if record.fingerprint == fingerprint:
-                return {
-                    "wall_time": record.wall_time,
-                    "sim_cycles": record.sim_cycles,
-                    "sim_events": record.sim_events,
-                }
-        return {}
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -402,11 +401,16 @@ class SimulationService:
         elif tail == ["stats"] and method == "GET":
             await self._respond(writer, 200, self._stats_payload())
         elif tail == ["store"] and method == "GET":
-            memory = self.executor._memory
+            # the index reads every entry, so it is built on a worker
+            # thread while the loop answers other requests; it reads a
+            # snapshot of the results in memory, which a batch's worker
+            # thread adds to
+            memory = list(self.executor._memory)
+            index = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.index, memory)
             await self._respond(writer, 200, proto.envelope(
                 "stats", counters={}, exec={},
-                store={"index": self.store.index(memory),
-                       **self.store.summary(memory)}))
+                store={"index": index, **self.store.summary(memory)}))
         elif tail == ["jobs"] and method == "POST":
             await self._handle_submit(body, writer)
         elif len(tail) == 2 and tail[0] == "jobs" and method == "GET":

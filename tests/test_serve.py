@@ -9,6 +9,7 @@ exercised exactly as a remote harness would.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -197,6 +198,59 @@ class TestServiceEndToEnd:
         rows = client.store_index()
         assert any(row["fingerprint"] == GOLDEN_SPEC_FINGERPRINT
                    and row["benchmark"] == "bwaves" for row in rows)
+
+    def test_store_index_leaves_the_loop_free(self, service,
+                                              monkeypatch):
+        """GET /v1/store builds its index (which reads every entry) off
+        the service's event loop: while the index is being built, the
+        service still answers health."""
+        store = service.service.store
+        index = store.index
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_index(*args, **kwargs):
+            entered.set()
+            release.wait(10.0)
+            return index(*args, **kwargs)
+
+        monkeypatch.setattr(store, "index", slow_index)
+        rows = []
+        reader = threading.Thread(target=lambda: rows.extend(
+            ServiceClient(service.url).store_index()))
+        reader.start()
+        try:
+            assert entered.wait(10.0)
+            health = ServiceClient(service.url, timeout=2.0).health()
+            assert health["status"] == "ok"
+        finally:
+            release.set()
+            reader.join(15.0)
+        assert not reader.is_alive()
+        assert any(row["fingerprint"] == GOLDEN_SPEC_FINGERPRINT
+                   for row in rows)
+
+    def test_done_row_carries_its_run(self, service, client, monkeypatch):
+        """A done spec's row in the job payload carries the run's
+        simulated events and cycles, read from the records its own batch
+        appended, not from a scan of every record the executor holds."""
+
+        class NoScan(list):
+            def __iter__(self):
+                raise AssertionError("scanned every run record")
+
+            __reversed__ = __iter__
+
+        stats = service.service.executor.stats
+        monkeypatch.setattr(stats, "records", NoScan(stats.records))
+        spec = RunSpec.microbench(home_node=6,
+                                  config=SystemConfig(num_threads=3))
+        final = client.wait(client.submit([spec])["id"], timeout_s=120)
+        assert final["state"] == "done"
+        row = final["specs"][0]
+        assert row["state"] == "done"
+        result = client.result(spec.fingerprint)
+        assert row["sim_cycles"] == result.roi_cycles > 0
+        assert row["sim_events"] == int(result.extra["sim_events"]) > 0
 
     def test_events_stream_ends_terminal(self, client):
         spec = RunSpec(**GOLDEN_SPEC)

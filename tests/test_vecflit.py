@@ -121,6 +121,27 @@ def _random_plan(seed, shape=None):
     return shape, plan
 
 
+def _assert_at_rest(net):
+    """A drained vector run leaves the engine at rest: no flit buffered,
+    queued or streaming, no node with injection work, every credit
+    returned, no VC active or claimed, no candidate mask set, no tick
+    or bucket pending."""
+    from repro.noc.vecflit import _NO_TICK
+
+    A = net._arrays
+    assert not (A.cnt.any() or A.buffered.any())
+    assert not (A.active.any() or A.claimed.any())
+    assert not (A.ci.any() or A.ca.any())
+    assert (A.credits == net.cap).all()
+    assert (A.tick_cyc == -1).all()
+    assert (A.tick_key_by_r == _NO_TICK).all()
+    assert (A.thr_next == _NO_TICK).all()
+    assert not A.inj_work.any()
+    assert not net._buckets
+    assert not any(net._iqueue.values())
+    assert not any(net._streaming.values())
+
+
 class TestVectorGolden:
     """The vector engine reproduces the committed flit golden, as the
     event engine does."""
@@ -176,36 +197,25 @@ class TestEngineParity:
     @pytest.mark.parametrize("seed,shape", parity_cases(range(5)))
     def test_array_path_parity(self, seed, shape):
         """The same sweep, read on the array phases' columns as well:
-        the vector run replays the reference, and once its traffic has
-        drained it leaves the engine at rest — no flit buffered, queued
-        or streaming, every credit returned, no VC active or claimed,
-        no candidate mask set, no tick or bucket pending."""
-        from repro.noc.vecflit import _NO_TICK
-
+        the vector run replays the reference and drains to rest."""
         shape, plan = _random_plan(seed, shape)
         sim, net = _drive("vector", shape, plan)
         assert _trace(sim, net) == _run_cosim("event", shape, plan)
-        A = net._arrays
-        assert not (A.cnt.any() or A.buffered.any() or A.subtot.any())
-        assert not (A.active.any() or A.claimed.any())
-        assert not (A.ci.any() or A.ca.any())
-        assert (A.credits == net.cap).all()
-        assert (A.tick_key_by_r == _NO_TICK).all()
-        assert (A.thr_next == _NO_TICK).all()
-        assert not net._buckets
-        assert not any(net._iqueue.values())
-        assert not any(net._streaming.values())
+        _assert_at_rest(net)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_direct_send_parity(self, seed):
         """Every other packet is sent directly between ``sim.run``
         slices, after its cycle's step has run, while the rest stay
         scheduled on the kernel: the post-step branch of the vector
-        engine's send keys each above that step's own events."""
+        engine's send keys each above that step's own events, and the
+        tick it records is consumed like any other."""
         shape, plan = _random_plan(seed)
         scheduled, direct = plan[::2], plan[1::2]
-        assert _run_cosim("event", shape, scheduled, direct) == \
-            _run_cosim("vector", shape, scheduled, direct)
+        sim, net = _drive("vector", shape, scheduled, direct)
+        assert _trace(sim, net) == \
+            _run_cosim("event", shape, scheduled, direct)
+        _assert_at_rest(net)
 
 
 class TestWithoutNumpy:
