@@ -46,6 +46,9 @@ class OutputPort(Component):
         self.total_wait_cycles = 0
         self._peak_queue_depth = 0
         self._schedule = sim.schedule
+        #: ``_grant_next`` (a subclass's override) bound once: both
+        #: grant paths schedule it without allocating a bound method
+        self._release = self._grant_next
 
     def request(self, packet: Packet, on_granted: Callable[[Packet], None]) -> None:
         """Ask to transmit ``packet``; ``on_granted(packet)`` fires when the
@@ -70,7 +73,7 @@ class OutputPort(Component):
             self.flits_sent += occupancy
             schedule = self._schedule
             schedule(1, on_granted, packet)
-            schedule(occupancy, self._grant_next)
+            schedule(occupancy, self._release)
             return
         priority = packet.priority if self.priority_aware else 0
         key = (packet.vnet, -priority, self.sim.cycle, self._seq)
@@ -97,7 +100,7 @@ class OutputPort(Component):
         self.flits_sent += occupancy
         schedule = self._schedule
         schedule(1, on_granted, packet)
-        schedule(occupancy, self._grant_next)
+        schedule(occupancy, self._release)
 
     def _grant_next(self) -> None:
         """The port freed up: grant the best queued request, if any."""

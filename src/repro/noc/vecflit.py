@@ -346,7 +346,9 @@ class VectorFlitNetwork:
         # -- emulated event queue --------------------------------------
         self._buckets: Dict[int, _Bucket] = {}
         self._bheap: List[int] = []
+        #: sends made so far at cycle ``_late_cycle`` (restarts each cycle)
         self._late_seq = 0
+        self._late_cycle = -1
         self._stepped_cycle = -1
 
         self.events_processed = 0
@@ -430,7 +432,16 @@ class VectorFlitNetwork:
         # appends to bucket ``now + 1`` *before* anything the step
         # schedules — key it below ``base_key``.  A send arriving after
         # the step (a direct send after a paused ``sim.run(until=...)``)
-        # appends last instead.
+        # appends last instead.  Either way the key only orders the
+        # send among its cycle's sends, in a range of _LATE_OFF keys.
+        if now != self._late_cycle:
+            self._late_cycle = now
+            self._late_seq = 0
+        elif self._late_seq == _LATE_OFF:
+            raise ValueError(
+                f"the vector flit engine keys at most {_LATE_OFF:,} sends "
+                f"in one cycle (cycle {now})"
+            )
         pre = now > self._stepped_cycle
         if pre:
             key = (now << _CYC_SHIFT) - _LATE_OFF + self._late_seq

@@ -9,28 +9,36 @@ cycle fire in the order they were scheduled (FIFO tie-break), so a run is
 a pure function of its configuration and seed.
 
 Performance: events live in per-cycle FIFO *buckets* — a dict mapping
-cycle -> flat list of ``fn, args`` pairs (stride 2) — plus a small heap of
-the distinct pending cycles.  Scheduling the common case is one dict
-lookup and two list appends; the heap is only touched when a new cycle
-first appears, so the number of heap operations scales with the number of
-distinct cycles rather than the number of events (the benchmark's cold
-Figure 12 plan runs 2.71M events in about 290k buckets).  Bucket order
-*is* FIFO order, which preserves the exact tie-break semantics of the
-earlier single-heap implementation.  :meth:`Simulator.run` walks each
-bucket with one list iterator and settles its counters once per bucket.
-Cancellable timers (the rare case: TTL countdowns, retractable timeouts)
-go through :meth:`Simulator.schedule_cancellable`, which allocates an
-:class:`Event` stored as a ``_CANCELLABLE, event`` pair; cancelled
-entries are lazily skipped and the buckets are compacted when corpses
-pile up (lock-retry storms re-arm TTLs constantly).
+cycle -> list of ``(fn, *args)`` entry tuples, one per event — plus a
+small heap of the distinct pending cycles.  Scheduling the common case is
+one dict lookup and one list append of the tuple the call already built;
+the heap is only touched when a new cycle first appears, so the number of
+heap operations scales with the number of distinct cycles rather than the
+number of events (the benchmark's cold Figure 12 plan runs 2.71M events
+in 153,081 buckets, 17.7 events each).  Bucket order *is* FIFO order,
+which preserves the exact tie-break semantics of the earlier single-heap
+implementation.  :meth:`Simulator.run` hands each bucket's list iterator
+to C builtins — ``deque(maxlen=0).extend(starmap(call, it))`` with
+``operator.call`` — so no Python bytecode runs between two events, and
+settles its counters once per bucket.  :meth:`Simulator.stop` halts after
+the current event by cutting the running bucket there and filing the rest
+under the same cycle.  Before Python 3.11, ``call`` is a two-line Python
+function: correct, but slower than a Python loop.  Cancellable timers
+(the rare case: TTL countdowns, retractable timeouts) go through
+:meth:`Simulator.schedule_cancellable`, which allocates an :class:`Event`
+stored as an ``(Event._fire, event)`` entry; cancelled entries are lazily
+skipped and the buckets are compacted when corpses pile up (lock-retry
+storms re-arm TTLs constantly).
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
+from collections import deque
 from functools import partial
 from heapq import heappush
-from itertools import islice
+from itertools import islice, starmap
 from sys import maxsize
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -41,6 +49,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import RunTimeout, SimulationError
 
 __all__ = ["Event", "RunTimeout", "SimulationError", "Simulator"]
+
+
+def _call(fn, *args):
+    """``operator.call``, which Python 3.11 added, for older Pythons."""
+    return fn(*args)
+
+
+#: runs one bucket entry ``(fn, *args)`` as ``fn(*args)``
+call = getattr(operator, "call", _call)
 
 
 class Event:
@@ -54,14 +71,8 @@ class Event:
 
     __slots__ = ("cycle", "seq", "fn", "args", "cancelled", "_dead", "_sim")
 
-    def __init__(
-        self,
-        cycle: int,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple = (),
-        sim: Optional["Simulator"] = None,
-    ):
+    def __init__(self, cycle: int, seq: int, fn: Callable[..., None],
+                 args: tuple = (), sim: Optional["Simulator"] = None):
         self.cycle = cycle
         self.seq = seq
         self.fn = fn
@@ -79,6 +90,16 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancel()
 
+    def _fire(self) -> None:
+        """The bucket entry ``(Event._fire, event)``: run the callback,
+        or skip a cancelled corpse and count it for the run loop."""
+        if self.cancelled:
+            self._sim._cancelled -= 1
+            self._sim._corpses += 1
+            return
+        self._dead = True
+        self.fn(*self.args)
+
     def __lt__(self, other: "Event") -> bool:
         return (self.cycle, self.seq) < (other.cycle, other.seq)
 
@@ -87,18 +108,8 @@ class Event:
         return f"Event(cycle={self.cycle}, seq={self.seq}, {state})"
 
 
-class _Cancellable:
-    """Marker stored in the ``fn`` slot of cancellable bucket entries."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<cancellable>"
-
-
-#: singleton marker: a bucket entry ``_CANCELLABLE, event`` wraps an
-#: :class:`Event`; every other entry is a plain ``fn, args`` pair.
-_CANCELLABLE = _Cancellable()
+#: the ``fn`` of every cancellable bucket entry
+_fire = Event._fire
 
 
 class Simulator:
@@ -116,19 +127,22 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        #: cycle -> flat FIFO bucket [fn0, args0, fn1, args1, ...]
+        #: cycle -> FIFO bucket [(fn0, *args0), (fn1, *args1), ...]
         self._buckets: Dict[int, list] = {}
         #: heap of the distinct cycles present in ``_buckets``
         self._cycles: List[int] = []
-        #: bucket currently being executed by run() — compaction must
-        #: leave it alone (the run loop iterates it by index)
+        #: bucket currently being executed by run() and its iterator —
+        #: compaction must leave the bucket alone, and stop() cuts it
         self._active_bucket: Optional[list] = None
+        self._active_it = None
         self._seq = 0
         self.cycle = 0
         self._running = False
         self._stopped = False
         self.events_processed = 0
         self._cancelled = 0
+        #: cancelled entries the run loop has skipped (Event._fire)
+        self._corpses = 0
         self._compactions = 0
         #: cycle-batched co-simulated engine (Simulator.attach_stepper)
         self._stepper = None
@@ -136,13 +150,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
-        """Schedule ``fn(*args)`` to fire ``delay`` cycles from now.
+    def schedule(self, delay: int, *entry) -> None:
+        """Schedule ``fn(*args)`` to fire ``delay`` cycles from now; call
+        it as ``schedule(delay, fn, *args)``.
 
         ``delay`` must be >= 0; a non-int delay fires at ``int(delay)``.
         A zero delay fires later in the current cycle, after all
         previously scheduled work for this cycle.  This is the
-        allocation-free hot path: the entry cannot be cancelled (use
+        allocation-free hot path: the bucket keeps the ``(fn, *args)``
+        tuple the call built, and the entry cannot be cancelled (use
         :meth:`schedule_cancellable` for retractable timers).  The delay
         is validated only when it opens a new bucket: no bucket lies
         before the current cycle, so a negative delay never finds one,
@@ -157,19 +173,18 @@ class Simulator:
             cycle = self.cycle + int(delay)
             bucket = self._buckets.get(cycle)
             if bucket is None:
-                self._buckets[cycle] = [fn, args]
+                self._buckets[cycle] = [entry]
                 heappush(self._cycles, cycle)
                 return
-        bucket.append(fn)
-        bucket.append(args)
+        bucket.append(entry)
 
-    def schedule_at(self, cycle: int, fn: Callable[..., None], *args) -> None:
+    def schedule_at(self, cycle: int, *entry) -> None:
         """Schedule ``fn(*args)`` at an absolute ``cycle`` (>= current cycle)."""
         if cycle < self.cycle:
             raise SimulationError(
                 f"cannot schedule at cycle {cycle} < current {self.cycle}"
             )
-        self.schedule(cycle - self.cycle, fn, *args)
+        self.schedule(cycle - self.cycle, *entry)
 
     def schedule_cancellable(
         self, delay: int, fn: Callable[..., None], *args
@@ -183,11 +198,10 @@ class Simulator:
         self._seq += 1
         bucket = self._buckets.get(cycle)
         if bucket is None:
-            self._buckets[cycle] = [_CANCELLABLE, event]
+            self._buckets[cycle] = [(_fire, event)]
             heapq.heappush(self._cycles, cycle)
         else:
-            bucket.append(_CANCELLABLE)
-            bucket.append(event)
+            bucket.append((_fire, event))
         return event
 
     def attach_stepper(self, stepper) -> None:
@@ -238,7 +252,8 @@ class Simulator:
         buckets = self._buckets
         cycles = self._cycles
         heappop = heapq.heappop
-        canc = _CANCELLABLE
+        # one consumer per call: threads may run simulators side by side
+        consume = deque(maxlen=0).extend
         events = self.events_processed
         #: events this run may still process
         room = maxsize if max_events is None else max_events
@@ -276,75 +291,73 @@ class Simulator:
                     break
                 cycle = knext
                 bucket = buckets[cycle]
-                if bucket[0] is canc:
+                if bucket[0][0] is _fire:
                     # reap head corpses before they can advance the clock
-                    i = 0
-                    n = len(bucket)
-                    while (i < n and bucket[i] is canc
-                           and bucket[i + 1].cancelled):
-                        bucket[i + 1]._dead = True
-                        self._cancelled -= 1
-                        i += 2
-                    if i == n:
+                    self._reap_head(bucket)
+                    if not bucket:
                         del buckets[cycle]
                         heappop(cycles)
                         continue
-                    del bucket[:i]
                 if until is not None and cycle > until:
                     # Leave the queue intact; the caller may resume later.
                     self.cycle = until
                     break
                 # Batch every event of this cycle: the clock advances
-                # once, then entries run in FIFO (append) order —
+                # once, then C runs the entries in FIFO (append) order —
                 # including zero-delay events scheduled by the batch
                 # itself, which the list iterator reaches because they
                 # land in this same bucket.  Counters are settled once
                 # per bucket, from how far the iterator got.
                 self.cycle = cycle
                 self._active_bucket = bucket
-                it = iter(bucket)
-                pairs = zip(it, it)
-                if max_events is not None:
+                self._active_it = it = iter(bucket)
+                corpses = self._corpses
+                failed = 0
+                try:
                     # islice counts corpses too; a bucket it cuts short
                     # with room left resumes on the next pass
-                    pairs = islice(pairs, room)
-                skipped = 0
-                try:
-                    for fn, arg in pairs:
-                        if fn is canc:
-                            if arg.cancelled:
-                                self._cancelled -= 1
-                                skipped += 1
-                                continue
-                            arg._dead = True
-                            arg.fn(*arg.args)
-                        else:
-                            fn(*arg)
-                        if self._stopped:
-                            break
+                    consume(starmap(call, it if max_events is None
+                                    else islice(it, room)))
                 except BaseException:
-                    skipped += 1  # the failed callback did not complete
+                    failed = 1  # the failed callback did not complete
                     raise
                 finally:
                     left = it.__length_hint__()
-                    done = (len(bucket) - left >> 1) - skipped
+                    done = (len(bucket) - left - failed
+                            - (self._corpses - corpses))
                     events += done
                     room -= done
-                    if left:
+                    if self._active_bucket is None:
+                        pass  # stop() cut the bucket and filed the rest
+                    elif left:
                         # keep the unprocessed suffix resumable
                         del bucket[:len(bucket) - left]
                     else:
                         del buckets[cycle]
                         heappop(cycles)
+                    self._active_bucket = self._active_it = None
         finally:
-            self._active_bucket = None
             self._running = False
             self.events_processed = events
         return self.cycle
 
     def stop(self) -> None:
-        """Stop the run loop after the current event completes."""
+        """Stop the run loop after the current event completes: cut the
+        running bucket there and file the rest under the same cycle as a
+        fresh list (events scheduled for this cycle queue behind it); an
+        empty rest retires the cycle.  The drive ends with the cut."""
         self._stopped = True
+        bucket = self._active_bucket
+        if bucket is None:
+            return
+        self._active_bucket = None
+        cut = len(bucket) - self._active_it.__length_hint__()
+        if cut < len(bucket):
+            self._buckets[self.cycle] = bucket[cut:]
+            del bucket[cut:]
+        else:
+            del self._buckets[self.cycle]
+            heapq.heappop(self._cycles)
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -357,36 +370,41 @@ class Simulator:
         ):
             self._compact()
 
+    def _reap_head(self, bucket: list) -> None:
+        """Drop the cancelled entries at the head of ``bucket``."""
+        i = 0
+        n = len(bucket)
+        while i < n and bucket[i][0] is _fire and bucket[i][1].cancelled:
+            bucket[i][1]._dead = True
+            i += 1
+        self._cancelled -= i
+        del bucket[:i]
+
     def _compact(self) -> None:
         """Drop cancelled entries from the buckets (threshold-triggered).
 
         Mutates every bucket *in place* and leaves the bucket currently
         being executed untouched: :meth:`run` iterates the active bucket
-        by index (and holds local aliases of the bucket dict and cycle
-        heap), so a TTL cancel inside an event callback triggering
-        compaction mid-run must not shift entries under the run loop or
-        rebind the containers it reads.  Corpses in the active bucket
-        stay counted in ``_cancelled`` and are reaped when reached.
+        (and holds local aliases of the bucket dict and cycle heap), so
+        a TTL cancel inside an event callback triggering compaction
+        mid-run must not shift entries under the run loop or rebind the
+        containers it reads.  Corpses in the active bucket stay counted
+        in ``_cancelled`` and are skipped when reached.
         """
         buckets = self._buckets
         active = self._active_bucket
-        canc = _CANCELLABLE
         reaped = 0
         emptied = []
         for cycle, bucket in buckets.items():
             if bucket is active:
                 continue
             live: list = []
-            append = live.append
-            for i in range(0, len(bucket), 2):
-                fn = bucket[i]
-                arg = bucket[i + 1]
-                if fn is canc and arg.cancelled:
-                    arg._dead = True
+            for entry in bucket:
+                if entry[0] is _fire and entry[1].cancelled:
+                    entry[1]._dead = True
                     reaped += 1
                 else:
-                    append(fn)
-                    append(arg)
+                    live.append(entry)
             if live:
                 if len(live) != len(bucket):
                     bucket[:] = live
@@ -414,10 +432,7 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of queued entries, including cancelled corpses awaiting
         lazy deletion (see :attr:`live_pending_events`)."""
-        total = 0
-        for bucket in self._buckets.values():
-            total += len(bucket)
-        return total // 2
+        return sum(map(len, self._buckets.values()))
 
     @property
     def live_pending_events(self) -> int:
@@ -428,18 +443,10 @@ class Simulator:
         """Cycle of the next live event, or ``None`` if the queue is empty."""
         buckets = self._buckets
         cycles = self._cycles
-        canc = _CANCELLABLE
         while cycles:
             cycle = cycles[0]
             bucket = buckets[cycle]
-            i = 0
-            n = len(bucket)
-            while i < n and bucket[i] is canc and bucket[i + 1].cancelled:
-                bucket[i + 1]._dead = True
-                self._cancelled -= 1
-                i += 2
-            if i:
-                del bucket[:i]
+            self._reap_head(bucket)
             if bucket:
                 return cycle
             del buckets[cycle]
@@ -449,24 +456,15 @@ class Simulator:
     def drain(self) -> List[Tuple[int, Callable[[], None]]]:
         """Remove and return all pending live events (for teardown/tests)."""
         pending: List[Tuple[int, Callable[[], None]]] = []
-        canc = _CANCELLABLE
         for cycle in sorted(self._buckets):
-            bucket = self._buckets[cycle]
-            for i in range(0, len(bucket), 2):
-                fn = bucket[i]
-                arg = bucket[i + 1]
-                if fn is canc:
-                    if arg.cancelled:
+            for fn, *args in self._buckets[cycle]:
+                if fn is _fire:
+                    event = args[0]
+                    if event.cancelled:
                         continue
-                    arg._dead = True
-                    pending.append(
-                        (cycle,
-                         partial(arg.fn, *arg.args) if arg.args else arg.fn)
-                    )
-                else:
-                    pending.append(
-                        (cycle, partial(fn, *arg) if arg else fn)
-                    )
+                    event._dead = True
+                    fn, args = event.fn, event.args
+                pending.append((cycle, partial(fn, *args) if args else fn))
         self._buckets.clear()
         self._cycles.clear()
         self._cancelled = 0

@@ -1,8 +1,10 @@
 """Unit tests for the event-driven simulation kernel."""
 
+import sys
+
 import pytest
 
-from repro.sim import Event, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator, kernel
 
 
 class TestScheduling:
@@ -375,6 +377,89 @@ class TestBucketContract:
         assert fired == ["a", "stop", "b", "c"]
         assert sim.events_processed == 4
 
+    def test_stop_then_schedule_now_queues_behind_the_bucket(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper():
+            fired.append("stop")
+            sim.stop()
+            sim.schedule(0, fired.append, "new")
+
+        sim.schedule(2, fired.append, "a")
+        sim.schedule(2, stopper)
+        sim.schedule(2, fired.append, "b")
+        sim.schedule(3, fired.append, "c")
+        assert sim.run() == 2
+        assert fired == ["a", "stop"]
+        assert sim.events_processed == 2
+        assert sim.pending_events == 3
+        assert sim.run() == 3
+        assert fired == ["a", "stop", "b", "new", "c"]
+        assert sim.events_processed == 5
+
+    def test_cancellable_event_stops_the_run(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper(name):
+            fired.append(name)
+            sim.stop()
+
+        sim.schedule(2, fired.append, "a")
+        sim.schedule_cancellable(2, stopper, "stop")
+        sim.schedule_cancellable(2, fired.append, "b")
+        sim.schedule(4, fired.append, "c")
+        assert sim.run() == 2
+        assert fired == ["a", "stop"]
+        assert sim.events_processed == 2
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == ["a", "stop", "b", "c"]
+        assert sim.events_processed == 4
+
+    def test_stop_on_last_entry_retires_the_bucket(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper():
+            fired.append("stop")
+            sim.stop()
+
+        sim.schedule(2, fired.append, "a")
+        sim.schedule(2, stopper)
+        sim.schedule(5, fired.append, "b")
+        assert sim.run() == 2
+        assert sim.events_processed == 2
+        assert sim.pending_events == 1
+        assert sim.peek_next_cycle() == 5
+        assert sim.run() == 5
+        assert fired == ["a", "stop", "b"]
+        assert sim.events_processed == 3
+
+    def test_raise_in_cancellable_event_is_not_requeued(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise RuntimeError("callback failed")
+
+        sim.schedule(3, fired.append, "a")
+        failing = sim.schedule_cancellable(3, boom)
+        sim.schedule_cancellable(3, fired.append, "b")
+        sim.schedule(3, fired.append, "c")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["a", "boom"]
+        assert sim.events_processed == 1
+        assert sim.pending_events == 2
+        failing.cancel()  # it already ran: a no-op, counts no corpse
+        assert sim.live_pending_events == 2
+        assert sim.run() == 3
+        assert fired == ["a", "boom", "b", "c"]
+        assert sim.events_processed == 3
+
     def test_max_events_mid_bucket_resumes_at_next_entry(self):
         sim = Simulator()
         fired = []
@@ -442,3 +527,24 @@ class TestBucketContract:
         assert fired == expected + [("x", 12), "last"]
         assert type(sim.cycle) is int
         assert sim.events_processed == 1 + len(fired)
+
+
+class TestBucketContractOnFallback(TestBucketContract):
+    """The same contract with the kernel's ``call`` swapped for the
+    Python fallback that Pythons before 3.11 run, so every runner checks
+    the code the oldest supported Python runs."""
+
+    @pytest.fixture(autouse=True)
+    def _fallback(self, monkeypatch):
+        monkeypatch.setattr(kernel, "call", kernel._call)
+
+    def test_events_run_through_the_fallback(self):
+        sim = Simulator()
+        callers = []
+
+        def record():
+            callers.append(sys._getframe(1).f_code.co_name)
+
+        sim.schedule(1, record)
+        sim.run()
+        assert callers == ["_call"]

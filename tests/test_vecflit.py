@@ -217,6 +217,36 @@ class TestEngineParity:
             _run_cosim("event", shape, scheduled, direct)
         _assert_at_rest(net)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["scheduled", "direct"])
+    def test_parity_after_2_23_sends(self, seed, direct, monkeypatch):
+        """An engine that has already made 2**23 sends keys the next ones
+        as a fresh engine does: its send counter restarts with each
+        cycle, so the pre-step keys never run into the next range."""
+        from repro.noc.vecflit import VectorFlitNetwork
+
+        init = VectorFlitNetwork.__init__
+
+        def aged(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._late_seq = 1 << 23
+
+        monkeypatch.setattr(VectorFlitNetwork, "__init__", aged)
+        shape, plan = _random_plan(seed)
+        scheduled, later = (plan[::2], plan[1::2]) if direct else (plan, ())
+        sim, net = _drive("vector", shape, scheduled, later)
+        assert _trace(sim, net) == \
+            _run_cosim("event", shape, scheduled, later)
+
+    def test_too_many_sends_in_one_cycle_are_refused(self):
+        sim = Simulator()
+        net = make_flit_network(sim, NocConfig(width=4, height=4), "vector")
+        net.send(0, 15, 1)
+        net._late_seq = 1 << 23
+        with pytest.raises(ValueError, match="8,388,608 sends"):
+            net.send(0, 15, 1)
+
 
 class TestWithoutNumpy:
     def test_vector_engine_is_refused(self):
