@@ -433,7 +433,11 @@ class Executor:
                 self._attempt_inline(fp, spec, timeout_s, retries, on_error)
 
     def _store(self, spec: RunSpec, fp: str, result: RunResult,
-               wall: float, observe=None) -> None:
+               wall: float, observe=None,
+               payload: Optional[Dict] = None) -> None:
+        """Keep a fresh result and write it through to the cache;
+        ``payload`` is its serialized form when a pool worker already
+        made it."""
         self._memory[fp] = result
         self.stats.record_run(
             RunRecord(
@@ -448,12 +452,10 @@ class Executor:
             # an observed result stays out of the cache (observe_factory)
             self.observations[fp] = observe
             return
-        self.cache.put(
-            fp,
-            spec.canonical_payload(),
-            serialize_run_result(result),
-            meta={"wall_time": wall},
-        )
+        if payload is None:
+            payload = serialize_run_result(result)
+        self.cache.put(fp, spec.canonical_payload(), payload,
+                       meta={"wall_time": wall})
 
     def _failure(self, spec: RunSpec, fp: str, error: BaseException,
                  attempts: int, wall: float) -> FailureRecord:
@@ -532,7 +534,8 @@ class Executor:
                     if error is None:
                         _, payload, wall = future.result()
                         self._store(spec, fp,
-                                    deserialize_run_result(payload), wall)
+                                    deserialize_run_result(payload), wall,
+                                    payload=payload)
                         continue
                     if (attempts[fp] <= retries
                             and is_transient_error(error)):

@@ -167,9 +167,11 @@ class SimulationService:
     # Submission / dedupe
     # ------------------------------------------------------------------
     def _known(self, fingerprint: str) -> bool:
-        """Does the service already hold a result for this address?"""
+        """Does the service already hold a result for this address?  A
+        cache entry of another schema is no result: the executor reads
+        it as a miss."""
         return (fingerprint in self.executor._memory
-                or fingerprint in self.executor.cache)
+                or self.executor.cache.get(fingerprint) is not None)
 
     def _result_payload(self, fingerprint: str) -> Optional[Dict]:
         """The serialized result the executor holds, or ``None``."""
@@ -288,6 +290,11 @@ class SimulationService:
                 record = failures.get(fp)
                 if record is not None:
                     self.store.record_failure(record)
+        if self.store.directory is not None:
+            # the cache now holds each result, and the service reads it
+            # there: memory would keep every one for the service's life
+            for spec in batch:
+                self.executor._memory.pop(spec.fingerprint, None)
 
     # ------------------------------------------------------------------
     # HTTP layer

@@ -3,9 +3,10 @@ the result index.
 
 The executor holds each result once — its
 :class:`~repro.exec.cache.ResultCache` content-addresses every
-successful run by spec fingerprint, and its memory holds what it ran or
-read — so the service reads results there.  The store adds two things
-over the same directory:
+successful run by spec fingerprint — so the service reads results
+there, and drops each batch's results from the executor's memory once
+the cache holds them.  The store adds two things over the same
+directory:
 
 * **failures** — a skipped/failed run leaves no cache entry, so the
   store records its :class:`~repro.exec.executor.FailureRecord` (through
@@ -32,9 +33,17 @@ from typing import Collection, Dict, List, Optional, Union
 
 from ..exec.cache import NullCache, ResultCache
 from ..stats.serialize import (
+    RESULT_SCHEMA_VERSION,
     failure_record_from_dict,
     failure_record_to_dict,
 )
+
+
+def _current(payload) -> bool:
+    """Was ``payload`` written under this schema?  One written under
+    another is absent, as a stale cache entry is a miss."""
+    return (isinstance(payload, dict)
+            and payload.get("schema") == RESULT_SCHEMA_VERSION)
 
 
 class ResultStore:
@@ -99,9 +108,10 @@ class ResultStore:
         try:
             with open(directory / f"{fingerprint}.json", "r",
                       encoding="utf-8") as fh:
-                return json.load(fh)
+                payload = json.load(fh)
         except (OSError, ValueError):
             return None
+        return payload if _current(payload) else None
 
     def get_failure(self, fingerprint: str):
         """The recorded :class:`FailureRecord`, or ``None``."""
@@ -130,6 +140,8 @@ class ResultStore:
                         entry = json.load(fh)
                 except (OSError, ValueError):
                     continue
+                if not _current(entry):
+                    continue  # the executor reads it as a miss
                 fp = entry.get("fingerprint")
                 spec = entry.get("spec") or {}
                 if not fp:

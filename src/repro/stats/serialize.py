@@ -15,44 +15,61 @@ version as absent rather than attempting to read them.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
-from itertools import starmap
-from typing import Dict
+from itertools import repeat, starmap
+from operator import attrgetter
+from typing import Dict, List
 
 from .coherence_stats import CoherenceStats, InvRecord, LockTxnRecord
 from .metrics import RunResult, ThreadMetrics
 from .timeline import PhaseInterval, Timeline
 
-#: bump when any ``*_to_dict`` layout below changes shape
-#: (v2: ``RunResult.obs`` observability payload added)
-RESULT_SCHEMA_VERSION = 2
+#: bump when the encoding below changes shape (v2: ``RunResult.obs``
+#: observability payload added; v3: record tables stored as columns)
+RESULT_SCHEMA_VERSION = 3
+
+#: ``ThreadMetrics`` fields, in the order its columns are stored and its
+#: constructor takes them
+_THREAD_FIELDS = tuple(f.name for f in dataclasses.fields(ThreadMetrics))
+_thread_row = attrgetter(*_THREAD_FIELDS)
 
 
 # ----------------------------------------------------------------------
-# ThreadMetrics
+# Record tables
 # ----------------------------------------------------------------------
-def thread_metrics_to_dict(metrics: ThreadMetrics) -> Dict:
-    return {
-        "thread": metrics.thread,
-        "parallel_cycles": metrics.parallel_cycles,
-        "coh_cycles": metrics.coh_cycles,
-        "cse_cycles": metrics.cse_cycles,
-        "cs_completed": metrics.cs_completed,
-        "sleeps": metrics.sleeps,
-    }
+# A run accumulates its records by the thousand, so a table is stored as
+# one list per field: ``zip`` transposes it both ways in C, and no
+# Python call runs per record.  A table of the wrong width, with columns
+# of unequal length or with a column that is not a list raises
+# ``ValueError`` or ``TypeError`` while it decodes, so a cache entry
+# holding one is a miss when it is loaded.
+def _columns(rows, fields) -> List[list]:
+    return [list(column) for column in zip(*rows)] or [[] for _ in fields]
 
 
-def thread_metrics_from_dict(payload: Dict) -> ThreadMetrics:
-    return ThreadMetrics(
-        thread=payload["thread"],
-        parallel_cycles=payload["parallel_cycles"],
-        coh_cycles=payload["coh_cycles"],
-        cse_cycles=payload["cse_cycles"],
-        cs_completed=payload["cs_completed"],
-        sleeps=payload["sleeps"],
-    )
+def _rows(columns, fields):
+    lengths = set(map(list.__len__, columns))
+    if len(columns) != len(fields) or len(lengths) != 1:
+        raise ValueError(
+            f"a record table needs {len(fields)} columns of one length")
+    return zip(*columns)
+
+
+def _records(record, columns) -> list:
+    """The named tuples of type ``record`` stored as ``columns``."""
+    return list(map(tuple.__new__, repeat(record),
+                    _rows(columns, record._fields)))
+
+
+def threads_to_columns(threads) -> List[list]:
+    return _columns(map(_thread_row, threads), _THREAD_FIELDS)
+
+
+def threads_from_columns(columns) -> List[ThreadMetrics]:
+    return list(starmap(ThreadMetrics, _rows(columns, _THREAD_FIELDS)))
 
 
 # ----------------------------------------------------------------------
@@ -63,15 +80,8 @@ def coherence_stats_to_dict(stats: CoherenceStats) -> Dict:
     transient bookkeeping and is always empty once a run has finished."""
     return {
         "msg_counts": dict(stats.msg_counts),
-        "inv_records": [
-            [r.target_core, r.created, r.consumed, 1 if r.early else 0]
-            for r in stats.inv_records
-        ],
-        "lock_txns": [
-            [t.addr, t.winner, t.start, t.commit, t.invs_sent,
-             t.early_acks_used]
-            for t in stats.lock_txns
-        ],
+        "inv_records": _columns(stats.inv_records, InvRecord._fields),
+        "lock_txns": _columns(stats.lock_txns, LockTxnRecord._fields),
         "early_invs_generated": stats.early_invs_generated,
         "getx_stopped": stats.getx_stopped,
         "barrier_table_overflows": stats.barrier_table_overflows,
@@ -79,18 +89,11 @@ def coherence_stats_to_dict(stats: CoherenceStats) -> Dict:
     }
 
 
-# A row decodes into its record by position, one call per row: a
-# replay decodes thousands of them.  A row of the wrong length raises
-# ``TypeError`` or ``ValueError`` here, so a cache entry holding one is
-# a miss when it is loaded.
 def coherence_stats_from_dict(payload: Dict) -> CoherenceStats:
     stats = CoherenceStats()
     stats.msg_counts = Counter(payload["msg_counts"])
-    stats.inv_records = [
-        InvRecord(core, created, consumed, bool(early))
-        for core, created, consumed, early in payload["inv_records"]
-    ]
-    stats.lock_txns = list(starmap(LockTxnRecord, payload["lock_txns"]))
+    stats.inv_records = _records(InvRecord, payload["inv_records"])
+    stats.lock_txns = _records(LockTxnRecord, payload["lock_txns"])
     stats.early_invs_generated = payload["early_invs_generated"]
     stats.getx_stopped = payload["getx_stopped"]
     stats.barrier_table_overflows = payload["barrier_table_overflows"]
@@ -104,17 +107,13 @@ def coherence_stats_from_dict(payload: Dict) -> CoherenceStats:
 # Timeline
 # ----------------------------------------------------------------------
 def timeline_to_dict(timeline: Timeline) -> Dict:
-    return {
-        "intervals": [
-            [iv.thread, iv.phase, iv.start, iv.end]
-            for iv in timeline.intervals
-        ],
-    }
+    return {"intervals": _columns(timeline.intervals,
+                                  PhaseInterval._fields)}
 
 
 def timeline_from_dict(payload: Dict) -> Timeline:
     timeline = Timeline()
-    timeline.intervals = list(starmap(PhaseInterval, payload["intervals"]))
+    timeline.intervals = _records(PhaseInterval, payload["intervals"])
     return timeline
 
 
@@ -130,7 +129,7 @@ def serialize_run_result(result: RunResult) -> Dict:
         "primitive": result.primitive,
         "benchmark": result.benchmark,
         "roi_cycles": result.roi_cycles,
-        "threads": [thread_metrics_to_dict(t) for t in result.threads],
+        "threads": threads_to_columns(result.threads),
         "coherence": coherence_stats_to_dict(result.coherence),
         "timeline": timeline_to_dict(result.timeline),
         "network_mean_latency": result.network_mean_latency,
@@ -167,7 +166,7 @@ def deserialize_run_result(payload: Dict) -> RunResult:
         primitive=payload["primitive"],
         benchmark=payload["benchmark"],
         roi_cycles=payload["roi_cycles"],
-        threads=[thread_metrics_from_dict(t) for t in payload["threads"]],
+        threads=threads_from_columns(payload["threads"]),
         coherence=coherence_stats_from_dict(payload["coherence"]),
         timeline=timeline_from_dict(payload["timeline"]),
         network_mean_latency=payload["network_mean_latency"],

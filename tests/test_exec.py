@@ -266,7 +266,7 @@ class TestDiskCacheInvalidation:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         """An entry that does not parse, or that holds a malformed
-        record or timeline row, is a miss when it is loaded: the spec
+        record or timeline table, is a miss when it is loaded: the spec
         re-runs, and reading the result raises nothing later."""
         # contended enough to record invalidations
         spec = small_spec(benchmark="kdtree", primitive="tas")
@@ -274,18 +274,40 @@ class TestDiskCacheInvalidation:
         [entry_path] = tmp_path.glob("*.json")
         good = json.loads(entry_path.read_text())
 
-        def short_first_row(section: str, rows: str) -> str:
+        def edited(edit, *path):
+            """The entry with the table at ``path`` (a list of columns)
+            passed through ``edit``."""
             entry = json.loads(json.dumps(good))
-            table = entry["result"][section][rows]
-            assert table, f"the spec records no {rows}"
-            table[0] = table[0][:-1]
+            table = entry["result"]
+            for key in path:
+                table = table[key]
+            assert table[0], f"the spec records no {path[-1]}"
+            edit(table)
             return json.dumps(entry)
+
+        def shorten_first(columns):
+            columns[0].pop()
+
+        def add_column(columns):
+            columns.append(list(columns[0]))
+
+        def second_to_object(columns):
+            # as long as the others, but not a list
+            columns[1] = {str(i): v for i, v in enumerate(columns[1])}
 
         corrupt = {
             "not json": "{not json",
-            "invalidation row": short_first_row("coherence", "inv_records"),
-            "lock transaction row": short_first_row("coherence", "lock_txns"),
-            "timeline row": short_first_row("timeline", "intervals"),
+            "short invalidation column": edited(
+                shorten_first, "coherence", "inv_records"),
+            "short lock transaction column": edited(
+                shorten_first, "coherence", "lock_txns"),
+            "short timeline column": edited(
+                shorten_first, "timeline", "intervals"),
+            "missing thread column": edited(list.pop, "threads"),
+            "extra lock transaction column": edited(
+                add_column, "coherence", "lock_txns"),
+            "invalidation column not a list": edited(
+                second_to_object, "coherence", "inv_records"),
         }
         for what, text in corrupt.items():
             entry_path.write_text(text)

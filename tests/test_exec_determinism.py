@@ -6,12 +6,18 @@ run is a pure function of its spec, so executing in a worker subprocess
 simulation an in-process run yields.
 """
 
+import json
+
 import pytest
 
 from repro.config import NocConfig, SystemConfig
 from repro.exec import Executor, RunSpec
+from repro.exec import executor as executor_mod
 from repro.exec.executor import _pool_worker, execute_spec
-from repro.stats.serialize import deserialize_run_result
+from repro.stats.serialize import (
+    deserialize_run_result,
+    serialize_run_result,
+)
 
 
 def specs():
@@ -64,6 +70,28 @@ class TestWorkerEquivalence:
             assert (len(theirs.coherence.inv_records) ==
                     len(mine.coherence.inv_records))
             assert theirs.timeline.intervals == mine.timeline.intervals
+
+    def test_pool_writes_what_its_workers_serialized(
+            self, inline_results, tmp_path, monkeypatch):
+        """A pool's cache entries hold the payloads its workers
+        serialized: the plan's own process encodes no result."""
+        plan, inline = inline_results
+        calls = []
+
+        def counting(result):
+            calls.append(result)
+            return serialize_run_result(result)
+
+        monkeypatch.setattr(executor_mod, "serialize_run_result", counting)
+        ex = Executor(jobs=2, cache_dir=tmp_path)
+        ex.run(plan)
+        assert ex.stats.executed == 2
+        assert calls == []
+        for spec in plan:
+            entry = json.loads(
+                (tmp_path / f"{spec.fingerprint}.json").read_text())
+            assert entry["result"] == json.loads(
+                json.dumps(serialize_run_result(inline[spec])))
 
     def test_execute_spec_is_reproducible(self):
         spec = specs()[0]

@@ -6,6 +6,8 @@ field the figure modules consume: ROI cycles, COH/CSE/LCO accounting,
 timeline phases, coherence records and network counters.
 """
 
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -15,10 +17,15 @@ from repro.stats import (
     deserialize_run_result,
     serialize_run_result,
 )
+from repro.stats.coherence_stats import (
+    CoherenceStats,
+    InvRecord,
+    LockTxnRecord,
+)
 from repro.stats.metrics import ThreadMetrics
 from repro.stats.serialize import (
-    thread_metrics_from_dict,
-    thread_metrics_to_dict,
+    threads_from_columns,
+    threads_to_columns,
     timeline_from_dict,
     timeline_to_dict,
 )
@@ -52,9 +59,9 @@ class TestRunResultRoundTrip:
         assert roundtripped.total_cse == result.total_cse
         assert roundtripped.cs_completed == result.cs_completed
         assert roundtripped.avg_cycles_per_cs == result.avg_cycles_per_cs
-        for mine, theirs in zip(roundtripped.threads, result.threads):
-            assert thread_metrics_to_dict(mine) == \
-                thread_metrics_to_dict(theirs)
+        assert threads_to_columns(roundtripped.threads) == \
+            threads_to_columns(result.threads)
+        assert roundtripped.threads == result.threads
 
     def test_lco_and_coherence_records(self, result, roundtripped):
         assert roundtripped.lco_fraction == result.lco_fraction
@@ -108,7 +115,8 @@ class TestComponentRoundTrips:
     def test_thread_metrics(self):
         metrics = ThreadMetrics(thread=7, parallel_cycles=100, coh_cycles=40,
                                 cse_cycles=25, cs_completed=3, sleeps=1)
-        again = thread_metrics_from_dict(thread_metrics_to_dict(metrics))
+        [again] = threads_from_columns(json.loads(json.dumps(
+            threads_to_columns([metrics]))))
         assert again == metrics
         assert again.total_cycles == metrics.total_cycles
 
@@ -124,3 +132,60 @@ class TestComponentRoundTrips:
         )
         assert again.intervals == timeline.intervals
         assert again.phase_cycles("coh") == 40
+
+
+class TestColumnarTables:
+    """Each record table is stored as one list per field."""
+
+    #: each table's path, in the payload and in the result, and width
+    TABLES = {("threads",): 6, ("coherence", "inv_records"): 4,
+              ("coherence", "lock_txns"): 6, ("timeline", "intervals"): 4}
+
+    @staticmethod
+    def table(payload, path):
+        for key in path:
+            payload = payload[key]
+        return payload
+
+    def test_tables_are_columns_of_one_length(self, result):
+        payload = serialize_run_result(result)
+        for path, width in self.TABLES.items():
+            columns = self.table(payload, path)
+            records = functools.reduce(getattr, path, result)
+            assert len(columns) == width, path
+            assert {len(c) for c in columns} == {len(records)}, path
+
+    def test_records_decode_to_their_types(self, roundtripped):
+        coherence = roundtripped.coherence
+        assert coherence.inv_records and coherence.lock_txns
+        assert {type(r) for r in coherence.inv_records} == {InvRecord}
+        assert {type(r) for r in coherence.lock_txns} == {LockTxnRecord}
+        assert {type(iv) for iv in roundtripped.timeline.intervals} == \
+            {PhaseInterval}
+        assert {type(t) for t in roundtripped.threads} == {ThreadMetrics}
+
+    def test_early_flag_is_a_json_bool(self, result, roundtripped):
+        stored = json.loads(json.dumps(serialize_run_result(result)))
+        early = stored["coherence"]["inv_records"][3]
+        assert early and {type(flag) for flag in early} == {bool}
+        assert {type(r.early) for r in
+                roundtripped.coherence.inv_records} == {bool}
+
+    def test_empty_tables_round_trip(self, result):
+        empty = dataclasses.replace(result, threads=[],
+                                    coherence=CoherenceStats(),
+                                    timeline=Timeline())
+        payload = json.loads(json.dumps(serialize_run_result(empty)))
+        for path, width in self.TABLES.items():
+            assert self.table(payload, path) == [[]] * width, path
+        again = deserialize_run_result(payload)
+        assert again.threads == []
+        assert again.coherence.inv_records == []
+        assert again.coherence.lock_txns == []
+        assert again.timeline.intervals == []
+        assert serialize_run_result(again) == payload
+
+    def test_decoding_then_encoding_gives_the_stored_payload(self, result):
+        payload = json.loads(json.dumps(serialize_run_result(result)))
+        assert serialize_run_result(deserialize_run_result(payload)) == \
+            payload

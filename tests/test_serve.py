@@ -314,6 +314,85 @@ class TestServiceEndToEnd:
             client._request("GET", "/nope")
 
 
+class TestServiceKeepsResultsOnce:
+    """A cached service reads its results from the cache directory and
+    keeps none in memory; without a directory, memory is the store."""
+
+    @staticmethod
+    def specs():
+        return [RunSpec.microbench(home_node=home,
+                                   config=SystemConfig(num_threads=2))
+                for home in (1, 2, 3)]
+
+    def test_cached_service_holds_no_result_in_memory(self, service,
+                                                      client):
+        specs = self.specs()
+        final = client.wait(client.submit(specs)["id"], timeout_s=120)
+        assert final["counts"]["done"] == 3
+        assert service.service.executor._memory == {}
+        local = Executor(jobs=1, use_cache=False).run(specs)
+        for spec in specs:
+            assert result_fingerprint(client.result(spec.fingerprint)) \
+                == result_fingerprint(local[spec])
+
+    def test_uncached_service_holds_its_results(self):
+        executor = Executor(jobs=1, use_cache=False, on_error="skip")
+        handle = start_in_thread(executor)
+        try:
+            client = ServiceClient(handle.url)
+            specs = self.specs()
+            final = client.wait(client.submit(specs)["id"], timeout_s=120)
+            assert final["counts"]["done"] == 3
+            assert len(executor._memory) == 3
+            for spec in specs:
+                assert client.result(spec.fingerprint).roi_cycles > 0
+        finally:
+            handle.stop()
+
+    def test_rows_of_another_schema_are_absent(self, tmp_path):
+        """A failure record and a cache entry written under an older
+        result schema are neither served nor listed, and a submit
+        re-runs the entry's spec: the executor reads such an entry as a
+        miss."""
+        from repro.stats.serialize import RESULT_SCHEMA_VERSION
+
+        spec = RunSpec.microbench(home_node=4,
+                                  config=SystemConfig(num_threads=2))
+        fp, stale = spec.fingerprint, RESULT_SCHEMA_VERSION - 1
+        (tmp_path / f"{fp}.json").write_text(json.dumps({
+            "schema": stale, "fingerprint": fp,
+            "spec": spec.canonical_payload(),
+            "result": {"schema": stale}, "meta": {},
+        }))
+        failure = failure_record_to_dict(TestFailureRecordSerialization
+                                         .RECORD)
+        failure.update(schema=stale, fingerprint=fp)
+        (tmp_path / "failures").mkdir()
+        (tmp_path / "failures" / f"{fp}.json").write_text(
+            json.dumps(failure))
+        handle = start_in_thread(
+            Executor(jobs=1, cache_dir=tmp_path, on_error="skip"))
+        try:
+            client = ServiceClient(handle.url)
+            with pytest.raises(proto.ProtoError, match="unknown-failure"):
+                client._request("GET", f"/v1/failures/{fp}",
+                                kind="failure")
+            assert client.failure(fp) is None
+            # what a deduped spec's re-check reads
+            assert handle.service.store.get_failure_payload(fp) is None
+            assert all(row["fingerprint"] != fp
+                       for row in client.store_index())
+            job = client.submit([spec])
+            assert job["counts"]["queued"] == 1
+            final = client.wait(job["id"], timeout_s=120)
+            assert final["counts"]["done"] == 1
+            assert client.result(fp).roi_cycles > 0
+            assert [row["fingerprint"] for row in client.store_index()] \
+                == [fp]
+        finally:
+            handle.stop()
+
+
 class TestRemoteExecutor:
     def test_facade_matches_local_fingerprint(self, service):
         remote = RemoteExecutor(service.url)
