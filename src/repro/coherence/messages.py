@@ -268,8 +268,3 @@ class MessagePool:
 
     def __len__(self) -> int:
         return len(self._free)
-
-
-def ctrl(mtype: MessageType, addr: int, requester: int, **kw) -> CoherenceMessage:
-    """Shorthand constructor for control messages."""
-    return CoherenceMessage(mtype=mtype, addr=addr, requester=requester, **kw)

@@ -2,32 +2,12 @@
 
 from .memory_model import MemoryController, MemorySubsystem, controller_nodes
 from .os_model import OsModel
-from .program import (
-    Program,
-    ProgramCore,
-    acquire,
-    load,
-    release,
-    repeat,
-    rmw,
-    store,
-    think,
-)
 from .thread import WorkerThread
 
 __all__ = [
     "MemoryController",
     "MemorySubsystem",
     "OsModel",
-    "Program",
-    "ProgramCore",
     "WorkerThread",
-    "acquire",
     "controller_nodes",
-    "load",
-    "release",
-    "repeat",
-    "rmw",
-    "store",
-    "think",
 ]

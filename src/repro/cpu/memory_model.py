@@ -9,7 +9,7 @@ controller's outstanding-request window.
 
 Lock lines are resident in L2 for the whole ROI in our workloads, so the
 memory path mostly matters for cold misses and for capacity studies with
-the finite-cache model (``repro.coherence.cachesim``).
+the L1's finite-capacity model (``CacheConfig.model_capacity``).
 """
 
 from __future__ import annotations

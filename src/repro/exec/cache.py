@@ -29,6 +29,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: default cache directory (relative to the working directory)
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: the leading bytes of every entry :meth:`ResultCache.put` writes under
+#: this schema: ``put`` encodes ``"schema"`` first
+_ENTRY_HEAD = (json.dumps({"schema": RESULT_SCHEMA_VERSION})[:-1]
+               + ",").encode("utf-8")
+
 
 def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
@@ -103,9 +108,19 @@ class ResultCache:
         return self._path(fingerprint).exists()
 
     def __len__(self) -> int:
+        """How many entries this schema reads; an entry of another
+        schema is a miss and does not count.  Compares each entry's
+        leading bytes and parses none."""
         if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        count = 0
+        for path in self.directory.glob("*.json"):
+            try:
+                with open(path, "rb") as fh:
+                    count += fh.read(len(_ENTRY_HEAD)) == _ENTRY_HEAD
+            except OSError:
+                pass
+        return count
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""

@@ -26,7 +26,6 @@ from .. import _lazy
 from .common import (
     ExperimentOptions,
     benchmarks_for,
-    cached_run,
     execute,
     format_table,
     get_executor,
@@ -34,30 +33,25 @@ from .common import (
     set_executor,
 )
 
-#: the sweep builder and the harness modules, each imported on first
-#: access: regenerating one figure loads no other figure's module
-__getattr__, __dir__ = _lazy.lazy_names(globals(), {
-    "Sweep": ".sweep",
-    "SweepPoint": ".sweep",
-    "vary": ".sweep",
-    **dict.fromkeys((
-        "ablation_lco",
-        "ablation_protocol",
-        "ablation_topology",
-        "claims",
-        "fig02_lco",
-        "fig07_synthesis",
-        "fig08_cs_chars",
-        "fig09_timing_profile",
-        "fig10_rtt",
-        "fig11_cs_expedition",
-        "fig12_roi",
-        "fig13_primitives",
-        "fig14_deployment",
-        "fig15_sensitivity",
-        "table1_config",
-    )),
-})
+#: the harness modules, each imported on first access: regenerating one
+#: figure loads no other figure's module
+__getattr__, __dir__ = _lazy.lazy_names(globals(), dict.fromkeys((
+    "ablation_lco",
+    "ablation_protocol",
+    "ablation_topology",
+    "claims",
+    "fig02_lco",
+    "fig07_synthesis",
+    "fig08_cs_chars",
+    "fig09_timing_profile",
+    "fig10_rtt",
+    "fig11_cs_expedition",
+    "fig12_roi",
+    "fig13_primitives",
+    "fig14_deployment",
+    "fig15_sensitivity",
+    "table1_config",
+)))
 
 __all__ = [
     "ExperimentOptions",
@@ -65,7 +59,6 @@ __all__ = [
     "ablation_protocol",
     "ablation_topology",
     "benchmarks_for",
-    "cached_run",
     "claims",
     "execute",
     "get_executor",
@@ -82,8 +75,5 @@ __all__ = [
     "fig14_deployment",
     "fig15_sensitivity",
     "format_table",
-    "Sweep",
-    "SweepPoint",
     "table1_config",
-    "vary",
 ]

@@ -9,8 +9,8 @@ harvest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 from ..config import CacheConfig, LockSpinConfig, SystemConfig
 from ..exec import RunSpec
@@ -93,11 +93,3 @@ def run(options: "ExperimentOptions" = None) -> AblationResult:
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -172,11 +172,3 @@ def run(options: "ExperimentOptions" = None, *,
         if result is not None:
             out.roi_cycles[key] = result.roi_cycles
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

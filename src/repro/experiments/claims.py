@@ -314,11 +314,3 @@ def run(options: "ExperimentOptions" = None) -> ClaimsResult:
     return ClaimsResult(
         figures={figure: regenerate(opts)
                  for figure, regenerate in FIGURES.items()})
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,8 +1,9 @@
 """Shared infrastructure for the per-figure experiment harnesses.
 
 Every experiment module exposes ``run(...) -> <FigureResult>`` returning a
-structured result, plus ``main()`` that prints the same rows/series the
-paper's figure reports.
+structured result whose ``render()`` prints the same rows/series the
+paper's figure reports; ``inpg-experiments <name>`` (:mod:`.runner`) is
+the command line for all of them.
 
 Simulations are never run directly: each harness builds a plan of
 :class:`~repro.exec.RunSpec` values and submits it through a shared
@@ -23,7 +24,6 @@ report) to sweep all 24 programs as the paper does.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -202,33 +202,6 @@ def benchmarks_for(quick: bool) -> List[str]:
     return picks
 
 
-def cached_run(
-    benchmark: str,
-    mechanism: str,
-    primitive: str = "qsl",
-    scale: float = 1.0,
-    seed: int = 2018,
-    config: Optional[SystemConfig] = None,
-    lock_homes: Sequence[int] = (),
-) -> RunResult:
-    """Run (or reuse) one simulation.
-
-    Thin convenience over a one-spec plan; sweeps should build the whole
-    plan and call :func:`execute` once so independent runs parallelize.
-    """
-    return get_executor().run_one(
-        RunSpec(
-            benchmark=benchmark,
-            mechanism=mechanism,
-            primitive=primitive,
-            scale=scale,
-            seed=seed,
-            config=config,
-            lock_homes=tuple(lock_homes),
-        )
-    )
-
-
 def run_mechanism_matrix(
     benchmarks: Optional[Sequence[str]] = None,
     mechanisms: Sequence[str] = MECHANISMS,
@@ -270,13 +243,6 @@ def run_mechanism_matrix(
 def arithmetic_mean(values: Iterable[float]) -> float:
     vals = list(values)
     return sum(vals) / len(vals) if vals else 0.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
 def by_group(benchmarks: Sequence[str]) -> Dict[int, List[str]]:

@@ -90,11 +90,3 @@ def run(options: "ExperimentOptions" = None, *,
             continue  # on_error="skip": drop the partial cell
         result.lco.setdefault(bench, {})[prim] = r.lco_fraction
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

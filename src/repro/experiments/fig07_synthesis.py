@@ -8,7 +8,7 @@ whole-chip power/area summary for the default 32+32 deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..config import InpgConfig
 from ..synthesis import (
@@ -71,11 +71,3 @@ def run(options: "ExperimentOptions" = None,
         generator_power_overhead=packet_generator_power_overhead(),
         chip=chip_summary(inpg),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from ..exec import RunSpec
 from ..workloads.profiles import get_profile, group_of
@@ -97,11 +97,3 @@ def run(options: "ExperimentOptions" = None) -> Fig8Result:
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

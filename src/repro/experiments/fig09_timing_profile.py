@@ -118,11 +118,3 @@ def run(
             r.timeline, threads=list(threads), window=window, width=72
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,7 @@ numbers: Original mean 39.2 / max 97 cycles with a long tail; iNPG mean
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..config import SystemConfig
 from ..exec import RunSpec
@@ -134,11 +134,3 @@ def run(options: "ExperimentOptions" = None, *, cs_per_thread: int = 2,
             early_share=early / max(1, len(stats.inv_records)),
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,7 +10,7 @@ to 1.6-4.0x (Group 3); across all 24 programs OCOR averages 1.45x (max
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from ..config import MECHANISMS
 from .common import (
@@ -97,11 +97,3 @@ def run(options: "ExperimentOptions" = None) -> Fig11Result:
             for mech in MECHANISMS
         }
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -104,11 +104,3 @@ def run(options: "ExperimentOptions" = None) -> Fig12Result:
             for mech in MECHANISMS
         }
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,11 +82,3 @@ def run(options: "ExperimentOptions" = None) -> Fig13Result:
                 1.0 - inpg.roi_cycles / base.roi_cycles
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

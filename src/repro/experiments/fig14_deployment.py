@@ -9,7 +9,7 @@ routers is the chosen default for the 64-core CMP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..config import SystemConfig
 from ..exec import RunSpec
@@ -93,11 +93,3 @@ def run(options: "ExperimentOptions" = None, *,
                 continue  # on_error="skip": drop the partial point
             result.expedition[bench][count] = r.cs_expedition_vs(baseline)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

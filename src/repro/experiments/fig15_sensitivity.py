@@ -106,11 +106,3 @@ def run(
             if reductions:
                 result.reduction[(dim, size)] = arithmetic_mean(reductions)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentOptions(quick=False)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

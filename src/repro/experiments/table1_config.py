@@ -63,11 +63,3 @@ def run(options: "ExperimentOptions" = None,
         config: SystemConfig = None) -> Table1Result:
     del options  # configuration table: nothing to sweep or scale
     return Table1Result(config=config or SystemConfig())
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -3,17 +3,13 @@
 from .barrier_table import EIEntry, EIPhase, LockBarrier, LockingBarrierTable
 from .big_router import BigRouter
 from .deployment import evenly_spread_nodes, interleaved_nodes
-from .report import BigRouterReport, RouterActivity, collect_report
 
 __all__ = [
     "BigRouter",
-    "BigRouterReport",
     "EIEntry",
     "EIPhase",
     "LockBarrier",
     "LockingBarrierTable",
-    "RouterActivity",
-    "collect_report",
     "evenly_spread_nodes",
     "interleaved_nodes",
 ]

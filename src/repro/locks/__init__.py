@@ -12,7 +12,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "AbqlLock": ".abql",
     "McsLock": ".mcs",
     "QueueSpinLock": ".qsl",
-    "SenseBarrier": ".barrier",
     "TasLock": ".tas",
     "TicketLock": ".ticket",
     "make_lock": ".factory",
@@ -25,7 +24,6 @@ __all__ = [
     "McsLock",
     "PRIMITIVES",
     "QueueSpinLock",
-    "SenseBarrier",
     "TasLock",
     "TicketLock",
     "canonical_primitive",

@@ -13,7 +13,7 @@ where next_id + 1 == 0 means "no successor".
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 from .base import AcquireCallback, AddressSpace, LockPrimitive, ReleaseCallback
 
@@ -138,7 +138,3 @@ class McsLock(LockPrimitive):
             callback()
 
         self.memsys.rmw(core, succ_qnode, clear_locked, on_done, is_atomic=False)
-
-
-def _unused(*_a) -> None:  # pragma: no cover
-    pass

@@ -6,9 +6,9 @@ along Y.  XY routing is deterministic and deadlock-free, which also makes
 the path of every lock request predictable — the property iNPG exploits
 when placing big routers.
 
-This module abstracts that pair behind a :class:`Topology` /
-:class:`RoutingFunction` interface so the placement question the paper
-leaves open can be swept across fabrics:
+This module abstracts that pair behind a :class:`Topology` interface, each
+subclass computing its own routing rows, so the placement question the
+paper leaves open can be swept across fabrics:
 
 * :class:`Mesh` — the paper's platform, XY dimension-order routing.
 * :class:`Torus` — mesh plus wraparound links in both dimensions;
@@ -58,115 +58,25 @@ class _ShapeTables:
 _ShapeCache = Dict[Tuple[int, int], _ShapeTables]
 
 
-class RoutingFunction:
-    """Computes deterministic per-source next-hop rows for a topology.
-
-    A routing function is stateless: :meth:`compute_row` maps a source
-    node to the tuple ``row`` where ``row[dst]`` is the next node on the
-    path toward ``dst`` (``row[src] == src``).  The topology caches rows
-    per shape, so this runs once per (class, shape, source) per process.
-    """
-
-    name = "?"
-
-    def compute_row(self, topo: "Topology", current: int) -> Tuple[int, ...]:
-        raise NotImplementedError
-
-
-class XYRouting(RoutingFunction):
-    """Dimension-order routing: correct X first, then Y (mesh)."""
-
-    name = "xy"
-
-    def compute_row(self, topo: "Topology", current: int) -> Tuple[int, ...]:
-        cx, cy = topo.coords(current)
-        width = topo.width
-        hops = []
-        for dst in range(topo.num_nodes):
-            dx, dy = topo._coords[dst]
-            if cx != dx:
-                hops.append(cy * width + cx + (1 if dx > cx else -1))
-            elif cy != dy:
-                hops.append((cy + (1 if dy > cy else -1)) * width + cx)
-            else:
-                hops.append(current)
-        return tuple(hops)
-
-
-class TorusXYRouting(RoutingFunction):
-    """Dimension-order routing with per-dimension shortest direction.
-
-    Each dimension is a ring: travel the direction with fewer hops,
-    breaking exact ties toward increasing coordinate (deterministic).
-    X is still fully corrected before Y (dimension order), so routes
-    stay deterministic and minimal.
-    """
-
-    name = "torus-xy"
-
-    @staticmethod
-    def _step(c: int, d: int, size: int) -> int:
-        """Next coordinate from ``c`` toward ``d`` on a ring of ``size``."""
-        forward = (d - c) % size
-        backward = (c - d) % size
-        if forward <= backward:
-            return (c + 1) % size
-        return (c - 1) % size
-
-    def compute_row(self, topo: "Topology", current: int) -> Tuple[int, ...]:
-        cx, cy = topo.coords(current)
-        width, height = topo.width, topo.height
-        hops = []
-        for dst in range(topo.num_nodes):
-            dx, dy = topo._coords[dst]
-            if cx != dx:
-                hops.append(cy * width + self._step(cx, dx, width))
-            elif cy != dy:
-                hops.append(self._step(cy, dy, height) * width + cx)
-            else:
-                hops.append(current)
-        return tuple(hops)
-
-
-class RingRouting(RoutingFunction):
-    """Shortest-direction routing on one bidirectional ring of node ids.
-
-    Ties (exactly opposite nodes on an even-sized ring) break toward
-    increasing node id, deterministically.
-    """
-
-    name = "ring-shortest"
-
-    def compute_row(self, topo: "Topology", current: int) -> Tuple[int, ...]:
-        n = topo.num_nodes
-        hops = []
-        for dst in range(n):
-            if dst == current:
-                hops.append(current)
-                continue
-            forward = (dst - current) % n
-            backward = (current - dst) % n
-            if forward <= backward:
-                hops.append((current + 1) % n)
-            else:
-                hops.append((current - 1) % n)
-        return tuple(hops)
+def _ring_step(c: int, d: int, size: int) -> int:
+    """Next position from ``c`` toward ``d`` on a ring of ``size``, the
+    shorter way round (forward on a tie)."""
+    if (d - c) % size <= (c - d) % size:
+        return (c + 1) % size
+    return (c - 1) % size
 
 
 class Topology:
     """A ``width`` x ``height`` fabric of routers addressed 0..N-1 row-major.
 
     Concrete topologies define adjacency (:meth:`neighbors`), the metric
-    (:meth:`hop_distance`) and, when links wrap around, the dateline
-    predicate (:meth:`crosses_dateline`).  Routing is delegated to the
-    class's :class:`RoutingFunction` and memoized in a per-class,
-    process-wide shape cache.
+    (:meth:`hop_distance`), their routing (:meth:`compute_row`, memoized
+    in a per-class, process-wide shape cache) and, when links wrap
+    around, the dateline predicate (:meth:`crosses_dateline`).
     """
 
     #: axis value (``NocConfig.topology``); set by concrete subclasses.
     name = "?"
-    #: the routing function instance shared by all shapes of this class.
-    routing: RoutingFunction = RoutingFunction()
     #: True when some links wrap around and packets need dateline VCs to
     #: break the channel-dependency cycle (torus, ring).
     has_datelines = False
@@ -235,6 +145,12 @@ class Topology:
     # ------------------------------------------------------------------
     # Routing (table-driven, shared per class+shape)
     # ------------------------------------------------------------------
+    def compute_row(self, current: int) -> Tuple[int, ...]:
+        """Deterministic next-hop row of ``current``: ``row[dst]`` is the
+        next node toward ``dst`` (``row[current] == current``).  Runs once
+        per (class, shape, source) per process."""
+        raise NotImplementedError
+
     def next_hop_row(self, current: int) -> Tuple[int, ...]:
         """Per-source routing row: ``row[dst]`` is the next hop on the
         path from ``current``.  Built on first use and shared across all
@@ -243,7 +159,7 @@ class Topology:
         row = self._hop_rows.get(current)
         if row is None:
             self.coords(current)  # range check before caching
-            row = self.routing.compute_row(self, current)
+            row = self.compute_row(current)
             self._hop_rows[current] = row
         return row
 
@@ -275,7 +191,6 @@ class Mesh(Topology):
     """The paper's platform: a 2D mesh with XY dimension-order routing."""
 
     name = "mesh"
-    routing = XYRouting()
 
     def neighbors(self, node: int) -> Iterator[int]:
         """Mesh-adjacent node ids."""
@@ -289,25 +204,19 @@ class Mesh(Topology):
         if y < self.height - 1:
             yield self.node_at(x, y + 1)
 
-    def xy_route(self, src: int, dst: int) -> List[int]:
-        """Full XY path from ``src`` to ``dst``, inclusive of both ends.
-
-        X is corrected first, then Y (dimension-order).  The returned list
-        is the sequence of routers the packet's head flit traverses.
-        """
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        path = [src]
-        x, y = sx, sy
-        step_x = 1 if dx > sx else -1
-        while x != dx:
-            x += step_x
-            path.append(self.node_at(x, y))
-        step_y = 1 if dy > sy else -1
-        while y != dy:
-            y += step_y
-            path.append(self.node_at(x, y))
-        return path
+    def compute_row(self, current: int) -> Tuple[int, ...]:
+        """Dimension-order routing: correct X first, then Y."""
+        cx, cy = self._coords[current]
+        width = self.width
+        hops = []
+        for dx, dy in self._coords:
+            if cx != dx:
+                hops.append(cy * width + cx + (1 if dx > cx else -1))
+            elif cy != dy:
+                hops.append((cy + (1 if dy > cy else -1)) * width + cx)
+            else:
+                hops.append(current)
+        return tuple(hops)
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Manhattan distance between two nodes."""
@@ -352,7 +261,6 @@ class Torus(Topology):
     """
 
     name = "torus"
-    routing = TorusXYRouting()
     has_datelines = True
 
     def neighbors(self, node: int) -> Iterator[int]:
@@ -378,6 +286,26 @@ class Torus(Topology):
         ring_y = min((dy - sy) % self.height, (sy - dy) % self.height)
         return ring_x + ring_y
 
+    def compute_row(self, current: int) -> Tuple[int, ...]:
+        """Dimension-order routing with per-dimension shortest direction.
+
+        Each dimension is a ring: travel the direction with fewer hops,
+        breaking exact ties toward increasing coordinate.  X is still
+        fully corrected before Y, so routes stay deterministic and
+        minimal.
+        """
+        cx, cy = self._coords[current]
+        width, height = self.width, self.height
+        hops = []
+        for dx, dy in self._coords:
+            if cx != dx:
+                hops.append(cy * width + _ring_step(cx, dx, width))
+            elif cy != dy:
+                hops.append(_ring_step(cy, dy, height) * width + cx)
+            else:
+                hops.append(current)
+        return tuple(hops)
+
     def crosses_dateline(self, current: int, nxt: int) -> bool:
         """True when the hop wraps between the last and first row/column."""
         cx, cy = self.coords(current)
@@ -400,7 +328,6 @@ class Ring(Topology):
     """
 
     name = "ring"
-    routing = RingRouting()
     has_datelines = True
 
     def neighbors(self, node: int) -> Iterator[int]:
@@ -421,6 +348,15 @@ class Ring(Topology):
         self.coords(dst)
         n = self.num_nodes
         return min((dst - src) % n, (src - dst) % n)
+
+    def compute_row(self, current: int) -> Tuple[int, ...]:
+        """Shortest-direction routing by node id; ties (exactly opposite
+        nodes on an even-sized ring) break toward increasing node id."""
+        n = self.num_nodes
+        return tuple(
+            current if dst == current else _ring_step(current, dst, n)
+            for dst in range(n)
+        )
 
     def crosses_dateline(self, current: int, nxt: int) -> bool:
         """True when the hop uses the ``N-1 <-> 0`` wraparound link."""

@@ -7,7 +7,7 @@ The package splits along the wire:
 * :mod:`repro.serve.store` — failure provenance and the result index
   over the executor's cache directory (the executor keeps the results);
 * :mod:`repro.serve.server` — the ``inpg-serve`` asyncio service
-  (job queue, dedupe, worker fan-out, SSE progress);
+  (job queue, dedupe, worker fan-out, polled progress);
 * :mod:`repro.serve.client` — ``ServiceClient`` (HTTP) and
   ``RemoteExecutor``, the :class:`~repro.exec.Executor` that runs on the
   service (the ``--remote`` drop-in for the harnesses).

@@ -3,11 +3,11 @@
 Two layers, outermost first:
 
 * :class:`ServiceClient` — a stdlib :mod:`http.client` wrapper speaking
-  :mod:`repro.serve.proto` verbatim: submit, poll, stream events, fetch
-  results/failures by fingerprint.
+  :mod:`repro.serve.proto` verbatim: submit, poll, fetch results/failures
+  by fingerprint.
 * :class:`RemoteExecutor` — an :class:`~repro.exec.Executor` whose
-  missing specs run on the service.  The experiment harnesses, the
-  sweep and the fault campaign all talk to *an executor*; installing a
+  missing specs run on the service.  The experiment harnesses and
+  the fault campaign all talk to *an executor*; installing a
   ``RemoteExecutor`` (``--remote <url>``) redirects every one of them to
   the service without a line of harness code changing.  It inherits
   memory, in-plan dedupe and the run policy, and replaces only the step
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ExecutorError
 from ..exec import Executor, RunSpec
@@ -138,34 +138,6 @@ class ServiceClient:
                     f"{timeout_s}s ({snapshot['resolved']}"
                     f"/{snapshot['total']} resolved)")
             time.sleep(poll_s)
-
-    def iter_events(self, job_id: str) -> Iterator[Dict]:
-        """Stream SSE ``job`` snapshots until the job is terminal."""
-        import http.client
-
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("GET", f"/v1/jobs/{job_id}/events")
-            response = conn.getresponse()
-            if response.status != 200:
-                decoded = json.loads(response.read().decode("utf-8"))
-                proto.open_envelope(decoded, "job")  # raises ProtoError
-                return
-            while True:
-                line = response.readline()
-                if not line:
-                    return
-                line = line.decode("utf-8").strip()
-                if not line.startswith("data:"):
-                    continue
-                snapshot = proto.open_envelope(
-                    json.loads(line[len("data:"):].strip()), "job")
-                yield snapshot
-                if snapshot["state"] in ("done", "error"):
-                    return
-        finally:
-            conn.close()
 
     def result_payload(self, fingerprint: str) -> Dict:
         body = self._request("GET", f"/v1/results/{fingerprint}",

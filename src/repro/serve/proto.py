@@ -10,11 +10,11 @@ applies to results on disk.
 
 An envelope is a JSON object::
 
-    {"proto": 2, "kind": "<message kind>", ...body...}
+    {"proto": 3, "kind": "<message kind>", ...body...}
 
 ``open_envelope`` rejects a payload whose ``proto`` does not match this
 module's version (or whose ``kind`` is not the expected one) with a
-structured :class:`ProtoError` — a v2 client talking to a v1 server
+structured :class:`ProtoError` — a v3 client talking to a v2 server
 fails loudly at the boundary instead of mis-reading fields.
 
 Specs travel as :meth:`repro.exec.RunSpec.to_dict` payloads (lossless,
@@ -32,7 +32,7 @@ kind        body
 submit      ``specs`` (list of spec payloads), ``policy`` (executor
             policy overrides: ``timeout_s`` / ``retries``; the service
             always runs ``on_error="skip"``, so that key is refused)
-job         one job's status snapshot (see :func:`job_payload` on the
+job         one job's status snapshot (see :meth:`Job.payload` on the
             server side): id, state, per-spec states, counters
 result      ``fingerprint`` + ``result`` (serialized run result)
 failure     ``fingerprint`` + ``failure`` (serialized failure record)
@@ -53,8 +53,9 @@ from ..stats.serialize import RESULT_SCHEMA_VERSION
 
 #: bump when any envelope body below changes shape.  2: specs carry
 #: their axes in ``config`` only; a v1 spec's ``protocol`` /
-#: ``topology`` / ``arbiter`` keys no longer decode
-PROTO_SCHEMA_VERSION = 2
+#: ``topology`` / ``arbiter`` keys no longer decode.  3: a ``job`` body
+#: has no ``version`` (there is no event stream to order)
+PROTO_SCHEMA_VERSION = 3
 
 #: every message kind the proto defines (closed vocabulary: an unknown
 #: kind is a proto error, not a silent pass-through)

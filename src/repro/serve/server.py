@@ -1,12 +1,11 @@
-"""``inpg-serve``: the sharded simulation service.
+"""``inpg-serve``: the simulation service.
 
 One long-running process owns an :class:`~repro.exec.Executor` (and
 through it the persistent disk cache and the worker-process pool) and
-exposes it over HTTP/JSON to every harness, sweep and fault campaign on
-the machine — ROADMAP item 1's "millions of users" front door.  The
-implementation is pure stdlib ``asyncio`` (``asyncio.start_server`` plus
-a hand-rolled minimal HTTP/1.1 layer): the repository's
-zero-extra-dependency rule holds for the service too.
+exposes it over HTTP/JSON to every harness and fault campaign on the
+machine.  The implementation is pure stdlib ``asyncio``
+(``asyncio.start_server`` plus a hand-rolled minimal HTTP/1.1 layer):
+the repository's zero-extra-dependency rule holds for the service too.
 
 Lifecycle of a submission (``POST /v1/jobs``):
 
@@ -34,7 +33,6 @@ Endpoints (all JSON, proto-enveloped)::
     GET  /v1/store                  result-store index
     POST /v1/jobs                   submit a plan (proto 'submit')
     GET  /v1/jobs/<id>              job status snapshot (proto 'job')
-    GET  /v1/jobs/<id>/events       server-sent events: status stream
     GET  /v1/results/<fingerprint>  serialized result (proto 'result')
     GET  /v1/failures/<fingerprint> failure provenance (proto 'failure')
 
@@ -83,14 +81,6 @@ class Job:
         self.states: List[str] = ["queued"] * len(self.specs)
         self.state = "queued"
         self.error: Optional[str] = None
-        #: bumped on every visible change; SSE streams wait on it
-        self.version = 0
-        self.changed = asyncio.Event()
-
-    def touch(self) -> None:
-        self.version += 1
-        self.changed.set()
-        self.changed = asyncio.Event()
 
     def mark_fp(self, fingerprint: str, state: str,
                 only: Optional[Tuple[str, ...]] = None) -> None:
@@ -132,17 +122,12 @@ class Job:
             "job",
             id=self.id,
             state=self.state,
-            version=self.version,
             total=len(self.specs),
             resolved=done,
             counts=counts,
             specs=spec_rows,
             error=self.error,
         )
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in ("done", "error")
 
 
 class SimulationService:
@@ -208,7 +193,6 @@ class SimulationService:
         else:
             job.state = "done"
             self.counters.inc("serve/jobs_done")
-        job.touch()
         return job
 
     # ------------------------------------------------------------------
@@ -218,7 +202,6 @@ class SimulationService:
         while True:
             job = await self._queue.get()
             job.state = "running"
-            job.touch()
             try:
                 await self._execute(job)
             except Exception as err:  # defensive: keep the service alive
@@ -231,7 +214,6 @@ class SimulationService:
             finally:
                 for fp in {spec.fingerprint for spec in job.fresh}:
                     self._inflight.discard(fp)
-                job.touch()
                 self._queue.task_done()
 
     async def _execute(self, job: Job) -> None:
@@ -243,9 +225,7 @@ class SimulationService:
             for spec in batch:
                 job.mark_fp(spec.fingerprint, "running",
                             only=("queued",))
-            job.touch()
             await loop.run_in_executor(None, self._run_batch, job, batch)
-            job.touch()
         # specs deduped against an in-flight sibling resolve once the
         # owner executed (or failed); re-check them now
         for i, fp in enumerate(job.fingerprints):
@@ -377,8 +357,7 @@ class SimulationService:
             body = json.loads(raw.decode("utf-8"))
         return method, path, body
 
-    async def _respond(self, writer, status: int, payload: Dict,
-                       close: bool = True) -> None:
+    async def _respond(self, writer, status: int, payload: Dict) -> None:
         blob = json.dumps(payload).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed"}.get(status, "OK")
@@ -428,9 +407,6 @@ class SimulationService:
             else:
                 await self._respond(writer, 200,
                                     job.payload(self._records))
-        elif (len(tail) == 3 and tail[0] == "jobs"
-              and tail[2] == "events" and method == "GET"):
-            await self._handle_events(tail[1], writer)
         elif len(tail) == 2 and tail[0] == "results" and method == "GET":
             payload = self._result_payload(tail[1])
             if payload is None:
@@ -462,34 +438,6 @@ class SimulationService:
             return
         job = self.submit(specs, policy)
         await self._respond(writer, 200, job.payload(self._records))
-
-    async def _handle_events(self, job_id: str, writer) -> None:
-        """Server-sent events: one ``data:`` line per status change."""
-        job = self.jobs.get(job_id)
-        if job is None:
-            await self._respond(writer, 404, proto.error_message(
-                "unknown-job", f"no job {job_id!r}"))
-            return
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/event-stream\r\n"
-            "Cache-Control: no-cache\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-        await writer.drain()
-        while True:
-            payload = job.payload(self._records)
-            blob = json.dumps(payload)
-            writer.write(f"data: {blob}\n\n".encode("utf-8"))
-            await writer.drain()
-            if job.terminal:
-                break
-            waiter = job.changed
-            try:
-                await asyncio.wait_for(waiter.wait(), timeout=5.0)
-            except asyncio.TimeoutError:
-                pass  # heartbeat resend
 
     def _stats_payload(self) -> Dict:
         stats = self.executor.stats

@@ -159,7 +159,8 @@ class ResultStore:
         """The store block of the service ``stats`` message.
 
         It counts from directory listings (or the executor's ``memory``
-        without a cache directory) and reads no entry.
+        without a cache directory) and parses no entry: a result counts
+        when its cache entry's leading bytes name this schema.
         """
         failed = set(self._failures)
         if self._failure_dir is not None and self._failure_dir.is_dir():

@@ -20,8 +20,6 @@ __getattr__, __dir__ = _lazy.lazy_names(globals(), {
     "render_gantt": ".export",
     "render_mesh_heat_map": ".export",
     "run_result_to_dict": ".export",
-    "to_csv": ".export",
-    "to_json": ".export",
 })
 
 __all__ = [
@@ -40,6 +38,4 @@ __all__ = [
     "render_mesh_heat_map",
     "run_result_to_dict",
     "serialize_run_result",
-    "to_csv",
-    "to_json",
 ]

@@ -1,17 +1,14 @@
 """Result exporters and ASCII renderers.
 
-Turns :class:`~repro.stats.metrics.RunResult` objects into JSON/CSV for
-external analysis, and renders Figure 9-style per-thread phase timelines
-(Gantt charts) and Figure 10a-style mesh heat maps as ASCII — useful in
-terminals and in EXPERIMENTS.md.
+Turns a :class:`~repro.stats.metrics.RunResult` into a JSON-ready summary
+(``inpg-sim --json``), and renders Figure 9-style per-thread phase
+timelines (Gantt charts) and Figure 10a-style mesh heat maps as ASCII —
+useful in terminals and in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .metrics import RunResult
 from .timeline import PHASES, Timeline
@@ -49,27 +46,6 @@ def run_result_to_dict(result: RunResult) -> Dict:
             for t in result.threads
         ],
     }
-
-
-def to_json(results: Sequence[RunResult], indent: int = 2) -> str:
-    """Serialize several runs to a JSON array."""
-    return json.dumps([run_result_to_dict(r) for r in results], indent=indent)
-
-
-def to_csv(results: Sequence[RunResult]) -> str:
-    """One CSV row of headline metrics per run."""
-    fields = [
-        "benchmark", "mechanism", "primitive", "roi_cycles", "cs_completed",
-        "total_coh", "total_cse", "lco_fraction", "mean_inv_rtt",
-        "os_sleeps",
-    ]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    for result in results:
-        row = run_result_to_dict(result)
-        writer.writerow({k: row[k] for k in fields})
-    return buf.getvalue()
 
 
 def render_gantt(

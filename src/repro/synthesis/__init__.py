@@ -5,7 +5,6 @@ from .area_power import (
     NORMAL_ROUTER_GATES,
     PACKET_GENERATOR_POWER_MW,
     RouterSynthesis,
-    TileSynthesis,
     big_router_synthesis,
     chip_summary,
     normal_router_synthesis,
@@ -18,7 +17,6 @@ __all__ = [
     "NORMAL_ROUTER_GATES",
     "PACKET_GENERATOR_POWER_MW",
     "RouterSynthesis",
-    "TileSynthesis",
     "big_router_synthesis",
     "chip_summary",
     "normal_router_synthesis",

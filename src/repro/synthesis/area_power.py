@@ -65,19 +65,6 @@ class RouterSynthesis:
     cell_density: float
 
 
-@dataclass(frozen=True)
-class TileSynthesis:
-    """One tile: a core plus its router."""
-
-    name: str
-    router: RouterSynthesis
-    core_power_mw: float = CORE_POWER_MW
-
-    @property
-    def total_power_mw(self) -> float:
-        return self.core_power_mw + self.router.dynamic_power_mw
-
-
 def packet_generator_gates(table_entries: int = _DEFAULT_TABLE_ENTRIES) -> int:
     """Gate cost of the packet generator for a given barrier table size.
 

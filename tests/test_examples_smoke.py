@@ -24,13 +24,8 @@ class TestExamples:
         assert {
             "quickstart.py", "lock_comparison.py",
             "inpg_deployment_study.py", "custom_workload.py",
-            "spin_ablation.py", "program_dsl.py",
+            "spin_ablation.py",
         } <= names
-
-    def test_program_dsl_runs(self):
-        out = run_example("program_dsl.py")
-        assert "no lost updates" in out
-        assert "Retirement trace" in out
 
     def test_custom_workload_runs(self):
         out = run_example("custom_workload.py")

@@ -242,6 +242,15 @@ class TestExecutor:
         assert "executed: 1" in footer
         assert "hit rate: 0.0%" in footer
 
+    def test_run_one_runs_each_lock_placement(self, tmp_path):
+        # lock placement threads all the way through the generator call
+        ex = Executor(jobs=1, cache_dir=tmp_path)
+        pinned = ex.run_one(small_spec(lock_homes=(3,)))
+        default = ex.run_one(small_spec())
+        # both simulated: different placements are different runs
+        assert ex.stats.executed == 2
+        assert pinned is not default
+
 
 class TestDiskCacheInvalidation:
     def test_schema_bump_invalidates_entry(self, tmp_path):
@@ -323,27 +332,3 @@ class TestDiskCacheInvalidation:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
-
-
-class TestCommonIntegration:
-    def test_cached_run_includes_lock_homes(self, tmp_path):
-        # lock placement threads all the way through the generator call
-        from repro.experiments.common import (
-            cached_run,
-            get_executor,
-            set_executor,
-        )
-
-        previous = get_executor()
-        executor = set_executor(Executor(jobs=1, cache_dir=tmp_path))
-        try:
-            pinned = cached_run("vips", "original", primitive="mcs",
-                                scale=0.3, config=small_config(),
-                                lock_homes=(3,))
-            default = cached_run("vips", "original", primitive="mcs",
-                                 scale=0.3, config=small_config())
-            # both simulated: different placements are different runs
-            assert executor.stats.executed == 2
-            assert pinned is not default
-        finally:
-            set_executor(previous)

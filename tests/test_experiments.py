@@ -19,7 +19,6 @@ from repro.experiments.common import (
     benchmarks_for,
     by_group,
     format_table,
-    geometric_mean,
 )
 from repro.experiments.runner import EXPERIMENTS, main as runner_main
 
@@ -54,9 +53,7 @@ class TestCommon:
 
     def test_means(self):
         assert arithmetic_mean([1, 2, 3]) == 2.0
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
-        assert geometric_mean([]) == 0.0
 
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, 2.5], ["xyz", 3]], title="T")

@@ -1,9 +1,5 @@
 """Tests for result exporters and ASCII renderers."""
 
-import csv
-import io
-import json
-
 from repro.stats import (
     CoherenceStats,
     RunResult,
@@ -12,8 +8,6 @@ from repro.stats import (
     render_gantt,
     render_mesh_heat_map,
     run_result_to_dict,
-    to_csv,
-    to_json,
 )
 
 
@@ -39,17 +33,6 @@ class TestSerialization:
         assert d["benchmark"] == "freqmine"
         assert d["roi_cycles"] == 100
         assert d["threads"][0]["coh"] == 30
-
-    def test_json_is_valid(self):
-        parsed = json.loads(to_json([sample_result(), sample_result()]))
-        assert len(parsed) == 2
-        assert parsed[0]["mechanism"] == "inpg"
-
-    def test_csv_has_header_and_rows(self):
-        rows = list(csv.DictReader(io.StringIO(to_csv([sample_result()]))))
-        assert len(rows) == 1
-        assert rows[0]["benchmark"] == "freqmine"
-        assert int(rows[0]["roi_cycles"]) == 100
 
 
 class TestGantt:

@@ -45,7 +45,6 @@ REPLAY_NEVER_LOADS = (
     "repro.obs",
     "repro.locks",
     "repro.workloads.generator",
-    "repro.experiments.sweep",
     "repro.stats.export",
     "repro.serve.server",
 )

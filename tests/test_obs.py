@@ -290,6 +290,65 @@ class TestObservedRun:
         assert plain.extra["sim_events"] == result.extra["sim_events"]
 
 
+def observed_system(mechanism, primitive, threads):
+    """A small 4x4 run built with an attached counters-only Observation."""
+    from repro import ManyCoreSystem, SystemConfig, single_lock_workload
+    from repro.config import NocConfig
+
+    observe = Observation(trace=False)
+    system = ManyCoreSystem(
+        SystemConfig(noc=NocConfig(width=4, height=4), num_threads=16)
+        .with_mechanism(mechanism),
+        single_lock_workload(threads, home_node=5, cs_per_thread=2,
+                             cs_cycles=60, parallel_cycles=150),
+        primitive=primitive, observe=observe,
+    )
+    system.run(max_cycles=20_000_000)
+    return system, observe.counters()
+
+
+@pytest.fixture(scope="module")
+def inpg_system():
+    return observed_system("inpg", "tas", 16)
+
+
+class TestBigRouterGauges:
+    """The per-big-router counters live under ``inpg/big<node>/``."""
+
+    GAUGES = {"packets_seen", "invs_generated", "getx_stopped",
+              "acks_forwarded", "barriers_created", "barriers_expired",
+              "ei_created"}
+
+    @staticmethod
+    def big_paths(counters):
+        return [p for p in counters if p.startswith("inpg/big")]
+
+    def test_one_gauge_set_per_big_router(self, inpg_system):
+        system, counters = inpg_system
+        by_node = {}
+        for path in self.big_paths(counters):
+            router, gauge = path.split("/")[1:]
+            by_node.setdefault(int(router[len("big"):]), set()).add(gauge)
+        assert sorted(by_node) == sorted(system.network.big_router_nodes())
+        assert all(gauges == self.GAUGES for gauges in by_node.values())
+
+    def test_getx_stopped_sums_to_the_protocol_counter(self, inpg_system):
+        system, counters = inpg_system
+        paths = self.big_paths(counters)
+        stopped = sum(counters[p] for p in paths
+                      if p.endswith("/getx_stopped"))
+        proto = system.memsys.config.protocol
+        assert stopped == counters[f"coherence/{proto}/getx_stopped"] \
+            == system.memsys.stats.getx_stopped
+        assert sum(counters[p] for p in paths
+                   if p.endswith("/barriers_created")) > 0
+
+    def test_original_run_registers_no_big_router(self):
+        _, counters = observed_system("original", "mcs", 4)
+        assert counters["threads/done"] == 4
+        assert self.big_paths(counters) == []
+
+
 class TestObservedFlitRun:
     def test_every_registered_noc_gauge_reads(self):
         """A counters-only flit run snapshots every ``noc/*`` path it

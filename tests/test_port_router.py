@@ -135,7 +135,7 @@ class TestNetworkDelivery:
             net.register_endpoint(n, lambda p: None)
         pkt = net.send(0, 10, "x")
         sim.run()
-        assert pkt.trace == net.mesh.xy_route(0, 10)
+        assert pkt.trace == net.mesh.route(0, 10) == [0, 1, 2, 6, 10]
         assert pkt.hops == len(pkt.trace)
 
     def test_hops_counted_without_tracing(self):
@@ -146,7 +146,7 @@ class TestNetworkDelivery:
         pkt = net.send(0, 10, "x")
         sim.run()
         assert pkt.trace == []
-        assert pkt.hops == len(net.mesh.xy_route(0, 10))
+        assert pkt.hops == len(net.mesh.route(0, 10))
         assert net.total_hops == pkt.hops - 1
 
     def test_duplicate_endpoint_rejected(self):

@@ -252,11 +252,28 @@ class TestServiceEndToEnd:
         assert row["sim_cycles"] == result.roi_cycles > 0
         assert row["sim_events"] == int(result.extra["sim_events"]) > 0
 
-    def test_events_stream_ends_terminal(self, client):
-        spec = RunSpec(**GOLDEN_SPEC)
-        job = client.submit([spec])
-        events = list(client.iter_events(job["id"]))
-        assert events and events[-1]["state"] == "done"
+    def test_events_route_is_a_bad_route(self, client):
+        """There is no event stream: a job's progress is polled, and
+        ``GET /v1/jobs/<id>/events`` answers the structured 405 every
+        route outside the proto gets."""
+        import http.client
+
+        job = client.submit([RunSpec(**GOLDEN_SPEC)])
+        conn = http.client.HTTPConnection(client.host, client.port,
+                                          timeout=client.timeout)
+        try:
+            conn.request("GET", f"/v1/jobs/{job['id']}/events")
+            response = conn.getresponse()
+            assert response.status == 405
+            assert response.getheader("Content-Type") == \
+                "application/json"
+            body = json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert body["kind"] == "error"
+        assert body["error"] == "bad-route"
+        with pytest.raises(proto.ProtoError, match="bad-route"):
+            proto.open_envelope(body, "job")
 
     def test_failed_run_is_recorded_and_queryable(self, client):
         spec = RunSpec(benchmark="kdtree", mechanism="original",
@@ -389,6 +406,33 @@ class TestServiceKeepsResultsOnce:
             assert client.result(fp).roi_cycles > 0
             assert [row["fingerprint"] for row in client.store_index()] \
                 == [fp]
+        finally:
+            handle.stop()
+
+
+    def test_stats_count_only_results_of_this_schema(self, tmp_path):
+        """GET /v1/stats counts the results the executor can read: over
+        a directory holding one entry of this schema and one of an older
+        one it reports one result, as GET /v1/store lists one."""
+        from repro.stats.serialize import RESULT_SCHEMA_VERSION
+
+        current, older = (RunSpec.microbench(
+            home_node=home, config=SystemConfig(num_threads=2))
+            for home in (1, 2))
+        Executor(jobs=1, cache_dir=tmp_path).run_one(current)
+        stale = RESULT_SCHEMA_VERSION - 1
+        (tmp_path / f"{older.fingerprint}.json").write_text(json.dumps({
+            "schema": stale, "fingerprint": older.fingerprint,
+            "spec": older.canonical_payload(),
+            "result": {"schema": stale}, "meta": {},
+        }))
+        handle = start_in_thread(
+            Executor(jobs=1, cache_dir=tmp_path, on_error="skip"))
+        try:
+            client = ServiceClient(handle.url)
+            assert client.stats()["store"]["results"] == 1
+            assert [row["fingerprint"] for row in client.store_index()] \
+                == [current.fingerprint]
         finally:
             handle.stop()
 

@@ -31,15 +31,6 @@ class TestCoherenceStats:
         assert per_core[5] == 20.0
         assert per_core[7] == 8.0
 
-    def test_rtt_histogram_bins(self):
-        s = CoherenceStats()
-        for rtt in (1, 4, 5, 9, 23):
-            s.inv_completed(0, 0, rtt, False)
-        hist = s.inv_rtt_histogram(bin_width=5)
-        assert hist[0] == 2
-        assert hist[5] == 2
-        assert hist[20] == 1
-
     def test_lock_txn_lifecycle(self):
         s = CoherenceStats()
         s.txn_started(1, addr=0x100, winner=3, start=100, invs_sent=5)

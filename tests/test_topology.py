@@ -55,21 +55,21 @@ class TestMeshBasics:
 class TestXYRouting:
     def test_route_same_node(self):
         mesh = Mesh(4, 4)
-        assert mesh.xy_route(5, 5) == [5]
+        assert mesh.route(5, 5) == [5]
 
     def test_route_goes_x_first(self):
         mesh = Mesh(4, 4)
         # (0,0) -> (2,2): X to column 2, then Y down
-        assert mesh.xy_route(0, 10) == [0, 1, 2, 6, 10]
+        assert mesh.route(0, 10) == [0, 1, 2, 6, 10]
 
     def test_route_negative_directions(self):
         mesh = Mesh(4, 4)
         # (3,3)=15 -> (0,0)=0
-        assert mesh.xy_route(15, 0) == [15, 14, 13, 12, 8, 4, 0]
+        assert mesh.route(15, 0) == [15, 14, 13, 12, 8, 4, 0]
 
     def test_next_hop_matches_route(self):
         mesh = Mesh(8, 8)
-        path = mesh.xy_route(3, 60)
+        path = mesh.route(3, 60)
         for i in range(len(path) - 1):
             assert mesh.next_hop(path[i], 60) == path[i + 1]
 
@@ -151,14 +151,14 @@ class TestRoutingProperties:
     @settings(max_examples=200)
     def test_route_length_is_manhattan_distance(self, data):
         mesh, src, dst = data
-        path = mesh.xy_route(src, dst)
+        path = mesh.route(src, dst)
         assert len(path) - 1 == mesh.hop_distance(src, dst)
 
     @given(mesh_and_pair())
     @settings(max_examples=200)
     def test_route_endpoints_and_adjacency(self, data):
         mesh, src, dst = data
-        path = mesh.xy_route(src, dst)
+        path = mesh.route(src, dst)
         assert path[0] == src
         assert path[-1] == dst
         for a, b in zip(path, path[1:]):
@@ -168,7 +168,7 @@ class TestRoutingProperties:
     @settings(max_examples=200)
     def test_route_never_revisits_nodes(self, data):
         mesh, src, dst = data
-        path = mesh.xy_route(src, dst)
+        path = mesh.route(src, dst)
         assert len(set(path)) == len(path)
 
     @given(mesh_and_pair())
@@ -176,7 +176,7 @@ class TestRoutingProperties:
     def test_dimension_order(self, data):
         """Once the path starts moving in Y it never moves in X again."""
         mesh, src, dst = data
-        path = mesh.xy_route(src, dst)
+        path = mesh.route(src, dst)
         moved_y = False
         for a, b in zip(path, path[1:]):
             ax, ay = mesh.coords(a)

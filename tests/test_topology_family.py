@@ -91,7 +91,6 @@ class TestDegenerateMeshes:
         for src in range(n):
             for dst in range(n):
                 path = mesh.route(src, dst)
-                assert path == mesh.xy_route(src, dst)
                 assert len(path) - 1 == mesh.hop_distance(src, dst)
                 step = 1 if dst >= src else -1
                 assert path == list(range(src, dst + step, step))
@@ -117,7 +116,7 @@ class TestTorusRouting:
     def test_interior_matches_mesh(self):
         torus, mesh = Torus(8, 8), Mesh(8, 8)
         # when no dimension benefits from wrapping, routes coincide
-        assert torus.route(9, 27) == mesh.xy_route(9, 27)
+        assert torus.route(9, 27) == mesh.route(9, 27)
 
     def test_tie_breaks_forward(self):
         torus = Torus(4, 1)
